@@ -43,7 +43,7 @@ def run_method(ds, preset, seed):
     rng = np.random.default_rng((seed, 100, 0))
     accs = []
     for epoch in range(10):
-        for batch in data.batches(ds.labeled_ids, 64, shuffle=True, rng=rng):
+        for batch in data.batches(ds.labeled_ids, 64, rng=rng):
             trainer.train_step(batch)
         if epoch >= 7:
             accs.append(trainer.accuracy(ds.test_ids))

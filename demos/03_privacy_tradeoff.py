@@ -53,7 +53,7 @@ def main():
         )
         rng = np.random.default_rng((SEED, 100, 0))
         for _ in range(10):
-            for batch in data.batches(ds.labeled_ids, 64, shuffle=True, rng=rng):
+            for batch in data.batches(ds.labeled_ids, 64, rng=rng):
                 trainer.train_step(batch)
         utility = trainer.accuracy(ds.test_ids)
 

@@ -201,13 +201,6 @@ def build_pipeline_config(config):
     return hssl.PipelineConfig(gamma=p["gamma"], **shared)
 
 
-def scheduler_mode(args):
-    if getattr(args, "deterministic", False):
-        return "serial"
-    threads = int(os.environ.get("VFLHSSL_THREADS", "1"))
-    return "threaded" if threads > 1 else "serial"
-
-
 # -- atomic output --------------------------------------------------------
 
 def atomic_write_text(path, text):
@@ -253,7 +246,7 @@ def cmd_gen_data(config, out_dir):
     return 0
 
 
-def _pretrained_parties(config, dataset, seed, mode):
+def _pretrained_parties(config, dataset, seed):
     cfg = build_model_config(config, dataset)
     variant = config["pipeline"]["variant"]
     nodes = vfl.make_parties(dataset, cfg, variant, seed)
@@ -261,14 +254,14 @@ def _pretrained_parties(config, dataset, seed, mode):
     trace = []
     if config["pipeline"]["pretrain"]:
         pipeline = build_pipeline_config(config)
-        trace = hssl.pretrain(dataset, nodes, net, pipeline, seed=seed, mode=mode)
+        trace = hssl.pretrain(dataset, nodes, net, pipeline, seed=seed)
     return nodes, net, trace
 
 
-def cmd_pretrain(config, out_dir, mode):
+def cmd_pretrain(config, out_dir):
     dataset = build_dataset(config)
     seed = config["seeds"][0]
-    nodes, net, trace = _pretrained_parties(config, dataset, seed, mode)
+    nodes, net, trace = _pretrained_parties(config, dataset, seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.bin"
@@ -323,7 +316,7 @@ def _finetune_once(config, dataset, nodes, seed, labeled_count, learning_rate,
     )
     shuffle = np.random.default_rng((seed, 6))
     for _ in range(ft["epochs"]):
-        for batch in data.batches(train_ids, ft["batch_size"], shuffle=True, rng=shuffle):
+        for batch in data.batches(train_ids, ft["batch_size"], rng=shuffle):
             trainer.train_step(batch)
     return trainer, trainer.accuracy(val_ids)
 
@@ -489,8 +482,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--sweep", default=None, help="key=v1,v2,... parameter sweep")
-        p.add_argument("--deterministic", action="store_true",
-                       help="force the serial scheduler")
         if name in ("finetune", "attack"):
             p.add_argument("--checkpoint", default=None,
                            help="checkpoint from a pretrain run")
@@ -501,7 +492,7 @@ def _run_one(args, config, out_dir):
     if args.command == "gen-data":
         return cmd_gen_data(config, out_dir)
     if args.command == "pretrain":
-        return cmd_pretrain(config, out_dir, scheduler_mode(args))
+        return cmd_pretrain(config, out_dir)
     if args.command == "finetune":
         return cmd_finetune(config, out_dir, args.checkpoint)
     if args.command == "attack":

@@ -249,24 +249,19 @@ def augment(cont, cats, cat_cardinalities, policy: AugmentationPolicy, rng, cont
     return out_cont, out_cats
 
 
-def augment_party_batch(dataset: VerticalDataset, party_index, ids, policy, rng):
-    block = dataset.parties[party_index]
-    cont, cats = block.rows(ids)
-    return augment(cont, cats, block.cat_cardinalities, policy, rng, cont_std=block.cont_std)
-
-
 # -- batching -----------------------------------------------------------
 
-def batches(ids, batch_size, shuffle=False, rng=None):
-    """Yield id slices covering ``ids`` exactly once; last partial kept."""
+def batches(ids, batch_size, rng=None):
+    """Yield id slices covering ``ids`` exactly once; last partial kept.
+
+    With an ``rng`` the ids are shuffled first by one permutation draw.
+    """
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     ids = np.asarray(ids)
     if len(ids) == 0:
         return
-    if shuffle:
-        if rng is None:
-            raise ConfigError("shuffle=True requires an rng")
+    if rng is not None:
         ids = ids[rng.permutation(len(ids))]
     for start in range(0, len(ids), batch_size):
         yield ids[start : start + batch_size]
@@ -296,6 +291,13 @@ def export_csv(dataset: VerticalDataset, paths, id_col="id", label_col="label"):
                     label = dataset.labels.get(int(sid))
                     row.append("" if label is None else label)
                 writer.writerow(row)
+
+
+def _int_cell(text, what, p):
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise DataError(f"non-integer {what} {text!r} in party {p + 1} file") from exc
 
 
 def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=None,
@@ -339,7 +341,12 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
         ids, cont, cats = [], [], []
         seen_ids = set()
         for row in rows:
-            sid = int(row[id_at])
+            if len(row) < len(header):
+                raise DataError(
+                    f"party {p + 1} file: row of {len(row)} cells under "
+                    f"a {len(header)}-column header"
+                )
+            sid = _int_cell(row[id_at], "id", p)
             if sid in seen_ids:
                 raise DataError(f"duplicate id {sid} in party {p + 1} file")
             seen_ids.add(sid)
@@ -350,7 +357,7 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
                 raise DataError(f"non-numeric continuous cell for id {sid}") from exc
             cats.append([row[j] for j, _ in cat_cols_p])
             if label_at is not None and row[label_at] != "":
-                labels[sid] = int(row[label_at])
+                labels[sid] = _int_cell(row[label_at], "label", p)
         pinned = cat_levels[p] if cat_levels is not None else None
         if pinned is not None:
             levels = [{str(lvl): k for k, lvl in enumerate(col)} for col in pinned]

@@ -15,8 +15,7 @@ local tower (plus EMA targets), step 3 only f_lt and h_l.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,17 +118,12 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
     is_moco = variant.kind == "moco"
     totals = {p.party_id: [] for p in parties}
 
-    ids = np.asarray(aligned_ids)
-    if shuffle_rng is not None:
-        ids = ids[shuffle_rng.permutation(len(ids))]
-
-    for batch_ids in batches(ids, batch_size):
+    for batch_ids in batches(aligned_ids, batch_size, rng=shuffle_rng):
         rnd = network.next_round()
         # Exchange phase: each party computes and ships its representation.
         values = {}
         for p in parties:
-            cont, cats = p.features(batch_ids)
-            values[p.party_id] = p.stack.cross_projected(cont, cats).values
+            values[p.party_id] = p.stack.cross.forward(*p.features(batch_ids)).values
         outgoing_active = values[1]
         if protection is not None and "cross_repr" in protection.targets:
             outgoing_active = iso_perturb(outgoing_active, protection.lam, protection_rng)
@@ -145,9 +139,8 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
             opt = optimizers[p.party_id]
             peers = received[p.party_id]
             for _ in range(local_updates):
-                cont, cats = p.features(batch_ids)
-                z = p.stack.cross_projected(cont, cats)
-                pred = p.stack.cross_predicted_from(z)
+                z = p.stack.cross.forward(*p.features(batch_ids))
+                pred = p.stack.h_c.forward(z)
                 losses = []
                 for peer_id, target_values in sorted(peers.items()):
                     queue = (
@@ -173,26 +166,27 @@ def guided_local_ssl_epoch(party, ids, variant, gamma, policy, optimizer,
     Only the local tower (f_lb, f_lt, projector_l, h_l and its EMA
     target) is updated; the cross encoder provides frozen anchors.
     """
-    if gamma > 0 and party.stack.f_c is None:
-        raise ConfigError("guidance requires a cross encoder")
     stack = party.stack
     is_moco = variant.kind == "moco"
     block = party.dataset.parties[party.party_id - 1]
     losses = []
 
-    ids = np.asarray(ids)
-    if shuffle_rng is not None:
-        ids = ids[shuffle_rng.permutation(len(ids))]
-
-    for batch_ids in batches(ids, batch_size):
+    for batch_ids in batches(ids, batch_size, rng=shuffle_rng):
         cont, cats = block.rows(batch_ids)
         v1 = augment(cont, cats, block.cat_cardinalities, policy, aug_rng, block.cont_std)
         v2 = augment(cont, cats, block.cat_cardinalities, policy, aug_rng, block.cont_std)
 
-        p1 = stack.local_predicted(*v1)
-        p2 = stack.local_predicted(*v2)
-        t1 = T.Tensor(stack.target_projected(*v1).values)
-        t2 = T.Tensor(stack.target_projected(*v2).values)
+        z1 = stack.local.forward(*v1)
+        z2 = stack.local.forward(*v2)
+        p1 = stack.h_l.forward(z1)
+        p2 = stack.h_l.forward(z2)
+        # SimSiam's target is the online tower under stop-gradient; BYOL
+        # and MoCo run the same views through the EMA copy.
+        if stack.target is None:
+            t1, t2 = T.Tensor(z1.values), T.Tensor(z2.values)
+        else:
+            t1 = T.Tensor(stack.target.forward(*v1).values)
+            t2 = T.Tensor(stack.target.forward(*v2).values)
 
         q_a = _queue(party, "local_a", variant.queue_capacity) if is_moco else None
         q_b = _queue(party, "local_b", variant.queue_capacity) if is_moco else None
@@ -201,8 +195,8 @@ def guided_local_ssl_epoch(party, ids, variant, gamma, policy, optimizer,
         )
         loss = sym
         if gamma > 0:
-            zc1 = T.Tensor(stack.cross_backbone(*v1).values)
-            zc2 = T.Tensor(stack.cross_backbone(*v2).values)
+            zc1 = T.Tensor(stack.cross.encode(*v1).values)
+            zc2 = T.Tensor(stack.cross.encode(*v2).values)
             if zc1.cols != p1.cols:
                 raise ConfigError(
                     f"guidance dims disagree: predictor {p1.cols} vs cross encoder {zc1.cols}"
@@ -284,11 +278,9 @@ def partial_model_aggregation(parties, network, server=None, protection=None,
         _unflatten_pma(p.stack, msg.payload.reshape(-1))
 
 
-def pretrain(dataset, parties, network, config: PipelineConfig, seed=0, mode="serial"):
+def pretrain(dataset, parties, network, config: PipelineConfig, seed=0):
     """Run the full pretraining pipeline in place. Returns the metrics
     trace: one record per (iteration, party, step)."""
-    if mode not in ("serial", "threaded"):
-        raise ConfigError(f"unknown scheduler mode {mode!r}")
     parties = sorted(parties, key=lambda p: p.party_id)
     protection_rng = np.random.default_rng((seed, 9999)) if config.protection else None
 
@@ -319,8 +311,7 @@ def pretrain(dataset, parties, network, config: PipelineConfig, seed=0, mode="se
                     trace.append({"iteration": it, "party": pid, "step": "cross", "loss": loss})
 
         if config.steps_guided_local:
-            def run_local(p):
-                results = []
+            for p in parties:
                 for epoch in range(config.local_epochs):
                     aug_rng = np.random.default_rng((seed, 2, p.party_id, it, epoch))
                     shuffle_rng = np.random.default_rng((seed, 3, p.party_id, it, epoch))
@@ -330,16 +321,6 @@ def pretrain(dataset, parties, network, config: PipelineConfig, seed=0, mode="se
                         batch_size=config.batch_size,
                         aug_rng=aug_rng, shuffle_rng=shuffle_rng,
                     )
-                    results.append(loss)
-                return results
-
-            if mode == "threaded":
-                with ThreadPoolExecutor(max_workers=len(parties)) as pool:
-                    all_losses = list(pool.map(run_local, parties))
-            else:
-                all_losses = [run_local(p) for p in parties]
-            for p, losses in zip(parties, all_losses):
-                for loss in losses:
                     trace.append({"iteration": it, "party": p.party_id, "step": "local", "loss": loss})
 
         if config.steps_pma:

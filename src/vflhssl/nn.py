@@ -3,7 +3,8 @@
 A party's model holds two towers: a cross-party encoder (backbone f_c,
 projector, predictor h_c) trained on aligned samples, and a local
 encoder split into bottom/top (f_lb, f_lt) with its own projector and
-predictor h_l, plus an optional EMA target copy. Categorical inputs go
+predictor h_l, plus an optional EMA target: a frozen copy of the local
+tower, run through the same forward path. Categorical inputs go
 through per-tower embedding tables whose last row is a reserved,
 never-trained corruption vector. The active party additionally owns a
 top classifier for the supervised split network.
@@ -11,10 +12,11 @@ top classifier for the supervised split network.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -33,7 +35,19 @@ def init_weights(layer, rng):
     layer.bias.values[:] = 0.0
 
 
-class DenseLayer:
+def _join(prefix, name):
+    return f"{prefix}.{name}" if prefix else name
+
+
+class Module:
+    """Subclasses name their own parameters in ``named_params(prefix)``;
+    ``params`` lists the same tensors in the same order."""
+
+    def params(self):
+        return [p for _, p in self.named_params()]
+
+
+class DenseLayer(Module):
     def __init__(self, in_dim, out_dim, activation="identity", rng=None):
         if in_dim <= 0 or out_dim <= 0:
             raise ConfigError(f"dense dims must be positive, got {in_dim}x{out_dim}")
@@ -51,21 +65,21 @@ class DenseLayer:
             out = T.relu(out)
         return out
 
-    def params(self):
-        return [self.weight, self.bias]
+    def named_params(self, prefix=""):
+        return [(_join(prefix, "weight"), self.weight), (_join(prefix, "bias"), self.bias)]
 
 
-class Identity:
+class Identity(Module):
     """Parameter-free predictor used by the MoCo variant."""
 
     def forward(self, x):
         return x
 
-    def params(self):
+    def named_params(self, prefix=""):
         return []
 
 
-class MLP:
+class MLP(Module):
     def __init__(self, dims, rng, hidden_activation="relu", final_activation="identity"):
         if len(dims) < 2:
             raise ConfigError("MLP needs at least one layer")
@@ -79,11 +93,14 @@ class MLP:
             x = layer.forward(x)
         return x
 
-    def params(self):
-        return [p for layer in self.layers for p in layer.params()]
+    def named_params(self, prefix=""):
+        return [
+            item for i, layer in enumerate(self.layers)
+            for item in layer.named_params(_join(prefix, str(i)))
+        ]
 
 
-class EmbeddingLayer:
+class EmbeddingLayer(Module):
     """Lookup table with a reserved corruption row at index ``vocab``.
 
     The corruption row is excluded from gradient updates; augmentation
@@ -103,8 +120,47 @@ class EmbeddingLayer:
     def forward(self, indices):
         return T.embedding_lookup(self.table, indices, frozen_rows=(self.corruption_index,))
 
-    def params(self):
-        return [self.table]
+    def named_params(self, prefix=""):
+        return [(_join(prefix, "table"), self.table)]
+
+
+class Tower(Module):
+    """Embeddings -> backbone -> projector, run by one forward path.
+
+    ``parts`` are named modules in forward order: the backbone layers,
+    then the projector. Continuous columns and the categorical
+    embeddings are concatenated into the backbone input.
+    """
+
+    def __init__(self, embed_name, embeds, **parts):
+        self.embeds = {f"{embed_name}.{i}": e for i, e in enumerate(embeds)}
+        *backbone, self.projector_name = parts
+        self.backbone = {name: parts[name] for name in backbone}
+        self.projector = parts[self.projector_name]
+
+    def named_params(self, prefix=""):
+        modules = {**self.embeds, **self.backbone, self.projector_name: self.projector}
+        return [
+            item for name, module in modules.items()
+            for item in module.named_params(_join(prefix, name))
+        ]
+
+    def backbone_params(self):
+        """Embedding and backbone parameters: the part fine-tuning trains."""
+        modules = [*self.embeds.values(), *self.backbone.values()]
+        return [p for module in modules for p in module.params()]
+
+    def encode(self, cont, cats):
+        """Backbone representation of a batch of raw features."""
+        columns = [T.Tensor(cont)] if cont.shape[1] else []
+        columns += [emb.forward(cats[:, j]) for j, emb in enumerate(self.embeds.values())]
+        x = columns[0] if len(columns) == 1 else T.concat_cols(columns)
+        for module in self.backbone.values():
+            x = module.forward(x)
+        return x
+
+    def forward(self, cont, cats):
+        return self.projector.forward(self.encode(cont, cats))
 
 
 class EmaTracker:
@@ -172,192 +228,88 @@ class ModelConfig:
             return per_party * self.num_parties
         return per_party
 
-    @staticmethod
-    def paper_scale(**overrides):
-        """Appendix-style dims: 512-wide towers, [512,512,512] projector,
-        512->128->512 predictor, MoCo projector output 128."""
-        defaults = dict(
-            hidden_dim=512,
-            repr_dim=512,
-            projector_dims=(512, 512, 512),
-            predictor_dims=(128, 512),
-            moco_projector_out=128,
-            embed_dim=32,
-        )
-        defaults.update(overrides)
-        return ModelConfig(**defaults)
-
 
 class EncoderStack:
     """One party's full model: local tower, cross tower, optional EMA target."""
 
     def __init__(self, cfg: ModelConfig, variant: str, rng):
         self.cfg = cfg
-        self.variant = variant
         in_dim = cfg.encoded_input_dim()
-
-        # Local tower. The backbone is 2 dense layers; the top layer is
-        # the aggregation unit shared through PMA.
-        self.embed_l = [EmbeddingLayer(v, cfg.embed_dim, rng) for v in cfg.cat_cardinalities]
-        self.f_lb = MLP([in_dim, cfg.hidden_dim], rng, final_activation="relu")
-        self.f_lt = DenseLayer(cfg.hidden_dim, cfg.repr_dim, rng=rng)
         proj_out = cfg.moco_projector_out if variant == "moco" else cfg.projector_dims[-1]
-        self.projector_l = MLP(
-            [cfg.repr_dim, cfg.projector_dims[0], cfg.projector_dims[1], proj_out], rng
-        )
-        if variant == "moco":
-            self.h_l = Identity()
-        else:
-            self.h_l = MLP([proj_out, cfg.predictor_dims[0], proj_out], rng)
 
-        # Cross-party tower.
-        self.embed_c = [EmbeddingLayer(v, cfg.embed_dim, rng) for v in cfg.cat_cardinalities]
-        self.f_c = MLP([in_dim, cfg.hidden_dim, cfg.repr_dim], rng, final_activation="identity")
-        self.projector_c = MLP(
-            [cfg.repr_dim, cfg.projector_dims[0], cfg.projector_dims[1], proj_out], rng
+        def embeds():
+            return [EmbeddingLayer(v, cfg.embed_dim, rng) for v in cfg.cat_cardinalities]
+
+        def projector():
+            return MLP([cfg.repr_dim, cfg.projector_dims[0], cfg.projector_dims[1], proj_out], rng)
+
+        def predictor():
+            if variant == "moco":
+                return Identity()
+            return MLP([proj_out, cfg.predictor_dims[0], proj_out], rng)
+
+        # Local tower. The backbone is 2 dense layers; the top layer f_lt
+        # is the aggregation unit shared through PMA, together with h_l.
+        self.local = Tower(
+            "embed_l", embeds(),
+            f_lb=MLP([in_dim, cfg.hidden_dim], rng, final_activation="relu"),
+            f_lt=DenseLayer(cfg.hidden_dim, cfg.repr_dim, rng=rng),
+            projector_l=projector(),
         )
-        if variant == "moco":
-            self.h_c = Identity()
-        else:
-            self.h_c = MLP([proj_out, cfg.predictor_dims[0], proj_out], rng)
+        self.h_l = predictor()
+
+        self.cross = Tower(
+            "embed_c", embeds(),
+            f_c=MLP([in_dim, cfg.hidden_dim, cfg.repr_dim], rng, final_activation="identity"),
+            projector_c=projector(),
+        )
+        self.h_c = predictor()
 
         # EMA target of the local tower (BYOL/MoCo only; SimSiam reuses
         # the online tower under stop-gradient).
         self.target = None
         self.ema = None
         if variant in ("byol", "moco"):
+            self.target = copy.deepcopy(self.local)
+            for p in self.target.params():
+                p.requires_grad = False
             momentum = 0.995 if variant == "byol" else 0.99
-            self.target = {
-                name: T.Tensor(p.values.copy())
-                for name, p in self._local_target_named()
-            }
-            pairs = [(p, self.target[name]) for name, p in self._local_target_named()]
-            self.ema = EmaTracker(momentum, pairs)
-
-    # -- parameter bookkeeping ------------------------------------------
-    def _named(self, prefix, module):
-        if isinstance(module, MLP):
-            out = []
-            for i, layer in enumerate(module.layers):
-                out.append((f"{prefix}.{i}.weight", layer.weight))
-                out.append((f"{prefix}.{i}.bias", layer.bias))
-            return out
-        if isinstance(module, DenseLayer):
-            return [(f"{prefix}.weight", module.weight), (f"{prefix}.bias", module.bias)]
-        if isinstance(module, Identity):
-            return []
-        raise TypeError(module)
-
-    def _local_target_named(self):
-        out = [(f"embed_l.{i}.table", e.table) for i, e in enumerate(self.embed_l)]
-        out += self._named("f_lb", self.f_lb)
-        out += self._named("f_lt", self.f_lt)
-        out += self._named("projector_l", self.projector_l)
-        return out
+            self.ema = EmaTracker(momentum, zip(self.local.params(), self.target.params()))
 
     def named_params(self):
-        out = [(f"embed_l.{i}.table", e.table) for i, e in enumerate(self.embed_l)]
-        out += self._named("f_lb", self.f_lb)
-        out += self._named("f_lt", self.f_lt)
-        out += self._named("projector_l", self.projector_l)
-        out += self._named("h_l", self.h_l)
-        out += [(f"embed_c.{i}.table", e.table) for i, e in enumerate(self.embed_c)]
-        out += self._named("f_c", self.f_c)
-        out += self._named("projector_c", self.projector_c)
-        out += self._named("h_c", self.h_c)
+        out = self.local.named_params() + self.h_l.named_params("h_l")
+        out += self.cross.named_params() + self.h_c.named_params("h_c")
         if self.target is not None:
-            out += [(f"target.{name}", p) for name, p in sorted(self.target.items())]
+            # Checkpoint version 1 stores the target in name order.
+            out += sorted(self.target.named_params("target"), key=lambda item: item[0])
         return out
 
     def params_cross(self):
-        ps = [e.table for e in self.embed_c]
-        ps += self.f_c.params() + self.projector_c.params() + self.h_c.params()
-        return ps
+        return self.cross.params() + self.h_c.params()
 
     def params_local(self):
-        ps = [e.table for e in self.embed_l]
-        ps += self.f_lb.params() + [self.f_lt.weight, self.f_lt.bias]
-        ps += self.projector_l.params() + self.h_l.params()
-        return ps
+        return self.local.params() + self.h_l.params()
 
     def named_pma_params(self):
         """f_lt and h_l parameters in a canonical order shared by all parties."""
-        return self._named("f_lt", self.f_lt) + self._named("h_l", self.h_l)
+        return self.local.backbone["f_lt"].named_params("f_lt") + self.h_l.named_params("h_l")
 
     def params_finetune(self):
         mode = self.cfg.finetune_encoders
         ps = []
         if mode in ("local", "concat"):
-            ps += [e.table for e in self.embed_l]
-            ps += self.f_lb.params() + [self.f_lt.weight, self.f_lt.bias]
+            ps += self.local.backbone_params()
         if mode in ("cross", "concat"):
-            ps += [e.table for e in self.embed_c]
-            ps += self.f_c.params()
+            ps += self.cross.backbone_params()
         return ps
-
-    # -- forward paths ----------------------------------------------------
-    def _encode_input(self, cont, cats, embeds):
-        parts = []
-        if cont.shape[1]:
-            parts.append(T.Tensor(cont))
-        for j, emb in enumerate(embeds):
-            parts.append(emb.forward(cats[:, j]))
-        if not parts:
-            raise ConfigError("party has no features")
-        return parts[0] if len(parts) == 1 else T.concat_cols(parts)
-
-    def local_backbone(self, cont, cats):
-        x = self._encode_input(cont, cats, self.embed_l)
-        return self.f_lt.forward(self.f_lb.forward(x))
-
-    def local_projected(self, cont, cats):
-        return self.projector_l.forward(self.local_backbone(cont, cats))
-
-    def local_predicted(self, cont, cats):
-        return self.h_l.forward(self.local_projected(cont, cats))
-
-    def target_projected(self, cont, cats):
-        """Target-tower representation; constants for SimSiam via the
-        online tower (losses stop the gradient), EMA weights otherwise."""
-        if self.target is None:
-            return self.local_projected(cont, cats)
-        t = self.target
-        parts = []
-        if cont.shape[1]:
-            parts.append(T.Tensor(cont))
-        for j, emb in enumerate(self.embed_l):
-            tbl = t[f"embed_l.{j}.table"]
-            parts.append(T.embedding_lookup(tbl, cats[:, j]))
-        x = parts[0] if len(parts) == 1 else T.concat_cols(parts)
-
-        def dense(x, prefix, activation):
-            out = T.add(T.matmul(x, t[f"{prefix}.weight"]), t[f"{prefix}.bias"])
-            return T.relu(out) if activation == "relu" else out
-
-        for i, layer in enumerate(self.f_lb.layers):
-            x = dense(x, f"f_lb.{i}", layer.activation)
-        x = dense(x, "f_lt", self.f_lt.activation)
-        for i, layer in enumerate(self.projector_l.layers):
-            x = dense(x, f"projector_l.{i}", layer.activation)
-        return x
-
-    def cross_backbone(self, cont, cats):
-        x = self._encode_input(cont, cats, self.embed_c)
-        return self.f_c.forward(x)
-
-    def cross_projected(self, cont, cats):
-        return self.projector_c.forward(self.cross_backbone(cont, cats))
-
-    def cross_predicted_from(self, z_c):
-        return self.h_c.forward(z_c)
 
     def finetune_repr(self, cont, cats):
         mode = self.cfg.finetune_encoders
         if mode == "local":
-            return self.local_backbone(cont, cats)
+            return self.local.encode(cont, cats)
         if mode == "cross":
-            return self.cross_backbone(cont, cats)
-        return T.concat_cols([self.local_backbone(cont, cats), self.cross_backbone(cont, cats)])
+            return self.cross.encode(cont, cats)
+        return T.concat_cols([self.local.encode(cont, cats), self.cross.encode(cont, cats)])
 
 
 class PartyModel:
@@ -370,7 +322,7 @@ class PartyModel:
     def named_params(self):
         out = list(self.stack.named_params())
         if self.top_model is not None:
-            out += self.stack._named("top_model", self.top_model)
+            out += self.top_model.named_params("top_model")
         return out
 
 
@@ -455,6 +407,9 @@ def load_checkpoint(path, expect_fingerprint=None) -> Checkpoint:
         header = json.loads(raw[10 : 10 + hlen])
     except ValueError as exc:
         raise FormatError("corrupt checkpoint header") from exc
+    required = {"config_fingerprint", "parties", "seeds"}
+    if not isinstance(header, dict) or not required <= set(header):
+        raise FormatError("checkpoint header lacks config_fingerprint, parties or seeds")
     if expect_fingerprint is not None and header["config_fingerprint"] != expect_fingerprint:
         raise FingerprintError("checkpoint fingerprint does not match config")
     offset = 10 + hlen

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ValidationError
+from .nn import DenseLayer
 
 
 @dataclass
@@ -105,10 +106,10 @@ def _adversary_features(party, ids, source):
     cont, cats = party.features(ids)
     stack = party.stack
     if source == "pretrained_local":
-        return stack.local_backbone(cont, cats).values
+        return stack.local.encode(cont, cats).values
     if source == "pretrained_cross_plus_local":
         return np.concatenate(
-            [stack.local_backbone(cont, cats).values, stack.cross_backbone(cont, cats).values],
+            [stack.local.encode(cont, cats).values, stack.cross.encode(cont, cats).values],
             axis=1,
         )
     # finetuned_local: whatever representation the adversary contributed
@@ -133,8 +134,6 @@ def mc_attack(adversary, cfg: McAttackConfig, aux_ids, eval_ids, num_classes, rn
     y_aux = adversary.dataset.label_array(aux_ids)
     x_eval = _adversary_features(adversary, eval_ids, cfg.encoder_source)
     y_eval = adversary.dataset.label_array(eval_ids)
-
-    from .nn import DenseLayer
 
     head = [
         DenseLayer(x_aux.shape[1], cfg.head_hidden_dim, activation="relu", rng=rng),

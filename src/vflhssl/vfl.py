@@ -13,12 +13,13 @@ from __future__ import annotations
 import queue
 import struct
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError, ProtocolError, ShapeError
+from .errors import ConfigError, ProtocolError, ShapeError
+from .nn import build_party_model
 from .privacy import iso_perturb
 
 WIRE_MAGIC = b"VFLM"
@@ -136,9 +137,9 @@ class Network:
 
 
 class PartyNode:
-    """One party's worker state: model, dataset view and private rng."""
+    """One party's worker state: model, dataset view and MoCo queues."""
 
-    def __init__(self, party_id, role, model, dataset, rng):
+    def __init__(self, party_id, role, model, dataset):
         if role not in ("active", "passive"):
             raise ConfigError(f"unknown role {role!r}")
         if role == "active" and party_id != 1:
@@ -147,7 +148,6 @@ class PartyNode:
         self.role = role
         self.model = model
         self.dataset = dataset
-        self.rng = rng
         self.queues = {}  # name -> NegativeQueue, created on demand (moco)
 
     @property
@@ -168,28 +168,13 @@ def make_parties(dataset, cfg, variant, seed):
     for i in range(dataset.num_parties):
         pid = i + 1
         block = dataset.parties[i]
-        party_cfg = _party_config(cfg, block)
-        rng = np.random.default_rng((seed, pid))
+        party_cfg = replace(
+            cfg, input_dim=block.cont.shape[1], cat_cardinalities=tuple(block.cat_cardinalities)
+        )
         role = "active" if pid == 1 else "passive"
-        model = build_model(party_cfg, role, variant, rng)
-        parties.append(PartyNode(pid, role, model, dataset, rng))
+        model = build_party_model(party_cfg, role, variant, np.random.default_rng((seed, pid)))
+        parties.append(PartyNode(pid, role, model, dataset))
     return parties
-
-
-def _party_config(cfg, block):
-    from dataclasses import replace
-
-    return replace(
-        cfg,
-        input_dim=block.cont.shape[1],
-        cat_cardinalities=tuple(block.cat_cardinalities),
-    )
-
-
-def build_model(cfg, role, variant, rng):
-    from .nn import build_party_model
-
-    return build_party_model(cfg, role, variant, rng)
 
 
 def _aggregate(tensors, kind):

@@ -84,6 +84,16 @@ class TestExitCodes:
     def test_data_error_is_3(self, tmp_path):
         assert cli.main(["report", "--out", str(tmp_path / "empty")]) == 3
 
+    @pytest.mark.parametrize("bad_row", ["x2,0.2,1", "2,0.2,cat", "2,0.2"])
+    def test_malformed_csv_is_3(self, tmp_path, capsys, bad_row):
+        p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        p1.write_text(f"id,x0,label\n1,0.1,0\n{bad_row}\n")
+        p2.write_text("id,x0\n1,1.0\n2,2.0\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"data": {"csv": {"paths": [str(p1), str(p2)]}}}))
+        assert cli.main(["pretrain", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_runtime_error_is_4(self, cfg_path, tmp_path):
         # checkpoint path that is not a checkpoint
         bogus = tmp_path / "ckpt.bin"
@@ -120,7 +130,7 @@ class TestPretrain:
     def test_outputs_and_determinism(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         args = ["pretrain", "--config", cfg_path, "--preset", "fedhssl-simsiam",
-                "--out", str(out), "--deterministic"]
+                "--out", str(out)]
         assert cli.main(args) == 0
         first = (out / "checkpoint.bin").read_bytes()
         trace = json.loads((out / "trace.json").read_text())

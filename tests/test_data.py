@@ -162,12 +162,8 @@ class TestBatches:
 
     def test_shuffle_is_permutation(self):
         ids = np.arange(10)
-        out = np.concatenate(list(data.batches(ids, 4, shuffle=True, rng=np.random.default_rng(0))))
+        out = np.concatenate(list(data.batches(ids, 4, rng=np.random.default_rng(0))))
         assert sorted(out) == list(ids)
-
-    def test_shuffle_requires_rng(self):
-        with pytest.raises(ConfigError):
-            list(data.batches(np.arange(4), 2, shuffle=True))
 
     def test_bad_batch_size(self):
         with pytest.raises(ConfigError):
@@ -237,6 +233,19 @@ class TestCsv:
         assert loaded.warnings[data.CORRUPTION_WARNING_KEY] == 1
         _, cats = loaded.rows(0, [3])
         assert cats[0, 0] == 2  # corruption index == pinned vocabulary size
+
+    @pytest.mark.parametrize("party1, match", [
+        ("id,x0,label\n1,0.1,0\nx2,0.2,1\n", "non-integer id"),
+        ("id,x0,label\n1,0.1,0\n2,0.2,cat\n", "non-integer label"),
+        ("id,x0,label\n1,0.1,0\n2,0.2\n", "row of 2 cells"),
+    ])
+    def test_malformed_cells_raise_data_error(self, tmp_path, party1, match):
+        p1 = tmp_path / "p1.csv"
+        p1.write_text(party1)
+        p2 = tmp_path / "p2.csv"
+        p2.write_text("id,x0\n1,1.0\n2,2.0\n")
+        with pytest.raises(DataError, match=match):
+            data.load_csv([p1, p2])
 
     def test_no_overlap_rejected(self, tmp_path):
         p1 = tmp_path / "p1.csv"

@@ -276,21 +276,6 @@ class TestPretrain:
         cross = [r["loss"] for r in trace if r["step"] == "cross" and r["party"] == 1]
         assert cross[-1] < cross[0]
 
-    def test_serial_equals_threaded_bit_identical(self):
-        results = []
-        for mode in ("serial", "threaded"):
-            ds, nodes, net = setup(variant="byol", seed=7)
-            cfg = hssl.PipelineConfig(
-                variant=SslVariant("byol"), global_iterations=3, batch_size=16,
-            )
-            trace = hssl.pretrain(ds, nodes, net, cfg, seed=1, mode=mode)
-            results.append(([snapshot(p) for p in nodes], trace))
-        (snaps_a, trace_a), (snaps_b, trace_b) = results
-        assert trace_a == trace_b
-        for sa, sb in zip(snaps_a, snaps_b):
-            for name in sa:
-                np.testing.assert_array_equal(sa[name], sb[name], err_msg=name)
-
     def test_moco_queues_created(self):
         ds, nodes, net = setup(variant="moco")
         cfg = hssl.PipelineConfig(
@@ -300,8 +285,3 @@ class TestPretrain:
         assert any(name.startswith("cross_recv_") for name in nodes[0].queues)
         assert "local_a" in nodes[0].queues and "guide_a" in nodes[0].queues
         assert all(len(q) > 0 for q in nodes[0].queues.values())
-
-    def test_bad_mode(self):
-        ds, nodes, net = setup()
-        with pytest.raises(ConfigError):
-            hssl.pretrain(ds, nodes, net, hssl.PipelineConfig(global_iterations=1), mode="forked")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -61,9 +63,22 @@ class TestBuildPartyModel:
         m = nn.build_party_model(cfg, "active", "byol", np.random.default_rng(0))
         cont = np.random.default_rng(1).normal(size=(6, 10))
         cats = np.zeros((6, 0), dtype=np.int64)
-        assert m.stack.local_backbone(cont, cats).shape == (6, cfg.repr_dim)
-        assert m.stack.local_predicted(cont, cats).shape == (6, cfg.projector_dims[-1])
+        assert m.stack.local.encode(cont, cats).shape == (6, cfg.repr_dim)
+        predicted = m.stack.h_l.forward(m.stack.local.forward(cont, cats))
+        assert predicted.shape == (6, cfg.projector_dims[-1])
         assert m.stack.finetune_repr(cont, cats).shape == (6, 2 * cfg.repr_dim)
+
+
+def small_cfg():
+    return nn.ModelConfig(
+        input_dim=3, num_classes=2, cat_cardinalities=(2,), embed_dim=2, hidden_dim=4,
+        repr_dim=3, projector_dims=(5, 5, 6), predictor_dims=(2, 6), moco_projector_out=4,
+    )
+
+
+def small_batch():
+    rng = np.random.default_rng(1)
+    return rng.normal(size=(7, 3)), rng.integers(0, 3, size=(7, 1))
 
 
 class TestEmaTracker:
@@ -91,9 +106,29 @@ class TestEmaTracker:
         m = nn.build_party_model(desk_cfg(), "active", "byol", np.random.default_rng(0))
         for _ in range(3):
             m.stack.ema.update()
-        for p in m.stack.target.values():
+        for p in m.stack.target.params():
             assert not p.requires_grad
             assert p.grad is None
+
+    @pytest.mark.parametrize("variant", ["byol", "moco"])
+    def test_fresh_target_forward_equals_online(self, variant):
+        m = nn.build_party_model(small_cfg(), "active", variant, np.random.default_rng(0))
+        cont, cats = small_batch()
+        online = m.stack.local.forward(cont, cats).values
+        target = m.stack.target.forward(cont, cats).values
+        assert target.tobytes() == online.tobytes()
+
+    @pytest.mark.parametrize("variant", ["byol", "moco"])
+    def test_update_touches_exactly_the_target(self, variant):
+        m = nn.build_party_model(small_cfg(), "active", variant, np.random.default_rng(0))
+        for p in m.stack.local.params():
+            p.values += 1.0
+        before = {name: p.values.copy() for name, p in m.named_params()}
+        m.stack.ema.update()
+        changed = {
+            name for name, p in m.named_params() if not np.array_equal(p.values, before[name])
+        }
+        assert changed == {name for name in before if name.startswith("target.")}
 
 
 class TestEmbeddingLayer:
@@ -105,6 +140,53 @@ class TestEmbeddingLayer:
         assert emb.table.grad[0].any()
 
 
+# Checkpoint layout (format version 1) of small_cfg(): online towers in
+# forward order, then the EMA target sorted by name, then the top model.
+BYOL_LAYOUT = [
+    ("embed_l.0.table", (3, 2)), ("f_lb.0.weight", (5, 4)), ("f_lb.0.bias", (1, 4)),
+    ("f_lt.weight", (4, 3)), ("f_lt.bias", (1, 3)),
+    ("projector_l.0.weight", (3, 5)), ("projector_l.0.bias", (1, 5)),
+    ("projector_l.1.weight", (5, 5)), ("projector_l.1.bias", (1, 5)),
+    ("projector_l.2.weight", (5, 6)), ("projector_l.2.bias", (1, 6)),
+    ("h_l.0.weight", (6, 2)), ("h_l.0.bias", (1, 2)),
+    ("h_l.1.weight", (2, 6)), ("h_l.1.bias", (1, 6)),
+    ("embed_c.0.table", (3, 2)), ("f_c.0.weight", (5, 4)), ("f_c.0.bias", (1, 4)),
+    ("f_c.1.weight", (4, 3)), ("f_c.1.bias", (1, 3)),
+    ("projector_c.0.weight", (3, 5)), ("projector_c.0.bias", (1, 5)),
+    ("projector_c.1.weight", (5, 5)), ("projector_c.1.bias", (1, 5)),
+    ("projector_c.2.weight", (5, 6)), ("projector_c.2.bias", (1, 6)),
+    ("h_c.0.weight", (6, 2)), ("h_c.0.bias", (1, 2)),
+    ("h_c.1.weight", (2, 6)), ("h_c.1.bias", (1, 6)),
+    ("target.embed_l.0.table", (3, 2)),
+    ("target.f_lb.0.bias", (1, 4)), ("target.f_lb.0.weight", (5, 4)),
+    ("target.f_lt.bias", (1, 3)), ("target.f_lt.weight", (4, 3)),
+    ("target.projector_l.0.bias", (1, 5)), ("target.projector_l.0.weight", (3, 5)),
+    ("target.projector_l.1.bias", (1, 5)), ("target.projector_l.1.weight", (5, 5)),
+    ("target.projector_l.2.bias", (1, 6)), ("target.projector_l.2.weight", (5, 6)),
+    ("top_model.weight", (12, 2)), ("top_model.bias", (1, 2)),
+]
+
+MOCO_LAYOUT = [
+    ("embed_l.0.table", (3, 2)), ("f_lb.0.weight", (5, 4)), ("f_lb.0.bias", (1, 4)),
+    ("f_lt.weight", (4, 3)), ("f_lt.bias", (1, 3)),
+    ("projector_l.0.weight", (3, 5)), ("projector_l.0.bias", (1, 5)),
+    ("projector_l.1.weight", (5, 5)), ("projector_l.1.bias", (1, 5)),
+    ("projector_l.2.weight", (5, 4)), ("projector_l.2.bias", (1, 4)),
+    ("embed_c.0.table", (3, 2)), ("f_c.0.weight", (5, 4)), ("f_c.0.bias", (1, 4)),
+    ("f_c.1.weight", (4, 3)), ("f_c.1.bias", (1, 3)),
+    ("projector_c.0.weight", (3, 5)), ("projector_c.0.bias", (1, 5)),
+    ("projector_c.1.weight", (5, 5)), ("projector_c.1.bias", (1, 5)),
+    ("projector_c.2.weight", (5, 4)), ("projector_c.2.bias", (1, 4)),
+    ("target.embed_l.0.table", (3, 2)),
+    ("target.f_lb.0.bias", (1, 4)), ("target.f_lb.0.weight", (5, 4)),
+    ("target.f_lt.bias", (1, 3)), ("target.f_lt.weight", (4, 3)),
+    ("target.projector_l.0.bias", (1, 5)), ("target.projector_l.0.weight", (3, 5)),
+    ("target.projector_l.1.bias", (1, 5)), ("target.projector_l.1.weight", (5, 5)),
+    ("target.projector_l.2.bias", (1, 4)), ("target.projector_l.2.weight", (5, 4)),
+    ("top_model.weight", (12, 2)), ("top_model.bias", (1, 2)),
+]
+
+
 class TestCheckpoint:
     def make_models(self, seed=0):
         cfg = desk_cfg()
@@ -112,6 +194,30 @@ class TestCheckpoint:
             nn.build_party_model(cfg, "active", "byol", np.random.default_rng(seed)),
             nn.build_party_model(cfg, "passive", "byol", np.random.default_rng(seed + 1)),
         ]
+
+    @pytest.mark.parametrize("variant, layout", [("byol", BYOL_LAYOUT), ("moco", MOCO_LAYOUT)])
+    def test_parameter_layout_pinned(self, tmp_path, variant, layout):
+        m = nn.build_party_model(small_cfg(), "active", variant, np.random.default_rng(0))
+        assert [(name, p.shape) for name, p in m.named_params()] == layout
+        path = tmp_path / "ckpt.bin"
+        nn.save_checkpoint(path, [m], small_cfg())
+        blob = nn.load_checkpoint(path).party_params[0]
+        assert [(name, a.shape) for name, a in blob.items()] == layout
+
+    @pytest.mark.parametrize("key", ["parties", "config_fingerprint"])
+    def test_header_missing_key(self, tmp_path, key):
+        cfg, models = self.make_models()
+        path = tmp_path / "ckpt.bin"
+        nn.save_checkpoint(path, models, cfg)
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[6:10], "little")
+        header = json.loads(raw[10 : 10 + hlen])
+        del header[key]
+        new_header = json.dumps(header).encode()
+        path.write_bytes(raw[:6] + len(new_header).to_bytes(4, "little") + new_header
+                         + raw[10 + hlen :])
+        with pytest.raises(FormatError, match="lacks"):
+            nn.load_checkpoint(path)
 
     def test_round_trip_bit_exact(self, tmp_path):
         cfg, models = self.make_models()

@@ -138,15 +138,18 @@ def adversary_dataset(classes=2, seed=0, sep=4.0, noise=0.0):
     return data.generate_synthetic(spec)
 
 
-class IdentityStack:
+class IdentityTower:
     """Oracle encoder: passes raw features straight through."""
 
-    def _pass(self, cont, cats):
+    def encode(self, cont, cats):
         return T.Tensor(cont)
 
-    local_backbone = _pass
-    cross_backbone = _pass
-    finetune_repr = _pass
+
+class IdentityStack:
+    local = cross = IdentityTower()
+
+    def finetune_repr(self, cont, cats):
+        return T.Tensor(cont)
 
 
 class IdentityAdversary:
