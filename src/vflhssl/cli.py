@@ -292,8 +292,9 @@ def _restore_parties(config, dataset, seed, checkpoint_path):
 
 def _finetune_once(config, dataset, nodes, seed, labeled_count, learning_rate,
                    protection=None):
-    """Supervised split training on a labeled subset; returns the trainer
-    and its accuracy on a held-out validation slice of that subset."""
+    """Supervised split training on a labeled subset; returns the trainer,
+    its accuracy on a held-out validation slice of that subset and whether
+    its validation logits are all finite."""
     ft = config["finetune"]
     rng = np.random.default_rng((seed, 4))
     pool = dataset.labeled_ids
@@ -318,19 +319,24 @@ def _finetune_once(config, dataset, nodes, seed, labeled_count, learning_rate,
     for _ in range(ft["epochs"]):
         for batch in data.batches(train_ids, ft["batch_size"], rng=shuffle):
             trainer.train_step(batch)
-    return trainer, trainer.accuracy(val_ids)
+    finite = bool(np.isfinite(trainer.logits(val_ids)).all())
+    return trainer, trainer.accuracy(val_ids), finite
 
 
 def _select_lr(config, dataset, seed, labeled_count, checkpoint_path, protection=None):
-    """Train one model per lr candidate and keep the best by validation."""
-    best = None
+    """Train one model per lr candidate and keep the best by validation.
+
+    A diverged candidate (non-finite validation logits) ranks below every
+    finite one: its argmax predicts class 0, and that share is no score.
+    """
+    best, best_rank = None, None
     for lr in config["finetune"]["lr_candidates"]:
         nodes = _restore_parties(config, dataset, seed, checkpoint_path)
-        trainer, val_acc = _finetune_once(
+        trainer, val_acc, finite = _finetune_once(
             config, dataset, nodes, seed, labeled_count, lr, protection=protection
         )
-        if best is None or val_acc > best[1]:
-            best = (trainer, val_acc, lr)
+        if best is None or (finite, val_acc) > best_rank:
+            best, best_rank = (trainer, val_acc, lr), (finite, val_acc)
     return best
 
 

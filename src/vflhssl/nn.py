@@ -60,10 +60,7 @@ class DenseLayer(Module):
             init_weights(self, rng)
 
     def forward(self, x):
-        out = T.add(T.matmul(x, self.weight), self.bias)
-        if self.activation == "relu":
-            out = T.relu(out)
-        return out
+        return T.dense(x, self.weight, self.bias, self.activation == "relu")
 
     def named_params(self, prefix=""):
         return [(_join(prefix, "weight"), self.weight), (_join(prefix, "bias"), self.bias)]
@@ -392,6 +389,23 @@ def save_checkpoint(path, models, config, seeds=()):
                 fh.write(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
 
 
+def _is_dim(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _party_entries(header):
+    """The header's per-party lists of {name, rows, cols}, each checked."""
+    parties = header["parties"]
+    if not isinstance(parties, list) or not all(isinstance(p, list) for p in parties):
+        raise FormatError("checkpoint parties must be a list of lists")
+    for party in parties:
+        for entry in party:
+            if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                    and _is_dim(entry.get("rows")) and _is_dim(entry.get("cols"))):
+                raise FormatError(f"malformed checkpoint parameter entry {entry!r}")
+    return parties
+
+
 def load_checkpoint(path, expect_fingerprint=None) -> Checkpoint:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -410,11 +424,12 @@ def load_checkpoint(path, expect_fingerprint=None) -> Checkpoint:
     required = {"config_fingerprint", "parties", "seeds"}
     if not isinstance(header, dict) or not required <= set(header):
         raise FormatError("checkpoint header lacks config_fingerprint, parties or seeds")
+    parties = _party_entries(header)
     if expect_fingerprint is not None and header["config_fingerprint"] != expect_fingerprint:
         raise FingerprintError("checkpoint fingerprint does not match config")
     offset = 10 + hlen
     party_params = []
-    for party in header["parties"]:
+    for party in parties:
         blob = {}
         for entry in party:
             nbytes = entry["rows"] * entry["cols"] * 8

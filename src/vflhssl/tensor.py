@@ -103,11 +103,24 @@ class Tensor:
 
 
 def _result(values, parents, backward):
-    out = Tensor(values)
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward = backward
+    """The output node of an op.
+
+    Ops pass 2-D float64 ``values`` and a tuple of ``parents``, so the
+    node is built directly, without ``Tensor.__init__``'s input checks.
+    """
+    out = Tensor.__new__(Tensor)
+    out.values = values
+    out.grad = None
+    out.stop_grad = False
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward
+            break
     return out
 
 
@@ -142,6 +155,33 @@ def _reduce_to(g, shape):
     if g.shape != shape:
         raise ShapeError(f"cannot reduce gradient {g.shape} to {shape}")
     return g
+
+
+def dense(x: Tensor, weight: Tensor, bias: Tensor, relu: bool) -> Tensor:
+    """``x @ weight + bias``, then ReLU if ``relu``, as one node.
+
+    Values and gradients equal the ``matmul -> add -> relu`` composition
+    bit for bit; ``bias`` is a (1, m) row.
+    """
+    x = as_tensor(x)
+    if x.cols != weight.rows or bias.shape != (1, weight.cols):
+        raise ShapeError(f"dense shapes disagree: {x.shape} x {weight.shape} + {bias.shape}")
+    out_values = x.values @ weight.values + bias.values
+    if relu:
+        mask = out_values > 0.0
+        out_values = np.where(mask, out_values, 0.0)
+
+    def backward(g):
+        if relu:
+            g = g * mask
+        if bias.requires_grad:
+            bias._accumulate(_reduce_to(g, bias.shape))
+        if x.requires_grad:
+            x._accumulate(g @ weight.values.T)
+        if weight.requires_grad:
+            weight._accumulate(x.values.T @ g)
+
+    return _result(out_values, (x, weight, bias), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -286,7 +326,9 @@ def concat_cols(tensors) -> Tensor:
         if t.rows != n:
             raise ShapeError("concat_cols row counts differ")
     out_values = np.concatenate([t.values for t in tensors], axis=1)
-    offsets = np.cumsum([0] + [t.cols for t in tensors])
+    offsets = [0]
+    for t in tensors:
+        offsets.append(offsets[-1] + t.cols)
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):

@@ -113,6 +113,9 @@ def test_criterion_1_gradients_match_finite_differences():
         check(lambda a, b: T.sum_all(T.add(a, b)), rand(n, m), rand(1, m))
         check(lambda a, b: T.sum_all(T.maximum(a, b)), rand(n, m), rand(n, m))
         check(lambda a: T.sum_all(T.relu(a)), rand(n, m))
+        for relu in (False, True):
+            check(lambda a, w, b: T.sum_all(T.dense(a, w, b, relu)),
+                  rand(n, k), rand(k, m), rand(1, m))
         check(lambda a: T.mean_all(a), rand(n, m))
         check(lambda a: T.sum_all(T.row_sum(a)), rand(n, m))
         check(lambda a: T.sum_all(T.row_l2_normalize(a)), rand(n, m))

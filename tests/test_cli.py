@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from vflhssl import cli, privacy
@@ -103,6 +104,22 @@ class TestExitCodes:
             "--checkpoint", str(bogus),
         ])
         assert code == 4
+
+
+    def test_malformed_checkpoint_entry_is_4(self, cfg_path, tmp_path, capsys):
+        header = json.dumps({"config_fingerprint": "0", "seeds": [0],
+                             "parties": [[{"name": "w", "cols": 1}]]}).encode()
+        bogus = tmp_path / "ckpt.bin"
+        bogus.write_bytes(b"VFLH" + (1).to_bytes(2, "little")
+                          + len(header).to_bytes(4, "little") + header)
+        code = cli.main([
+            "finetune", "--config", cfg_path, "--out", str(tmp_path / "o"),
+            "--checkpoint", str(bogus),
+        ])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "malformed checkpoint parameter entry" in err
+        assert "Traceback" not in err
 
 
 class TestGenData:
@@ -212,6 +229,22 @@ class TestFinetuneAndAttack:
             _, _, lam, _, util, rec = line.split(",")
             curve.add_point(float(lam), float(util), float(rec))
         assert attack["cap"] == pytest.approx(privacy.cap(curve), abs=1e-12)
+
+
+def test_select_lr_ranks_diverged_candidates_last(tmp_path):
+    # Default config, lambda_f=20, seed 2: lr 0.01 and 0.03 diverge to NaN
+    # logits, so argmax predicts class 0 and scores its validation share,
+    # 0.325; lr 0.005 stays finite at 0.225 and must be the one kept.
+    config = cli.load_config()
+    assert cli.main(["pretrain", "--out", str(tmp_path)]) == 0
+    dataset = cli.build_dataset(config)
+    protection = privacy.IsoConfig(20.0, targets=("finetune_grad",))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trainer, val_acc, lr = cli._select_lr(
+            config, dataset, 2, 200, str(tmp_path / "checkpoint.bin"), protection=protection
+        )
+    assert (lr, val_acc) == (0.005, 0.225)
+    assert np.isfinite(trainer.logits(dataset.test_ids)).all()
 
 
 class TestSweep:

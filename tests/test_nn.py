@@ -204,19 +204,39 @@ class TestCheckpoint:
         blob = nn.load_checkpoint(path).party_params[0]
         assert [(name, a.shape) for name, a in blob.items()] == layout
 
-    @pytest.mark.parametrize("key", ["parties", "config_fingerprint"])
-    def test_header_missing_key(self, tmp_path, key):
+    def saved_with_header(self, tmp_path, edit):
+        """A saved checkpoint whose JSON header ``edit`` changed in place."""
         cfg, models = self.make_models()
         path = tmp_path / "ckpt.bin"
         nn.save_checkpoint(path, models, cfg)
         raw = path.read_bytes()
         hlen = int.from_bytes(raw[6:10], "little")
         header = json.loads(raw[10 : 10 + hlen])
-        del header[key]
+        edit(header)
         new_header = json.dumps(header).encode()
         path.write_bytes(raw[:6] + len(new_header).to_bytes(4, "little") + new_header
                          + raw[10 + hlen :])
+        return path
+
+    @pytest.mark.parametrize("key", ["parties", "config_fingerprint"])
+    def test_header_missing_key(self, tmp_path, key):
+        path = self.saved_with_header(tmp_path, lambda header: header.pop(key))
         with pytest.raises(FormatError, match="lacks"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: h["parties"][0][0].pop("rows"), id="no-rows"),
+        pytest.param(lambda h: h["parties"][0][0].pop("cols"), id="no-cols"),
+        pytest.param(lambda h: h["parties"][0][0].pop("name"), id="no-name"),
+        pytest.param(lambda h: h["parties"][0][0].update(rows="4"), id="string-rows"),
+        pytest.param(lambda h: h["parties"][0][0].update(cols=-1), id="negative-cols"),
+        pytest.param(lambda h: h["parties"][1].insert(0, 7), id="entry-not-object"),
+        pytest.param(lambda h: h.update(parties="party"), id="parties-string"),
+        pytest.param(lambda h: h.update(parties=["party"]), id="party-string"),
+    ])
+    def test_malformed_party_entry(self, tmp_path, edit):
+        path = self.saved_with_header(tmp_path, edit)
+        with pytest.raises(FormatError, match="checkpoint parties|malformed"):
             nn.load_checkpoint(path)
 
     def test_round_trip_bit_exact(self, tmp_path):

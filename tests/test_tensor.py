@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,79 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
             T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 2))))
+
+
+class TestDense:
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_bit_identical_to_composition(self, rng, batch, relu):
+        arrays = (rng.normal(size=(batch, 32)), rng.normal(size=(32, 16)),
+                  rng.normal(size=(1, 16)))
+        g = rng.normal(size=(batch, 16))
+
+        def run(fused):
+            x, w, b = (T.Tensor(a.copy(), requires_grad=True) for a in arrays)
+            if fused:
+                out = T.dense(x, w, b, relu)
+            else:
+                out = T.add(T.matmul(x, w), b)
+                if relu:
+                    out = T.relu(out)
+            out.backward(grad=g)
+            return out.values, x.grad, w.grad, b.grad
+
+        for fused_part, composed_part in zip(run(True), run(False)):
+            assert np.array_equal(fused_part, composed_part)
+
+    def test_frozen_weights_pass_input_gradient(self, rng):
+        x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w, b = T.Tensor(rng.normal(size=(4, 2))), T.Tensor(rng.normal(size=(1, 2)))
+        T.sum_all(T.dense(x, w, b, False)).backward()
+        np.testing.assert_allclose(x.grad, np.ones((3, 2)) @ w.values.T)
+        assert w.grad is None and b.grad is None
+
+    def test_shape_mismatch(self):
+        x, w = T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 4)))
+        with pytest.raises(ShapeError, match="dense"):
+            T.dense(x, T.Tensor(np.zeros((4, 2))), T.Tensor(np.zeros((1, 2))), False)
+        with pytest.raises(ShapeError, match="dense"):
+            T.dense(x, w, T.Tensor(np.zeros((1, 3))), True)
+
+
+def test_every_op_returns_2d_float64(rng):
+    """Op outputs skip Tensor's input checks, so each op must itself
+    produce a 2-D float64 array; a new op without a case here fails."""
+    a = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    bias = T.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
+    cases = {
+        "matmul": lambda: T.matmul(a, w),
+        "dense": lambda: T.dense(a, w, bias, True),
+        "add": lambda: T.add(a, T.Tensor([[1, 2, 3]])),
+        "mul": lambda: T.mul(a, b),
+        "affine": lambda: T.affine(a, 2, 1),
+        "relu": lambda: T.relu(a),
+        "maximum": lambda: T.maximum(a, b),
+        "row_l2_normalize": lambda: T.row_l2_normalize(a),
+        "stop_gradient": lambda: T.stop_gradient(a),
+        "sum_all": lambda: T.sum_all(a),
+        "mean_all": lambda: T.mean_all(a),
+        "row_sum": lambda: T.row_sum(a),
+        "concat_cols": lambda: T.concat_cols([a, w.values[:1].repeat(4, axis=0)]),
+        "embedding_lookup": lambda: T.embedding_lookup(w, [0, 2, 2]),
+        "softmax_cross_entropy": lambda: T.softmax_cross_entropy(a, [0, 1, 2, 0]),
+    }
+    public_ops = {
+        name for name, fn in vars(T).items()
+        if inspect.isfunction(fn) and fn.__module__ == T.__name__
+        and not name.startswith("_") and name != "as_tensor"
+    }
+    assert set(cases) == public_ops
+    for name, make in cases.items():
+        out = make()
+        assert isinstance(out, T.Tensor), name
+        assert out.values.ndim == 2 and out.values.dtype == np.float64, name
 
 
 class TestRowNormalize:
