@@ -273,20 +273,26 @@ def cmd_pretrain(config, out_dir):
         "seed": seed,
         "records": trace,
         "message_counts": dict(net.counts),
+        "message_bytes": dict(net.bytes),
     })
     print(f"wrote checkpoint.bin and trace.json to {out_dir}")
     return 0
 
 
-def _restore_parties(config, dataset, seed, checkpoint_path):
+def _load_checkpoint(config, path):
+    """The fingerprint-checked checkpoint of a command, or None."""
+    if path is None:
+        return None
+    return nn.load_checkpoint(path, expect_fingerprint=config_fingerprint(config))
+
+
+def _restore_parties(config, dataset, seed, checkpoint):
     cfg = build_model_config(config, dataset)
     variant = config["pipeline"]["variant"]
     nodes = vfl.make_parties(dataset, cfg, variant, seed)
-    if checkpoint_path is not None:
-        ckpt = nn.load_checkpoint(
-            checkpoint_path, expect_fingerprint=config_fingerprint(config)
-        )
-        ckpt.restore_into([p.model for p in nodes])
+    if checkpoint is not None:
+        # restore_into copies values, so candidates share no arrays.
+        checkpoint.restore_into([p.model for p in nodes])
     return nodes
 
 
@@ -323,7 +329,7 @@ def _finetune_once(config, dataset, nodes, seed, labeled_count, learning_rate,
     return trainer, trainer.accuracy(val_ids), finite
 
 
-def _select_lr(config, dataset, seed, labeled_count, checkpoint_path, protection=None):
+def _select_lr(config, dataset, seed, labeled_count, checkpoint, protection=None):
     """Train one model per lr candidate and keep the best by validation.
 
     A diverged candidate (non-finite validation logits) ranks below every
@@ -331,7 +337,7 @@ def _select_lr(config, dataset, seed, labeled_count, checkpoint_path, protection
     """
     best, best_rank = None, None
     for lr in config["finetune"]["lr_candidates"]:
-        nodes = _restore_parties(config, dataset, seed, checkpoint_path)
+        nodes = _restore_parties(config, dataset, seed, checkpoint)
         trainer, val_acc, finite = _finetune_once(
             config, dataset, nodes, seed, labeled_count, lr, protection=protection
         )
@@ -343,12 +349,11 @@ def _select_lr(config, dataset, seed, labeled_count, checkpoint_path, protection
 def cmd_finetune(config, out_dir, checkpoint_path):
     dataset = build_dataset(config)
     started = time.time()
+    checkpoint = _load_checkpoint(config, checkpoint_path)
     rows = []
     for labeled_count in config["finetune"]["labeled_counts"]:
         for seed in config["seeds"]:
-            trainer, val_acc, lr = _select_lr(
-                config, dataset, seed, labeled_count, checkpoint_path
-            )
+            trainer, val_acc, lr = _select_lr(config, dataset, seed, labeled_count, checkpoint)
             rows.append({
                 "labeled_count": labeled_count, "seed": seed,
                 "learning_rate": lr, "val_top1": val_acc,
@@ -367,10 +372,10 @@ def cmd_finetune(config, out_dir, checkpoint_path):
         "config_fingerprint": config_fingerprint(config),
         "per_run": rows,
         "summary": summary,
-        "wall_clock_sec": time.time() - started,
     }
     out_dir = Path(out_dir)
     atomic_write_json(out_dir / "report.json", report)
+    atomic_write_json(out_dir / "timings.json", {"wall_clock_sec": time.time() - started})
     lines = ["labeled_count,seed,learning_rate,val_top1,test_top1"]
     for r in rows:
         lines.append(
@@ -379,16 +384,18 @@ def cmd_finetune(config, out_dir, checkpoint_path):
         )
     atomic_write_text(out_dir / "report.csv", "\n".join(lines) + "\n")
     for s in summary:
-        print(
-            f"labeled={s['labeled_count']}: test top-1 "
-            f"{s['mean_test_top1']:.4f} +- {s['std_test_top1']:.4f} "
-            f"over {s['seeds']} seeds"
-        )
+        print(_summary_line(s))
     return 0
+
+
+def _summary_line(s):
+    return (f"labeled={s['labeled_count']}: test top-1 "
+            f"{s['mean_test_top1']:.4f} +- {s['std_test_top1']:.4f} over {s['seeds']} seeds")
 
 
 def cmd_attack(config, out_dir, checkpoint_path):
     dataset = build_dataset(config)
+    checkpoint = _load_checkpoint(config, checkpoint_path)
     priv = config["privacy"]
     labeled_count = config["finetune"]["labeled_counts"][0]
     curve = privacy.TradeoffCurve(
@@ -400,8 +407,7 @@ def cmd_attack(config, out_dir, checkpoint_path):
         utilities, recoveries = [], []
         for seed in config["seeds"]:
             trainer, _, _ = _select_lr(
-                config, dataset, seed, labeled_count, checkpoint_path,
-                protection=protection,
+                config, dataset, seed, labeled_count, checkpoint, protection=protection
             )
             adversary = trainer.parties[-1]
             attack_cfg = privacy.McAttackConfig(
@@ -449,11 +455,7 @@ def cmd_report(out_dir):
         ]
         if abs(float(np.mean(accs)) - s["mean_test_top1"]) > 1e-12:
             raise DataError("report summary disagrees with per-run entries")
-        print(
-            f"labeled={s['labeled_count']}: test top-1 "
-            f"{s['mean_test_top1']:.4f} +- {s['std_test_top1']:.4f} "
-            f"over {s['seeds']} seeds"
-        )
+        print(_summary_line(s))
     return 0
 
 

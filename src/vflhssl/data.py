@@ -44,10 +44,6 @@ class PartyBlock:
             raise DataError(f"sample id {exc.args[0]} missing at this party") from exc
         return self.cont[idx], self.cats[idx]
 
-    @property
-    def feature_count(self):
-        return self.cont.shape[1] + self.cats.shape[1]
-
 
 @dataclass
 class VerticalDataset:
@@ -212,6 +208,9 @@ class AugmentationPolicy:
             raise ConfigError("corruption_fraction must be in [0, 1]")
 
 
+SCALAR_DONOR_DRAWS = 3  # up to 3 scalar integers() calls cost less than one sized call
+
+
 def augment(cont, cats, cat_cardinalities, policy: AugmentationPolicy, rng, cont_std=None):
     """Corrupted view of a batch; the inputs are never mutated.
 
@@ -220,6 +219,11 @@ def augment(cont, cats, cat_cardinalities, policy: AugmentationPolicy, rng, cont
     Continuous cells are resampled from the same column of another
     batch row (empirical marginal); categorical cells map to the
     reserved corruption embedding index (== cardinality).
+
+    Draw order, which fixes the output for an ``rng`` state: per row one
+    ``choice(m, size=k, replace=False)``, then per continuous position in
+    that order a donor ``integers(n - 1)`` (skipping the row itself) or,
+    in a one-row batch, a ``standard_normal`` jitter times ``cont_std`` (or 1).
     """
     if len(cont) == 0:
         raise DataError("cannot augment an empty batch")
@@ -227,25 +231,35 @@ def augment(cont, cats, cat_cardinalities, policy: AugmentationPolicy, rng, cont
     m_cont, m_cat = cont.shape[1], cats.shape[1]
     m = m_cont + m_cat
     k = math.ceil(policy.corruption_fraction * m)
-    out_cont = cont.copy()
-    out_cats = cats.copy()
+    out_cont, out_cats = cont.copy(), cats.copy()
     if k == 0 or m == 0:
         return out_cont, out_cats
+    integers, bound = rng.integers, n - 1
+    rows, cols, draws, cat_rows, cat_cols = [], [], [], [], []
     for r in range(n):
-        positions = rng.choice(m, size=k, replace=False)
-        for pos in positions:
-            if pos < m_cont:
-                if n > 1:
-                    donor = int(rng.integers(n - 1))
-                    if donor >= r:
-                        donor += 1
-                    out_cont[r, pos] = cont[donor, pos]
-                else:
-                    sigma = cont_std[pos] if cont_std is not None else 1.0
-                    out_cont[r, pos] = cont[r, pos] + sigma * rng.standard_normal()
-            else:
-                j = pos - m_cont
-                out_cats[r, j] = cat_cardinalities[j]
+        positions = rng.choice(m, size=k, replace=False).tolist()
+        picked = [pos for pos in positions if pos < m_cont] if m_cat else positions
+        if len(picked) < k:
+            cat_rows += [r] * (k - len(picked))
+            cat_cols += [pos - m_cont for pos in positions if pos >= m_cont]
+        rows += [r] * len(picked)
+        cols += picked
+        if n == 1:
+            draws += rng.standard_normal(len(picked)).tolist()
+        elif len(picked) > SCALAR_DONOR_DRAWS:  # the same stream as scalar calls
+            draws += integers(bound, size=len(picked)).tolist()
+        else:
+            draws += [int(integers(bound)) for _ in picked]
+    # One scatter per block; every read is from the unmodified input.
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    if n == 1:
+        sigma = 1.0 if cont_std is None else cont_std[cols]
+        out_cont[rows, cols] = cont[rows, cols] + sigma * np.array(draws)
+    else:
+        donors = np.array(draws, dtype=np.int64)
+        out_cont[rows, cols] = cont[donors + (donors >= rows), cols]
+    cat_cols = np.array(cat_cols, dtype=np.int64)
+    out_cats[np.array(cat_rows, dtype=np.int64), cat_cols] = np.asarray(cat_cardinalities)[cat_cols]
     return out_cont, out_cats
 
 

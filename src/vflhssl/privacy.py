@@ -56,34 +56,6 @@ def metric_top1(predictions, labels):
     return float((predictions == labels).mean())
 
 
-def metric_auc(scores, labels):
-    """Mann-Whitney rank AUC with ties counted one half."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    if len(pos) == 0 or len(neg) == 0:
-        raise ValidationError("AUC needs both classes present")
-    greater = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return float((greater + 0.5 * ties) / (len(pos) * len(neg)))
-
-
-def metric_f1(predictions, labels):
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.size == 0:
-        raise ValidationError("empty prediction set")
-    tp = int(((predictions == 1) & (labels == 1)).sum())
-    fp = int(((predictions == 1) & (labels == 0)).sum())
-    fn = int(((predictions == 0) & (labels == 1)).sum())
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
-
-
 # -- model-completion attack ---------------------------------------------
 
 @dataclass

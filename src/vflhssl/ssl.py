@@ -7,7 +7,6 @@ never reach the target's producers regardless of caller discipline.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,29 +31,38 @@ class SslVariant:
 
 
 class NegativeQueue:
-    """FIFO of unit-normalized representation rows, bounded by capacity."""
+    """FIFO of unit-normalized representation rows, bounded by capacity,
+    held in a ``capacity x d`` ring whose oldest row is at slot ``head``."""
 
     def __init__(self, capacity):
         if capacity < 0:
             raise ConfigError("queue capacity must be non-negative")
         self.capacity = capacity
-        self.entries = deque(maxlen=capacity if capacity else None)
+        self.ring = None  # allocated by the first enqueue, which fixes d
+        self.head = self.length = 0
 
     def __len__(self):
-        return len(self.entries)
+        return self.length
 
     def enqueue(self, rows):
         rows = np.asarray(rows, dtype=np.float64)
         norms = np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), T.NORM_EPS)
-        for row in rows / norms:
-            if self.capacity == 0:
-                return
-            self.entries.append(row)
+        if self.capacity == 0:
+            return
+        unit = (rows / norms)[-self.capacity:]
+        if self.ring is None:
+            self.ring = np.empty((self.capacity, rows.shape[1]))
+        end = self.head + self.length + len(unit)
+        self.ring[np.arange(end - len(unit), end) % self.capacity] = unit
+        self.length = min(self.capacity, self.length + len(unit))
+        self.head = (end - self.length) % self.capacity
 
     def as_matrix(self):
-        if not self.entries:
+        """The held rows, oldest first, as a fresh array: a loss graph
+        keeps it until ``backward``, after which the step enqueues."""
+        if not self.length:
             return None
-        return np.stack(self.entries, axis=0)
+        return self.ring[np.arange(self.head, self.head + self.length) % self.capacity]
 
 
 def _check_pair(p, z):

@@ -64,9 +64,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self, grad=None):
         """Backpropagate from this node.
 

@@ -83,9 +83,11 @@ class Channel:
         self.closed = False
 
     def send(self, msg: WireMessage):
+        """Queue the encoded frame; returns its length in bytes."""
         if self.closed:
             raise ProtocolError("send on closed channel")
-        self._queue.put(encode_message(msg))
+        self._queue.put(raw := encode_message(msg))
+        return len(raw)
 
     def recv(self, timeout=None) -> WireMessage:
         if self.closed and self._queue.empty():
@@ -110,7 +112,8 @@ class Channel:
 
 
 class Network:
-    """Full mesh of channels between node ids (0 = server, 1..K = parties)."""
+    """Full mesh of channels between node ids (0 = server, 1..K = parties);
+    ``counts`` and ``bytes`` tally frames and wire bytes per message type."""
 
     def __init__(self, node_ids):
         self.node_ids = list(node_ids)
@@ -118,6 +121,7 @@ class Network:
             (a, b): Channel() for a in self.node_ids for b in self.node_ids if a != b
         }
         self.counts = Counter()
+        self.bytes = Counter()
         self._round = 0
 
     def next_round(self):
@@ -126,14 +130,16 @@ class Network:
         return self._round
 
     def send(self, src, dst, msg: WireMessage):
-        self._channels[(src, dst)].send(msg)
+        size = self._channels[(src, dst)].send(msg)
         self.counts[MSG_NAMES[msg.msg_type]] += 1
+        self.bytes[MSG_NAMES[msg.msg_type]] += size
 
     def recv(self, dst, src, timeout=None) -> WireMessage:
         return self._channels[(src, dst)].recv(timeout=timeout)
 
     def reset_counts(self):
         self.counts = Counter()
+        self.bytes = Counter()
 
 
 class PartyNode:

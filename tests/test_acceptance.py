@@ -417,6 +417,11 @@ def test_criterion_10_message_counts_closed_form():
         assert net.counts["Repr"] == 2 * (2 - 1) * n_batches  # invariant in e
         for opt in opts.values():
             assert opt.steps == local_updates * n_batches  # scales with e
+        # wire bytes: 14 header + 4 per dim + 8 per float64 in each frame
+        sizes = [min(batch_size, len(ds.aligned_ids) - s)
+                 for s in range(0, len(ds.aligned_ids), batch_size)]
+        width = 16  # the cross projector's output, projector_dims[-1]
+        assert net.bytes["Repr"] == 2 * (2 - 1) * sum(14 + 4 * 2 + 8 * b * width for b in sizes)
 
 
 # -- criterion 11: determinism ---------------------------------------------------
@@ -450,9 +455,13 @@ def test_criterion_11_bit_identical_determinism(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    args = ["finetune", "--config", str(cfg_path), "--preset", "fedsplitnn",
-            "--out", str(out)]
-    assert cli.main(args) == 0
-    first = (out / "report.csv").read_bytes()
-    assert cli.main(args) == 0
-    assert (out / "report.csv").read_bytes() == first
+    for command, preset, names in (
+        ("pretrain", "fedhssl-simsiam", ("checkpoint.bin", "trace.json")),
+        ("finetune", "fedsplitnn", ("report.csv", "report.json")),
+    ):
+        args = [command, "--config", str(cfg_path), "--preset", preset, "--out", str(out)]
+        assert cli.main(args) == 0
+        first = {name: (out / name).read_bytes() for name in names}
+        assert cli.main(args) == 0
+        for name in names:
+            assert (out / name).read_bytes() == first[name], name

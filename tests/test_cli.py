@@ -152,6 +152,7 @@ class TestPretrain:
         first = (out / "checkpoint.bin").read_bytes()
         trace = json.loads((out / "trace.json").read_text())
         assert {r["step"] for r in trace["records"]} == {"cross", "local", "pma"}
+        assert set(trace["message_bytes"]) == set(trace["message_counts"]) == {"Repr", "ModelBlob"}
         assert cli.main(args) == 0
         assert (out / "checkpoint.bin").read_bytes() == first
 
@@ -189,6 +190,8 @@ class TestFinetuneAndAttack:
         row = report["summary"][0]
         assert row["std_test_top1"] == 0.0  # single seed
         assert row["mean_test_top1"] == report["per_run"][0]["test_top1"]
+        assert "wall_clock_sec" not in report  # timings live apart
+        assert json.loads((out / "timings.json").read_text())["wall_clock_sec"] > 0
         assert cli.main(["report", "--out", str(out)]) == 0
 
     def test_finetune_fingerprint_mismatch(self, cfg_path, tmp_path):
@@ -230,6 +233,37 @@ class TestFinetuneAndAttack:
             curve.add_point(float(lam), float(util), float(rec))
         assert attack["cap"] == pytest.approx(privacy.cap(curve), abs=1e-12)
 
+    def test_checkpoint_loaded_once_outputs_unchanged(self, tmp_path, monkeypatch):
+        # Oracle: every lr candidate restores from a fresh read of the file.
+        cfg = json.loads(json.dumps(TINY))
+        cfg["finetune"]["lr_candidates"] = [0.01, 0.03]
+        cfg["seeds"] = [0, 1]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        self.run_pretrain(str(path), tmp_path)
+        checkpoint = str(tmp_path / "checkpoint.bin")
+
+        def run(command, out):
+            assert cli.main([command, "--config", str(path), "--preset", "fedhssl-simsiam",
+                             "--out", str(out), "--checkpoint", checkpoint]) == 0
+            name = "report.csv" if command == "finetune" else "attack.json"
+            return (out / name).read_bytes()
+
+        load, restore = cli.nn.load_checkpoint, cli._restore_parties
+        loads = []
+        monkeypatch.setattr(cli.nn, "load_checkpoint",
+                            lambda *a, **kw: loads.append(a) or load(*a, **kw))
+        once = {c: run(c, tmp_path / f"once-{c}") for c in ("finetune", "attack")}
+        assert len(loads) == 2  # one per command
+
+        def restore_from_file(config, dataset, seed, _checkpoint):
+            fresh = load(checkpoint, expect_fingerprint=cli.config_fingerprint(config))
+            return restore(config, dataset, seed, fresh)
+
+        monkeypatch.setattr(cli, "_restore_parties", restore_from_file)
+        for command, expected in once.items():
+            assert run(command, tmp_path / f"reread-{command}") == expected
+
 
 def test_select_lr_ranks_diverged_candidates_last(tmp_path):
     # Default config, lambda_f=20, seed 2: lr 0.01 and 0.03 diverge to NaN
@@ -239,9 +273,10 @@ def test_select_lr_ranks_diverged_candidates_last(tmp_path):
     assert cli.main(["pretrain", "--out", str(tmp_path)]) == 0
     dataset = cli.build_dataset(config)
     protection = privacy.IsoConfig(20.0, targets=("finetune_grad",))
+    checkpoint = cli._load_checkpoint(config, str(tmp_path / "checkpoint.bin"))
     with np.errstate(over="ignore", invalid="ignore"):
         trainer, val_acc, lr = cli._select_lr(
-            config, dataset, 2, 200, str(tmp_path / "checkpoint.bin"), protection=protection
+            config, dataset, 2, 200, checkpoint, protection=protection
         )
     assert (lr, val_acc) == (0.005, 0.225)
     assert np.isfinite(trainer.logits(dataset.test_ids)).all()

@@ -153,6 +153,69 @@ class TestAugmentation:
                          data.AugmentationPolicy(0.3), rng)
 
 
+def per_cell_augment(cont, cats, cat_cardinalities, policy, rng, cont_std=None):
+    """The per-cell corruption loop that fixed augment's draw order; kept
+    as the oracle of its outputs and of the rng state it leaves."""
+    n = cont.shape[0]
+    m_cont, m_cat = cont.shape[1], cats.shape[1]
+    m = m_cont + m_cat
+    k = int(np.ceil(policy.corruption_fraction * m))
+    out_cont = cont.copy()
+    out_cats = cats.copy()
+    if k == 0 or m == 0:
+        return out_cont, out_cats
+    for r in range(n):
+        positions = rng.choice(m, size=k, replace=False)
+        for pos in positions:
+            if pos < m_cont:
+                if n > 1:
+                    donor = int(rng.integers(n - 1))
+                    if donor >= r:
+                        donor += 1
+                    out_cont[r, pos] = cont[donor, pos]
+                else:
+                    sigma = cont_std[pos] if cont_std is not None else 1.0
+                    out_cont[r, pos] = cont[r, pos] + sigma * rng.standard_normal()
+            else:
+                j = pos - m_cont
+                out_cats[r, j] = cat_cardinalities[j]
+    return out_cont, out_cats
+
+
+def test_augment_matches_per_cell_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        n=st.sampled_from([1, 2]) | st.integers(3, 40),
+        kind=st.sampled_from(["continuous", "categorical", "mixed"]),
+        widths=st.tuples(st.integers(1, 12), st.integers(1, 5)),
+        fraction=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        with_std=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(n, kind, widths, fraction, with_std, seed):
+        m_cont = 0 if kind == "categorical" else widths[0]
+        m_cat = 0 if kind == "continuous" else widths[1]
+        make = np.random.default_rng(seed)
+        cont = make.standard_normal((n, m_cont))
+        cards = tuple(int(c) for c in make.integers(1, 6, size=m_cat))
+        cats = np.array([[make.integers(c) for c in cards] for _ in range(n)],
+                        dtype=np.int64).reshape(n, m_cat)
+        cont_std = make.random(m_cont) + 0.1 if with_std else None
+        policy = data.AugmentationPolicy(fraction)
+        ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = data.augment(cont, cats, cards, policy, ours, cont_std)
+        want = per_cell_augment(cont, cats, cards, policy, theirs, cont_std)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[1].dtype == want[1].dtype
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    check()
+
+
 class TestBatches:
     def test_partition_covers_once(self):
         ids = np.arange(10)

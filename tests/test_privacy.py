@@ -57,29 +57,6 @@ class TestMetrics:
         with pytest.raises(ValidationError):
             privacy.metric_top1([], [])
 
-    def test_auc_four_pair_enumeration(self):
-        # pos scores 0.9, 0.4 vs neg 0.5, 0.1: three of four pairs ordered
-        scores = [0.9, 0.4, 0.5, 0.1]
-        labels = [1, 1, 0, 0]
-        assert privacy.metric_auc(scores, labels) == 0.75
-
-    def test_auc_perfect_and_ties(self):
-        assert privacy.metric_auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
-        assert privacy.metric_auc([0.5, 0.5], [1, 0]) == 0.5
-
-    def test_auc_needs_both_classes(self):
-        with pytest.raises(ValidationError):
-            privacy.metric_auc([0.1, 0.2], [1, 1])
-
-    def test_f1_hand_value(self):
-        # tp=2, fp=1, fn=1: precision = recall = 2/3
-        preds = [1, 1, 1, 0, 0]
-        labels = [1, 1, 0, 1, 0]
-        assert privacy.metric_f1(preds, labels) == pytest.approx(2 / 3)
-
-    def test_f1_no_true_positives(self):
-        assert privacy.metric_f1([0, 0], [1, 1]) == 0.0
-
 
 class TestCap:
     def test_single_point_product(self):

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,43 @@ def test_loss_bounds(kind, rng):
             assert 0.0 <= v <= 4.0
         else:
             assert v >= 0.0
+
+
+def test_negative_queue_matches_deque_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.example(capacity=0, width=3, sizes=[2, 5], seed=0)
+    @hypothesis.example(capacity=1, width=2, sizes=[3, 1, 0, 2], seed=1)
+    @hypothesis.example(capacity=4, width=2, sizes=[3, 9, 2], seed=2)
+    @hypothesis.given(
+        capacity=st.integers(0, 9),
+        width=st.integers(1, 5),
+        sizes=st.lists(st.integers(0, 14), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(capacity, width, sizes, seed):
+        make = np.random.default_rng(seed)
+        queue = ssl.NegativeQueue(capacity)
+        reference = deque(maxlen=capacity)
+        earlier = []  # (matrix returned by as_matrix, its copy)
+        for size in sizes:
+            rows = make.standard_normal((size, width))
+            if size:
+                rows[0] = 0.0  # a zero row normalises by NORM_EPS
+            queue.enqueue(rows)
+            norms = np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), T.NORM_EPS)
+            reference.extend(rows / norms)
+            assert len(queue) == len(reference)
+            got = queue.as_matrix()
+            if reference:
+                np.testing.assert_array_equal(got, np.stack(reference))
+                assert got.flags.c_contiguous
+                earlier.append((got, got.copy()))
+            else:
+                assert got is None
+        for got, snapshot in earlier:  # later enqueues never reach a returned matrix
+            np.testing.assert_array_equal(got, snapshot)
+
+    check()

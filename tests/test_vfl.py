@@ -95,8 +95,13 @@ class TestChannel:
         net.send(1, 2, vfl.WireMessage(vfl.MSG_REPR, 1, 1, np.zeros((1, 1))))
         net.send(2, 1, vfl.WireMessage(vfl.MSG_GRAD, 1, 2, np.zeros((1, 1))))
         assert net.counts["Repr"] == 1 and net.counts["Grad"] == 1
+        assert net.bytes["Repr"] == net.bytes["Grad"] == 14 + 4 * 2 + 8
         net.reset_counts()
-        assert not net.counts
+        assert not net.counts and not net.bytes
+
+    def test_send_returns_frame_length(self):
+        msg = vfl.WireMessage(vfl.MSG_MODEL_BLOB, 1, 1, np.zeros(5))
+        assert vfl.Channel().send(msg) == len(vfl.encode_message(msg)) == 14 + 4 + 8 * 5
 
 
 def make_trainer(parties=2, seed=3, **trainer_kw):
