@@ -185,6 +185,7 @@ def build_pipeline_config(config):
         )
     shared = dict(
         variant=SslVariant(p["variant"]),
+        gamma=p["gamma"],
         global_iterations=p["global_iterations"],
         cross_epochs=p["cross_epochs"],
         local_epochs=p["local_epochs"],
@@ -198,7 +199,7 @@ def build_pipeline_config(config):
     )
     if p["preset"] is not None:
         return hssl.PipelineConfig.from_preset(p["preset"], **shared)
-    return hssl.PipelineConfig(gamma=p["gamma"], **shared)
+    return hssl.PipelineConfig(**shared)
 
 
 # -- atomic output --------------------------------------------------------

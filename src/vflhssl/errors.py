@@ -38,4 +38,4 @@ class FingerprintError(VflError):
 
 
 class ProtocolError(VflError):
-    """Message protocol violation (round regression, closed channel, ...)."""
+    """Message protocol violation (round regression, missing frame, ...)."""

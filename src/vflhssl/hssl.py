@@ -220,26 +220,21 @@ def guided_local_ssl_epoch(party, ids, variant, gamma, policy, optimizer,
     return float(np.mean(losses)) if losses else float("nan")
 
 
-class AggregationServer:
-    """Uniform parameter-wise mean of every party's f_lt and h_l blob."""
-
-    def __init__(self, expected_parties):
-        self.expected_parties = expected_parties
-
-    def run_round(self, network, rnd, timeout=None):
-        blobs = {}
-        for pid in range(1, self.expected_parties + 1):
-            msg = network.recv(SERVER_ID, pid, timeout=timeout)
-            if msg.msg_type != MSG_MODEL_BLOB:
-                raise ProtocolError(f"server expected ModelBlob, got {msg.msg_type}")
-            blobs[pid] = msg.payload
-        shapes = {b.shape for b in blobs.values()}
-        if len(shapes) != 1:
-            raise ProtocolError(f"blob shapes disagree across parties: {shapes}")
-        mean_blob = np.mean(np.stack(list(blobs.values())), axis=0)
-        for pid in blobs:
-            network.send(SERVER_ID, pid, WireMessage(MSG_MODEL_BLOB, rnd, SERVER_ID, mean_blob))
-        return mean_blob
+def _server_round(network, rnd, num_parties):
+    """Server side of PMA: receive every party's blob, broadcast the
+    uniform parameter-wise mean (stacked in party order)."""
+    blobs = []
+    for pid in range(1, num_parties + 1):
+        msg = network.recv(SERVER_ID, pid)
+        if msg.msg_type != MSG_MODEL_BLOB:
+            raise ProtocolError(f"server expected ModelBlob, got {msg.msg_type}")
+        blobs.append(msg.payload)
+    shapes = {b.shape for b in blobs}
+    if len(shapes) != 1:
+        raise ProtocolError(f"blob shapes disagree across parties: {shapes}")
+    mean_blob = np.mean(np.stack(blobs), axis=0)
+    for pid in range(1, num_parties + 1):
+        network.send(SERVER_ID, pid, WireMessage(MSG_MODEL_BLOB, rnd, SERVER_ID, mean_blob))
 
 
 def _flatten_pma(stack):
@@ -256,15 +251,13 @@ def _unflatten_pma(stack, flat):
         raise ProtocolError("aggregated blob size does not match model")
 
 
-def partial_model_aggregation(parties, network, server=None, protection=None,
-                              protection_rng=None):
+def partial_model_aggregation(parties, network, protection=None, protection_rng=None):
     """Step 3: average f_lt and h_l across parties and broadcast back.
 
     Party 1's outgoing blob is ISO-perturbed when protection covers
     top_model_blob. f_lb and EMA target state are untouched.
     """
     parties = sorted(parties, key=lambda p: p.party_id)
-    server = server or AggregationServer(len(parties))
     rnd = network.next_round()
     for p in parties:
         blob = _flatten_pma(p.stack)
@@ -272,7 +265,7 @@ def partial_model_aggregation(parties, network, server=None, protection=None,
                 and "top_model_blob" in protection.targets):
             blob = iso_perturb(blob, protection.lam, protection_rng).reshape(-1)
         network.send(p.party_id, SERVER_ID, WireMessage(MSG_MODEL_BLOB, rnd, p.party_id, blob))
-    server.run_round(network, rnd)
+    _server_round(network, rnd, len(parties))
     for p in parties:
         msg = network.recv(p.party_id, SERVER_ID)
         _unflatten_pma(p.stack, msg.payload.reshape(-1))

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .data import batches
 from .errors import ConfigError, ValidationError
-from .nn import DenseLayer
+from .nn import MLP
 
 
 @dataclass
@@ -107,28 +108,15 @@ def mc_attack(adversary, cfg: McAttackConfig, aux_ids, eval_ids, num_classes, rn
     x_eval = _adversary_features(adversary, eval_ids, cfg.encoder_source)
     y_eval = adversary.dataset.label_array(eval_ids)
 
-    head = [
-        DenseLayer(x_aux.shape[1], cfg.head_hidden_dim, activation="relu", rng=rng),
-        DenseLayer(cfg.head_hidden_dim, num_classes, rng=rng),
-    ]
-    params = [p for layer in head for p in layer.params()]
-    opt = T.SgdOptimizer(params, cfg.learning_rate, momentum=0.9)
-    n = len(aux_ids)
+    head = MLP([x_aux.shape[1], cfg.head_hidden_dim, num_classes], rng)
+    opt = T.SgdOptimizer(head.params(), cfg.learning_rate, momentum=0.9)
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            sel = order[start : start + cfg.batch_size]
-            h = T.Tensor(x_aux[sel])
-            for layer in head:
-                h = layer.forward(h)
-            loss = T.softmax_cross_entropy(h, y_aux[sel])
+        for sel in batches(np.arange(len(aux_ids)), cfg.batch_size, rng=rng):
+            loss = T.softmax_cross_entropy(head.forward(T.Tensor(x_aux[sel])), y_aux[sel])
             loss.backward()
             opt.step()
 
-    h = T.Tensor(x_eval)
-    for layer in head:
-        h = layer.forward(h)
-    recovered = h.values.argmax(axis=1)
+    recovered = head.forward(T.Tensor(x_eval)).values.argmax(axis=1)
     return metric_top1(recovered, y_eval)
 
 
@@ -148,14 +136,12 @@ class TradeoffCurve:
         self.points.append((float(lam), float(utility), float(recovery)))
 
 
-def cap(curve: TradeoffCurve, utility_fn=None, distance_fn=None) -> float:
-    """Mean over protection strengths of utility times privacy distance;
-    the distance defaults to 1 - recovery accuracy."""
+def cap(curve: TradeoffCurve) -> float:
+    """Mean over protection strengths of utility times privacy distance,
+    the distance being 1 - recovery accuracy."""
     if not curve.points:
         raise ValidationError("CAP of an empty curve")
-    utility_fn = utility_fn or (lambda u: u)
-    distance_fn = distance_fn or (lambda rec: 1.0 - rec)
-    total = sum(utility_fn(u) * distance_fn(rec) for _, u, rec in curve.points)
+    total = sum(u * (1.0 - rec) for _, u, rec in curve.points)
     return total / len(curve.points)
 
 

@@ -380,24 +380,21 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 # -- optimizer ----------------------------------------------------------
 
 class SgdOptimizer:
-    """SGD with momentum and weight decay over a fixed parameter list.
+    """SGD with momentum over a fixed parameter list.
 
-    step(): v <- momentum*v + grad + weight_decay*theta; theta -= lr*v;
+    step(): v <- momentum*v + grad; theta -= lr*v;
     gradients are zeroed afterwards. Parameters without a gradient (or
     with requires_grad off) are untouched.
     """
 
-    def __init__(self, params, learning_rate, momentum=0.9, weight_decay=0.0):
+    def __init__(self, params, learning_rate, momentum=0.9):
         if learning_rate <= 0:
             raise ValidationError("learning_rate must be positive")
         if not 0.0 <= momentum < 1.0:
             raise ValidationError("momentum must be in [0, 1)")
-        if weight_decay < 0:
-            raise ValidationError("weight_decay must be non-negative")
         self.params = list(params)
         self.learning_rate = learning_rate
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity = {id(p): np.zeros_like(p.values) for p in self.params}
 
     def step(self):
@@ -407,8 +404,6 @@ class SgdOptimizer:
             v = self._velocity[id(p)]
             v *= self.momentum
             v += p.grad
-            if self.weight_decay:
-                v += self.weight_decay * p.values
             p.values -= self.learning_rate * v
             p.grad = None
 

@@ -1,18 +1,17 @@
 """Party runtime, binary message protocol and the supervised split network.
 
-Messages always cross the binary wire format, even in-process, so a
-networked deployment only swaps the channel implementation. The active
-party (id 1) coordinates: passives send representations forward, the
-active party returns per-party gradients, every party steps its own
-optimizer. With ISO protection configured, the gradients sent back to
-passive parties are noise-perturbed before leaving the active party.
+Every message is encoded to the binary wire format on send and decoded
+on receive, even in-process. The active party (id 1) coordinates:
+passives send representations forward, the active party returns
+per-party gradients, every party steps its own optimizer. With ISO
+protection configured, the gradients sent back to passive parties are
+noise-perturbed before leaving the active party.
 """
 
 from __future__ import annotations
 
-import queue
 import struct
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,52 +73,15 @@ def decode_message(raw: bytes) -> WireMessage:
     return WireMessage(msg_type=msg_type, round=rnd, sender=sender, payload=payload)
 
 
-class Channel:
-    """FIFO of encoded frames with per-(sender, type) round validation."""
-
-    def __init__(self):
-        self._queue = queue.Queue()
-        self._last_round = {}
-        self.closed = False
-
-    def send(self, msg: WireMessage):
-        """Queue the encoded frame; returns its length in bytes."""
-        if self.closed:
-            raise ProtocolError("send on closed channel")
-        self._queue.put(raw := encode_message(msg))
-        return len(raw)
-
-    def recv(self, timeout=None) -> WireMessage:
-        if self.closed and self._queue.empty():
-            raise ProtocolError("recv on closed channel")
-        try:
-            raw = self._queue.get(timeout=timeout)
-        except queue.Empty as exc:
-            raise ProtocolError("recv timed out") from exc
-        msg = decode_message(raw)
-        key = (msg.sender, msg.msg_type)
-        last = self._last_round.get(key)
-        if last is not None and msg.round <= last:
-            raise ProtocolError(
-                f"round regression for sender {msg.sender} type {MSG_NAMES[msg.msg_type]}: "
-                f"{msg.round} after {last}"
-            )
-        self._last_round[key] = msg.round
-        return msg
-
-    def close(self):
-        self.closed = True
-
-
 class Network:
-    """Full mesh of channels between node ids (0 = server, 1..K = parties);
-    ``counts`` and ``bytes`` tally frames and wire bytes per message type."""
+    """Full mesh of FIFO frame queues between node ids (0 = server,
+    1..K = parties). Frames are validated per (link, sender, type): a
+    round may not regress. ``counts`` and ``bytes`` tally frames and wire
+    bytes per message type."""
 
     def __init__(self, node_ids):
-        self.node_ids = list(node_ids)
-        self._channels = {
-            (a, b): Channel() for a in self.node_ids for b in self.node_ids if a != b
-        }
+        self._links = {(a, b): deque() for a in node_ids for b in node_ids if a != b}
+        self._last_round = {}
         self.counts = Counter()
         self.bytes = Counter()
         self._round = 0
@@ -130,12 +92,28 @@ class Network:
         return self._round
 
     def send(self, src, dst, msg: WireMessage):
-        size = self._channels[(src, dst)].send(msg)
+        """Queue the encoded frame on the src -> dst link; returns its length in bytes."""
+        raw = encode_message(msg)
+        self._links[(src, dst)].append(raw)
         self.counts[MSG_NAMES[msg.msg_type]] += 1
-        self.bytes[MSG_NAMES[msg.msg_type]] += size
+        self.bytes[MSG_NAMES[msg.msg_type]] += len(raw)
+        return len(raw)
 
-    def recv(self, dst, src, timeout=None) -> WireMessage:
-        return self._channels[(src, dst)].recv(timeout=timeout)
+    def recv(self, dst, src) -> WireMessage:
+        """Oldest frame on the src -> dst link; an empty link is a protocol error."""
+        link = self._links[(src, dst)]
+        if not link:
+            raise ProtocolError(f"no frame queued from node {src} to node {dst}")
+        msg = decode_message(link.popleft())
+        key = (src, dst, msg.sender, msg.msg_type)
+        last = self._last_round.get(key)
+        if last is not None and msg.round <= last:
+            raise ProtocolError(
+                f"round regression for sender {msg.sender} type {MSG_NAMES[msg.msg_type]}: "
+                f"{msg.round} after {last}"
+            )
+        self._last_round[key] = msg.round
+        return msg
 
     def reset_counts(self):
         self.counts = Counter()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vflhssl import cli, privacy
+from vflhssl import cli, nn, privacy, vfl
 from vflhssl.errors import ConfigError
 
 
@@ -105,6 +105,12 @@ class TestExitCodes:
         ])
         assert code == 4
 
+    def test_missing_frame_is_4(self, cfg_path, tmp_path, capsys, monkeypatch):
+        # A frame that never arrives fails the receive instead of blocking.
+        monkeypatch.setattr(vfl.Network, "send", lambda self, src, dst, msg: 0)
+        assert cli.main(["pretrain", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "no frame queued" in err and "Traceback" not in err
 
     def test_malformed_checkpoint_entry_is_4(self, cfg_path, tmp_path, capsys):
         header = json.dumps({"config_fingerprint": "0", "seeds": [0],
@@ -292,3 +298,46 @@ class TestSweep:
         assert code == 0
         assert (out / "sweep_gamma_0.25" / "checkpoint.bin").exists()
         assert (out / "sweep_gamma_0.75" / "trace.json").exists()
+
+    def test_gamma_sweep_changes_local_tower(self, cfg_path, tmp_path):
+        # A preset picks the steps; pipeline.gamma is the guidance weight.
+        out = tmp_path / "out"
+        code = cli.main([
+            "pretrain", "--config", cfg_path, "--out", str(out), "--sweep", "gamma=0,0.5,2",
+        ])
+        assert code == 0
+        params = {
+            g: nn.load_checkpoint(str(out / f"sweep_gamma_{g}" / "checkpoint.bin")).party_params[0]
+            for g in ("0", "0.5", "2")
+        }
+        local = {
+            name for name in params["0.5"]
+            if name.startswith(("f_lb.", "f_lt.", "projector_l.", "h_l."))
+        }
+        for g in ("0", "2"):
+            changed = {
+                name for name, values in params[g].items()
+                if not np.array_equal(values, params["0.5"][name])
+            }
+            assert changed == local  # the cross tower and top model never see gamma
+
+    def test_gamma_sweep_default_value_reproduces_checkpoint(self, cfg_path, tmp_path):
+        assert cli.main(["pretrain", "--config", cfg_path, "--out", str(tmp_path / "plain")]) == 0
+        assert cli.main([
+            "pretrain", "--config", cfg_path, "--out", str(tmp_path / "swept"),
+            "--sweep", "gamma=0.5",
+        ]) == 0
+        plain = (tmp_path / "plain" / "checkpoint.bin").read_bytes()
+        assert (tmp_path / "swept" / "sweep_gamma_0.5" / "checkpoint.bin").read_bytes() == plain
+
+    def test_pipeline_gamma_overrides_preset(self):
+        config = cli.load_config()
+        config["pipeline"]["gamma"] = 0.25
+        assert cli.build_pipeline_config(config).gamma == 0.25
+        assert cli.build_pipeline_config(cli.load_config(preset="fedlocal-byol")).gamma == 0.0
+
+    def test_local_preset_with_gamma_in_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"pipeline": {"preset": "FedLocalSSL"}}))
+        assert cli.main(["pretrain", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "requires the cross step" in capsys.readouterr().err

@@ -290,3 +290,83 @@ class TestCheckpoint:
         nn.save_checkpoint(path, models, cfg)
         with pytest.raises(FingerprintError):
             nn.load_checkpoint(path, expect_fingerprint="deadbeef")
+
+
+class ArrayModel:
+    """Stand-in model whose named parameters are the given 2-D arrays."""
+
+    def __init__(self, arrays):
+        self.arrays = [(f"p{i}", T.Tensor(a)) for i, a in enumerate(arrays)]
+
+    def named_params(self):
+        return self.arrays
+
+
+def checkpoint_models():
+    """Up to three parties of up to three float64 arrays each, zero-size
+    sides, NaNs, infinities, signed zeros and subnormals included."""
+    st = pytest.importorskip("hypothesis").strategies
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+    arrays = hnp.arrays("<f8", hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4))
+    return st.lists(st.lists(arrays, max_size=3).map(ArrayModel), max_size=3)
+
+
+def test_checkpoint_round_trip_is_exact(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "ckpt.bin"
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        models=checkpoint_models(),
+        fingerprint=st.text(max_size=16),
+        seeds=st.lists(st.integers(0, 2**63), max_size=4),
+    )
+    def check(models, fingerprint, seeds):
+        nn.save_checkpoint(path, models, fingerprint, seeds)
+        ckpt = nn.load_checkpoint(path, expect_fingerprint=fingerprint)
+        assert (ckpt.config_fingerprint, ckpt.seeds) == (fingerprint, seeds)
+        assert len(ckpt.party_params) == len(models)
+        for model, blob in zip(models, ckpt.party_params):
+            assert list(blob) == [name for name, _ in model.named_params()]
+            for name, p in model.named_params():
+                assert blob[name].shape == p.shape
+                assert blob[name].tobytes() == p.values.tobytes()
+
+    check()
+
+
+def test_malformed_checkpoints_raise_only_format_error(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "ckpt.bin"
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        models=checkpoint_models(),
+        garbage=st.binary(max_size=96),
+        cut=st.integers(0, 2**20),
+        bit=st.integers(0, 2**20),
+        kind=st.sampled_from(["random", "prefixed", "truncated", "bitflip"]),
+    )
+    def check(models, garbage, cut, bit, kind):
+        nn.save_checkpoint(path, models, "fp", [0])
+        good = path.read_bytes()
+        if kind == "random":
+            raw = garbage
+        elif kind == "prefixed":  # past the magic and version checks
+            raw = good[:6] + garbage
+        elif kind == "truncated":
+            raw = good[: cut % len(good)]
+        else:
+            flipped = bytearray(good)
+            flipped[(bit // 8) % len(good)] ^= 1 << (bit % 8)
+            raw = bytes(flipped)
+        path.write_bytes(raw)
+        try:
+            nn.load_checkpoint(path)
+        except FormatError:
+            return
+        assert kind != "truncated", "a truncated checkpoint loaded"
+
+    check()

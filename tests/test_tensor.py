@@ -219,7 +219,7 @@ class TestSgdOptimizer:
     def test_zero_grad_fixed_point(self):
         p = T.Tensor([[1.5]], requires_grad=True)
         p.grad = np.array([[0.0]])
-        T.SgdOptimizer([p], 0.1, momentum=0.0, weight_decay=0.0).step()
+        T.SgdOptimizer([p], 0.1, momentum=0.0).step()
         assert p.values[0, 0] == 1.5
 
     def test_momentum_unroll(self):

@@ -59,36 +59,115 @@ class TestWireFormat:
             vfl.encode_message(vfl.WireMessage(42, 0, 1, np.zeros((1, 1))))
 
 
+def float_arrays(max_dims):
+    """float64 arrays of up to ``max_dims`` dims, zero-size sides, NaNs,
+    infinities, signed zeros and subnormals included."""
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+    shapes = hnp.array_shapes(min_dims=0, max_dims=max_dims, min_side=0, max_side=5)
+    return hnp.arrays("<f8", shapes)
+
+
+def test_wire_round_trip_is_exact():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        msg_type=st.sampled_from(sorted(vfl.MSG_NAMES)),
+        rnd=st.integers(0, 2**32 - 1),
+        sender=st.integers(0, 2**16 - 1),
+        payload=float_arrays(max_dims=4),
+    )
+    def check(msg_type, rnd, sender, payload):
+        raw = vfl.encode_message(vfl.WireMessage(msg_type, rnd, sender, payload))
+        assert len(raw) == 14 + 4 * payload.ndim + 8 * payload.size
+        out = vfl.decode_message(raw)
+        assert (out.msg_type, out.round, out.sender) == (msg_type, rnd, sender)
+        assert out.payload.shape == payload.shape
+        assert out.payload.tobytes() == payload.tobytes()
+
+    check()
+
+
+def test_malformed_frames_raise_only_protocol_error():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    valid = st.builds(
+        lambda msg_type, payload: vfl.encode_message(vfl.WireMessage(msg_type, 7, 1, payload)),
+        st.sampled_from(sorted(vfl.MSG_NAMES)),
+        float_arrays(max_dims=3),
+    )
+
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(
+        frame=valid,
+        garbage=st.binary(max_size=64),
+        cut=st.integers(0, 2**16),
+        bit=st.integers(0, 2**16),
+        kind=st.sampled_from(["random", "prefixed", "truncated", "bitflip"]),
+    )
+    def check(frame, garbage, cut, bit, kind):
+        if kind == "random":
+            raw = garbage
+        elif kind == "prefixed":  # past the magic and version checks
+            raw = frame[:6] + garbage
+        elif kind == "truncated":
+            raw = frame[: cut % len(frame)]
+        else:
+            flipped = bytearray(frame)
+            flipped[(bit // 8) % len(frame)] ^= 1 << (bit % 8)
+            raw = bytes(flipped)
+        try:
+            vfl.decode_message(raw)
+        except ProtocolError:
+            return
+        assert kind != "truncated", "a truncated frame decoded"
+
+    check()
+
+
 class TestChannel:
+    """The network's per-link frame queues."""
+
     def test_fifo_order_1000(self):
-        ch = vfl.Channel()
+        net = vfl.Network([1, 2])
         for i in range(1000):
-            ch.send(vfl.WireMessage(vfl.MSG_CONTROL, i + 1, 1, np.array([[float(i)]])))
+            net.send(1, 2, vfl.WireMessage(vfl.MSG_CONTROL, i + 1, 1, np.array([[float(i)]])))
         for i in range(1000):
-            assert ch.recv().payload[0, 0] == float(i)
+            assert net.recv(2, 1).payload[0, 0] == float(i)
 
     def test_round_regression_rejected(self):
-        ch = vfl.Channel()
-        ch.send(vfl.WireMessage(vfl.MSG_REPR, 5, 1, np.zeros((1, 1))))
-        ch.send(vfl.WireMessage(vfl.MSG_REPR, 5, 1, np.zeros((1, 1))))
-        ch.recv()
+        net = vfl.Network([1, 2])
+        net.send(1, 2, vfl.WireMessage(vfl.MSG_REPR, 5, 1, np.zeros((1, 1))))
+        net.send(1, 2, vfl.WireMessage(vfl.MSG_REPR, 5, 1, np.zeros((1, 1))))
+        net.recv(2, 1)
         with pytest.raises(ProtocolError, match="regression"):
-            ch.recv()
+            net.recv(2, 1)
 
     def test_rounds_independent_per_type(self):
-        ch = vfl.Channel()
-        ch.send(vfl.WireMessage(vfl.MSG_REPR, 5, 1, np.zeros((1, 1))))
-        ch.send(vfl.WireMessage(vfl.MSG_GRAD, 5, 1, np.zeros((1, 1))))
-        ch.recv()
-        ch.recv()  # same round, different stream: fine
+        net = vfl.Network([1, 2])
+        net.send(1, 2, vfl.WireMessage(vfl.MSG_REPR, 5, 1, np.zeros((1, 1))))
+        net.send(1, 2, vfl.WireMessage(vfl.MSG_GRAD, 5, 1, np.zeros((1, 1))))
+        net.recv(2, 1)
+        net.recv(2, 1)  # same round, different stream: fine
 
-    def test_closed_channel(self):
-        ch = vfl.Channel()
-        ch.close()
-        with pytest.raises(ProtocolError):
-            ch.send(vfl.WireMessage(vfl.MSG_REPR, 1, 1, np.zeros((1, 1))))
-        with pytest.raises(ProtocolError):
-            ch.recv()
+    def test_rounds_independent_per_link(self):
+        net = vfl.Network([1, 2, 3])
+        net.send(1, 2, vfl.WireMessage(vfl.MSG_REPR, 5, 1, np.zeros((1, 1))))
+        net.send(1, 3, vfl.WireMessage(vfl.MSG_REPR, 5, 1, np.zeros((1, 1))))
+        net.recv(2, 1)
+        net.recv(3, 1)  # same round and sender, different link: fine
+
+    def test_recv_on_empty_link_raises(self):
+        net = vfl.Network([1, 2])
+        with pytest.raises(ProtocolError, match="no frame"):
+            net.recv(2, 1)
+        net.send(2, 1, vfl.WireMessage(vfl.MSG_REPR, 1, 2, np.zeros((1, 1))))
+        with pytest.raises(ProtocolError, match="no frame"):
+            net.recv(2, 1)  # the frame waits on the other direction
+        net.recv(1, 2)
+        with pytest.raises(ProtocolError, match="no frame"):
+            net.recv(1, 2)
 
     def test_network_counts_by_type(self):
         net = vfl.Network([1, 2])
@@ -101,7 +180,8 @@ class TestChannel:
 
     def test_send_returns_frame_length(self):
         msg = vfl.WireMessage(vfl.MSG_MODEL_BLOB, 1, 1, np.zeros(5))
-        assert vfl.Channel().send(msg) == len(vfl.encode_message(msg)) == 14 + 4 + 8 * 5
+        size = vfl.Network([0, 1]).send(1, 0, msg)
+        assert size == len(vfl.encode_message(msg)) == 14 + 4 + 8 * 5
 
 
 def make_trainer(parties=2, seed=3, **trainer_kw):
