@@ -46,10 +46,9 @@ def main():
         for party, blob in zip(parties, snapshot):
             for name, p in party.model.named_params():
                 p.values[:] = blob[name]
-        protection = privacy.IsoConfig(lam, targets=("finetune_grad",)) if lam else None
         trainer = vfl.SplitTrainer(
-            parties, hssl.make_network(2), 0.003, protection=protection,
-            protection_rng=np.random.default_rng((SEED, 5)),
+            parties, hssl.make_network(2), 0.003,
+            lambda_f=lam, noise_rng=np.random.default_rng((SEED, 5)),
         )
         rng = np.random.default_rng((SEED, 100, 0))
         for _ in range(10):
@@ -57,9 +56,7 @@ def main():
                 trainer.train_step(batch)
         utility = trainer.accuracy(ds.test_ids)
 
-        attack = privacy.McAttackConfig(
-            aux_labeled_count=80, epochs=60, encoder_source="finetuned_local"
-        )
+        attack = privacy.McAttackConfig(aux_labeled_count=80, epochs=60)
         recovery = privacy.mc_attack(
             trainer.parties[-1], attack, ds.labeled_ids[:80], ds.test_ids,
             ds.num_classes, np.random.default_rng((SEED, 7)),

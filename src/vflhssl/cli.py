@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import inspect
 import json
 import os
 import sys
@@ -148,6 +149,9 @@ def build_dataset(config):
         return data.generate_synthetic(data.SyntheticSpec(**raw))
     if "csv" in section:
         raw = dict(section["csv"])
+        _check_keys("data.csv", raw, inspect.signature(data.load_csv).parameters)
+        if "paths" not in raw:
+            raise ConfigError("data.csv needs 'paths'")
         paths = raw.pop("paths")
         if "cat_levels" in raw and raw["cat_levels"] is not None:
             raw["cat_levels"] = [
@@ -178,11 +182,6 @@ def build_model_config(config, dataset):
 
 def build_pipeline_config(config):
     p = config["pipeline"]
-    protection = None
-    if p["lambda_p"] > 0:
-        protection = privacy.IsoConfig(
-            p["lambda_p"], targets=("cross_repr", "top_model_blob")
-        )
     shared = dict(
         variant=SslVariant(p["variant"]),
         gamma=p["gamma"],
@@ -195,7 +194,7 @@ def build_pipeline_config(config):
         local_lr=p["local_lr"],
         aligned_fraction=p["aligned_fraction"],
         augmentation=data.AugmentationPolicy(p["corruption_fraction"]),
-        protection=protection,
+        lambda_p=p["lambda_p"],
     )
     if p["preset"] is not None:
         return hssl.PipelineConfig.from_preset(p["preset"], **shared)
@@ -298,10 +297,11 @@ def _restore_parties(config, dataset, seed, checkpoint):
 
 
 def _finetune_once(config, dataset, nodes, seed, labeled_count, learning_rate,
-                   protection=None):
-    """Supervised split training on a labeled subset; returns the trainer,
-    its accuracy on a held-out validation slice of that subset and whether
-    its validation logits are all finite."""
+                   lambda_f=0.0):
+    """Supervised split training on a labeled subset, with ISO noise of
+    strength lambda_f on the passive parties' gradients; returns the
+    trainer, its accuracy on a held-out validation slice of that subset
+    and whether its validation logits are all finite."""
     ft = config["finetune"]
     rng = np.random.default_rng((seed, 4))
     pool = dataset.labeled_ids
@@ -319,8 +319,7 @@ def _finetune_once(config, dataset, nodes, seed, labeled_count, learning_rate,
     trainer = vfl.SplitTrainer(
         nodes, net, learning_rate,
         aggregator=config["model"]["aggregator"],
-        protection=protection,
-        protection_rng=np.random.default_rng((seed, 5)) if protection else None,
+        lambda_f=lambda_f, noise_rng=np.random.default_rng((seed, 5)),
     )
     shuffle = np.random.default_rng((seed, 6))
     for _ in range(ft["epochs"]):
@@ -330,7 +329,7 @@ def _finetune_once(config, dataset, nodes, seed, labeled_count, learning_rate,
     return trainer, trainer.accuracy(val_ids), finite
 
 
-def _select_lr(config, dataset, seed, labeled_count, checkpoint, protection=None):
+def _select_lr(config, dataset, seed, labeled_count, checkpoint, lambda_f=0.0):
     """Train one model per lr candidate and keep the best by validation.
 
     A diverged candidate (non-finite validation logits) ranks below every
@@ -340,7 +339,7 @@ def _select_lr(config, dataset, seed, labeled_count, checkpoint, protection=None
     for lr in config["finetune"]["lr_candidates"]:
         nodes = _restore_parties(config, dataset, seed, checkpoint)
         trainer, val_acc, finite = _finetune_once(
-            config, dataset, nodes, seed, labeled_count, lr, protection=protection
+            config, dataset, nodes, seed, labeled_count, lr, lambda_f=lambda_f
         )
         if best is None or (finite, val_acc) > best_rank:
             best, best_rank = (trainer, val_acc, lr), (finite, val_acc)
@@ -395,27 +394,32 @@ def _summary_line(s):
 
 
 def cmd_attack(config, out_dir, checkpoint_path):
+    priv = config["privacy"]
+    # The attack reads the representation the adversary sends in the
+    # split network; the key stays accepted for existing configs.
+    if priv["encoder_source"] != "finetuned_local":
+        raise ConfigError(
+            f"privacy.encoder_source must be 'finetuned_local', got {priv['encoder_source']!r}"
+        )
     dataset = build_dataset(config)
     checkpoint = _load_checkpoint(config, checkpoint_path)
-    priv = config["privacy"]
     labeled_count = config["finetune"]["labeled_counts"][0]
     curve = privacy.TradeoffCurve(
-        method=config["pipeline"]["preset"] or "FedSplitNN", dataset="synthetic"
+        method=config["pipeline"]["preset"] or "FedSplitNN",
+        dataset="synthetic" if "synthetic" in config["data"] else "csv",
     )
     per_seed = []
     for lam in priv["lambda_f"]:
-        protection = privacy.IsoConfig(float(lam), targets=("finetune_grad",))
         utilities, recoveries = [], []
         for seed in config["seeds"]:
             trainer, _, _ = _select_lr(
-                config, dataset, seed, labeled_count, checkpoint, protection=protection
+                config, dataset, seed, labeled_count, checkpoint, lambda_f=float(lam)
             )
             adversary = trainer.parties[-1]
             attack_cfg = privacy.McAttackConfig(
                 aux_labeled_count=priv["aux_labeled_count"],
                 head_hidden_dim=priv["head_hidden_dim"],
                 epochs=priv["attack_epochs"],
-                encoder_source=priv["encoder_source"],
             )
             aux_ids = dataset.labeled_ids[: priv["aux_labeled_count"]]
             recovery = privacy.mc_attack(
@@ -440,7 +444,7 @@ def cmd_attack(config, out_dir, checkpoint_path):
         "points": curve.points,
         "per_seed": per_seed,
     })
-    print(f"CAP = {privacy.cap(curve):.6f} over {len(curve.points)} protection strengths")
+    print(f"CAP = {privacy.cap(curve):.6f} over {len(curve.points)} lambda_f values")
     return 0
 
 

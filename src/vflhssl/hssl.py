@@ -7,6 +7,8 @@ wire; (2) cross-party-guided local SSL on every party's full local
 data, a symmetrized augmentation loss regularized toward the frozen
 cross encoder; (3) partial model aggregation, a server-side uniform
 parameter mean of every party's local-top encoder and predictor.
+Party 1's outgoing cross representations and PMA blob carry ISO noise
+of strength ``lambda_p``.
 
 Step isolation: step 1 touches only the cross tower, step 2 only the
 local tower (plus EMA targets), step 3 only f_lt and h_l.
@@ -55,9 +57,11 @@ class PipelineConfig:
     cross_lr: float = 0.03
     local_lr: float = 0.03
     augmentation: AugmentationPolicy = field(default_factory=AugmentationPolicy)
-    protection: object = None  # IsoConfig with lambda_p, or None
+    lambda_p: float = 0.0  # ISO strength on party 1's cross Repr and PMA blob
 
     def __post_init__(self):
+        if self.lambda_p < 0:
+            raise ConfigError("lambda_p must be non-negative")
         if self.gamma < 0:
             raise ConfigError("gamma must be non-negative")
         if self.local_updates < 1:
@@ -104,8 +108,8 @@ def _queue(party, name, capacity):
 
 
 def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
-                          batch_size=256, local_updates=1, protection=None,
-                          protection_rng=None, shuffle_rng=None):
+                          batch_size=256, local_updates=1, lambda_p=0.0,
+                          noise_rng=None, shuffle_rng=None):
     """One epoch of step 1. Returns per-party mean loss.
 
     Per batch, exactly one representation exchange happens regardless of
@@ -124,9 +128,7 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
         values = {}
         for p in parties:
             values[p.party_id] = p.stack.cross.forward(*p.features(batch_ids)).values
-        outgoing_active = values[1]
-        if protection is not None and "cross_repr" in protection.targets:
-            outgoing_active = iso_perturb(outgoing_active, protection.lam, protection_rng)
+        outgoing_active = iso_perturb(values[1], lambda_p, noise_rng)
         for p in parties[1:]:
             network.send(1, p.party_id, WireMessage(MSG_REPR, rnd, 1, outgoing_active))
             network.send(p.party_id, 1, WireMessage(MSG_REPR, rnd, p.party_id, values[p.party_id]))
@@ -251,19 +253,18 @@ def _unflatten_pma(stack, flat):
         raise ProtocolError("aggregated blob size does not match model")
 
 
-def partial_model_aggregation(parties, network, protection=None, protection_rng=None):
+def partial_model_aggregation(parties, network, lambda_p=0.0, noise_rng=None):
     """Step 3: average f_lt and h_l across parties and broadcast back.
 
-    Party 1's outgoing blob is ISO-perturbed when protection covers
-    top_model_blob. f_lb and EMA target state are untouched.
+    Party 1's outgoing blob carries ISO noise of strength lambda_p.
+    f_lb and EMA target state are untouched.
     """
     parties = sorted(parties, key=lambda p: p.party_id)
     rnd = network.next_round()
     for p in parties:
         blob = _flatten_pma(p.stack)
-        if (p.party_id == 1 and protection is not None
-                and "top_model_blob" in protection.targets):
-            blob = iso_perturb(blob, protection.lam, protection_rng).reshape(-1)
+        if p.party_id == 1:
+            blob = iso_perturb(blob, lambda_p, noise_rng).reshape(-1)
         network.send(p.party_id, SERVER_ID, WireMessage(MSG_MODEL_BLOB, rnd, p.party_id, blob))
     _server_round(network, rnd, len(parties))
     for p in parties:
@@ -275,7 +276,7 @@ def pretrain(dataset, parties, network, config: PipelineConfig, seed=0):
     """Run the full pretraining pipeline in place. Returns the metrics
     trace: one record per (iteration, party, step)."""
     parties = sorted(parties, key=lambda p: p.party_id)
-    protection_rng = np.random.default_rng((seed, 9999)) if config.protection else None
+    noise_rng = np.random.default_rng((seed, 9999))
 
     opt_cross = {
         p.party_id: T.SgdOptimizer(p.stack.params_cross(), config.cross_lr)
@@ -296,8 +297,8 @@ def pretrain(dataset, parties, network, config: PipelineConfig, seed=0):
                     parties, network, ids, config.variant, opt_cross,
                     batch_size=config.batch_size,
                     local_updates=config.local_updates,
-                    protection=config.protection,
-                    protection_rng=protection_rng,
+                    lambda_p=config.lambda_p,
+                    noise_rng=noise_rng,
                     shuffle_rng=shuffle_rng,
                 )
                 for pid, loss in losses.items():
@@ -317,10 +318,7 @@ def pretrain(dataset, parties, network, config: PipelineConfig, seed=0):
                     trace.append({"iteration": it, "party": p.party_id, "step": "local", "loss": loss})
 
         if config.steps_pma:
-            partial_model_aggregation(
-                parties, network,
-                protection=config.protection, protection_rng=protection_rng,
-            )
+            partial_model_aggregation(parties, network, config.lambda_p, noise_rng)
             for p in parties:
                 trace.append({"iteration": it, "party": p.party_id, "step": "pma", "loss": None})
 

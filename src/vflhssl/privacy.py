@@ -1,5 +1,5 @@
-"""ISO noise protection, the model-completion label-inference attack,
-evaluation metrics and the CAP privacy-utility trade-off score."""
+"""ISO noise, the model-completion label-inference attack, evaluation
+metrics and the CAP privacy-utility trade-off score."""
 
 from __future__ import annotations
 
@@ -15,24 +15,11 @@ from .errors import ConfigError, ValidationError
 from .nn import MLP
 
 
-@dataclass
-class IsoConfig:
-    lam: float
-    targets: tuple = ("finetune_grad",)  # subset of cross_repr, top_model_blob, finetune_grad
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValidationError("lambda must be non-negative")
-        known = {"cross_repr", "top_model_blob", "finetune_grad"}
-        if not set(self.targets) <= known:
-            raise ConfigError(f"unknown ISO targets {set(self.targets) - known}")
-
-
 def iso_perturb(d, lam, rng):
     """d + N(0, sigma^2) elementwise, sigma = lam * max row 2-norm / sqrt(m).
 
-    lam == 0 is an exact pass-through that consumes no rng draws, so an
-    unprotected run and a lam=0 protected run are bit-identical.
+    lam == 0 is an exact pass-through that consumes no rng draws (rng may
+    be None), so a lam=0 run is bit-identical to one without noise.
     """
     if lam < 0:
         raise ValidationError("lambda must be non-negative")
@@ -66,34 +53,13 @@ class McAttackConfig:
     epochs: int = 100
     learning_rate: float = 0.05
     batch_size: int = 64
-    encoder_source: str = "finetuned_local"
-    # pretrained_local | finetuned_local | pretrained_cross_plus_local
-
-    def __post_init__(self):
-        sources = ("pretrained_local", "finetuned_local", "pretrained_cross_plus_local")
-        if self.encoder_source not in sources:
-            raise ConfigError(f"unknown encoder_source {self.encoder_source!r}")
-
-
-def _adversary_features(party, ids, source):
-    cont, cats = party.features(ids)
-    stack = party.stack
-    if source == "pretrained_local":
-        return stack.local.encode(cont, cats).values
-    if source == "pretrained_cross_plus_local":
-        return np.concatenate(
-            [stack.local.encode(cont, cats).values, stack.cross.encode(cont, cats).values],
-            axis=1,
-        )
-    # finetuned_local: whatever representation the adversary contributed
-    # to the supervised split network.
-    return stack.finetune_repr(cont, cats).values
 
 
 def mc_attack(adversary, cfg: McAttackConfig, aux_ids, eval_ids, num_classes, rng):
     """Freeze the adversary's encoder, fit a small inference head on the
     auxiliary labeled samples, and report label recovery accuracy on the
-    evaluation ids."""
+    evaluation ids. The head reads ``adversary.finetune_forward``: the
+    representation the adversary sends in the split network."""
     aux_ids = np.asarray(aux_ids)
     eval_ids = np.asarray(eval_ids)
     if set(map(int, aux_ids)) & set(map(int, eval_ids)):
@@ -103,9 +69,9 @@ def mc_attack(adversary, cfg: McAttackConfig, aux_ids, eval_ids, num_classes, rn
 
     # Encoder outputs are computed once as constants: the encoder is
     # frozen by construction, only the head trains.
-    x_aux = _adversary_features(adversary, aux_ids, cfg.encoder_source)
+    x_aux = adversary.finetune_forward(aux_ids).values
     y_aux = adversary.dataset.label_array(aux_ids)
-    x_eval = _adversary_features(adversary, eval_ids, cfg.encoder_source)
+    x_eval = adversary.finetune_forward(eval_ids).values
     y_eval = adversary.dataset.label_array(eval_ids)
 
     head = MLP([x_aux.shape[1], cfg.head_hidden_dim, num_classes], rng)
@@ -124,7 +90,7 @@ def mc_attack(adversary, cfg: McAttackConfig, aux_ids, eval_ids, num_classes, rn
 
 @dataclass
 class TradeoffCurve:
-    """Privacy-utility curve: one point per protection strength."""
+    """Privacy-utility curve: one point per noise strength."""
 
     method: str = ""
     dataset: str = ""
@@ -137,7 +103,7 @@ class TradeoffCurve:
 
 
 def cap(curve: TradeoffCurve) -> float:
-    """Mean over protection strengths of utility times privacy distance,
+    """Mean over noise strengths of utility times privacy distance,
     the distance being 1 - recovery accuracy."""
     if not curve.points:
         raise ValidationError("CAP of an empty curve")

@@ -19,7 +19,7 @@ NORM_EPS = 1e-12
 class Tensor:
     """A 2-D float64 array node in a dynamically built autodiff graph."""
 
-    __slots__ = ("values", "grad", "requires_grad", "stop_grad", "_parents", "_backward")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, values, requires_grad=False):
         v = np.asarray(values, dtype=np.float64)
@@ -32,7 +32,6 @@ class Tensor:
         self.values = v
         self.grad = None
         self.requires_grad = requires_grad
-        self.stop_grad = False
         self._parents = ()
         self._backward = None
 
@@ -108,7 +107,6 @@ def _result(values, parents, backward):
     out = Tensor.__new__(Tensor)
     out.values = values
     out.grad = None
-    out.stop_grad = False
     out.requires_grad = False
     out._parents = ()
     out._backward = None
@@ -273,10 +271,7 @@ def row_l2_normalize(x: Tensor) -> Tensor:
 
 def stop_gradient(x: Tensor) -> Tensor:
     """Value-identical tensor through which no gradient flows."""
-    x = as_tensor(x)
-    out = Tensor(x.values.copy())
-    out.stop_grad = True
-    return out
+    return Tensor(as_tensor(x).values.copy())
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -405,8 +400,4 @@ class SgdOptimizer:
             v *= self.momentum
             v += p.grad
             p.values -= self.learning_rate * v
-            p.grad = None
-
-    def zero_grad(self):
-        for p in self.params:
             p.grad = None

@@ -3,9 +3,9 @@
 Every message is encoded to the binary wire format on send and decoded
 on receive, even in-process. The active party (id 1) coordinates:
 passives send representations forward, the active party returns
-per-party gradients, every party steps its own optimizer. With ISO
-protection configured, the gradients sent back to passive parties are
-noise-perturbed before leaving the active party.
+per-party gradients, every party steps its own optimizer. The gradients
+sent back to passive parties carry ISO noise of strength lambda_f, added
+before they leave the active party.
 """
 
 from __future__ import annotations
@@ -181,30 +181,31 @@ def _aggregate(tensors, kind):
 
 
 class SplitTrainer:
-    """Drives FedSplitNN supervised training/fine-tuning over parties."""
+    """Drives FedSplitNN supervised training/fine-tuning over parties.
+
+    ``lambda_f`` is the ISO strength on the gradients sent to passive
+    parties, drawn from ``noise_rng``; 0 sends them exact.
+    """
 
     def __init__(self, parties, network, learning_rate, aggregator="concat",
-                 protection=None, protection_rng=None, momentum=0.9):
+                 lambda_f=0.0, noise_rng=None, momentum=0.9):
         self.parties = sorted(parties, key=lambda p: p.party_id)
         if self.parties[0].role != "active":
             raise ConfigError("party 1 must be active")
         if self.parties[0].model.top_model is None:
             raise ConfigError("active party has no top model")
+        if lambda_f < 0:
+            raise ConfigError("lambda_f must be non-negative")
         self.network = network
         self.aggregator = aggregator
-        self.protection = protection
-        self.protection_rng = protection_rng
+        self.lambda_f = lambda_f
+        self.noise_rng = noise_rng
         self.optimizers = []
         for p in self.parties:
             params = list(p.stack.params_finetune())
             if p.model.top_model is not None:
                 params += p.model.top_model.params()
             self.optimizers.append(T.SgdOptimizer(params, learning_rate, momentum=momentum))
-
-    def _protect_grad(self, g):
-        if self.protection is None or "finetune_grad" not in self.protection.targets:
-            return g
-        return iso_perturb(g, self.protection.lam, self.protection_rng)
 
     def train_step(self, ids):
         """One synchronized forward/backward/update over a labeled batch."""
@@ -226,7 +227,7 @@ class SplitTrainer:
         loss.backward()
 
         for p, r in zip(self.parties[1:], received):
-            g = self._protect_grad(r.grad)
+            g = iso_perturb(r.grad, self.lambda_f, self.noise_rng)
             self.network.send(1, p.party_id, WireMessage(MSG_GRAD, rnd, 1, g))
         for p, z in zip(self.parties[1:], reps[1:]):
             g = self.network.recv(p.party_id, 1).payload

@@ -57,11 +57,10 @@ def pretrained_parties(ds, preset, seed, global_iterations=10):
 
 
 def finetune_and_score(ds, nodes, seed, restart, epochs=10, lr=0.01,
-                       momentum=0.9, protection=None):
+                       momentum=0.9, lambda_f=0.0):
     trainer = vfl.SplitTrainer(
         nodes, hssl.make_network(2), lr, momentum=momentum,
-        protection=protection,
-        protection_rng=np.random.default_rng((seed, 5)) if protection else None,
+        lambda_f=lambda_f, noise_rng=np.random.default_rng((seed, 5)),
     )
     rng = np.random.default_rng((seed, 100, restart))
     tail = []
@@ -354,7 +353,7 @@ def test_criterion_8_method_ordering_trend():
     assert time.time() - started < 600
 
 
-# -- criterion 9: protection strength trend -------------------------------------
+# -- criterion 9: noise strength trend ------------------------------------------
 
 def test_criterion_9_recovery_and_utility_non_increasing_in_lambda():
     ds = bench_dataset()
@@ -366,14 +365,9 @@ def test_criterion_9_recovery_and_utility_non_increasing_in_lambda():
         snap = snapshot_params(nodes)
         for lam in lambdas:
             restore_params(nodes, snap)
-            protection = privacy.IsoConfig(lam, targets=("finetune_grad",))
-            trainer, _ = finetune_and_score(
-                ds, nodes, seed, 0, lr=0.003, protection=protection
-            )
+            trainer, _ = finetune_and_score(ds, nodes, seed, 0, lr=0.003, lambda_f=lam)
             utility = trainer.accuracy(ds.test_ids)
-            attack_cfg = privacy.McAttackConfig(
-                aux_labeled_count=80, epochs=60, encoder_source="finetuned_local"
-            )
+            attack_cfg = privacy.McAttackConfig(aux_labeled_count=80, epochs=60)
             recovery = privacy.mc_attack(
                 trainer.parties[-1], attack_cfg, ds.labeled_ids[:80],
                 ds.test_ids, 10, np.random.default_rng((seed, 7)),

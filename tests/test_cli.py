@@ -82,6 +82,23 @@ class TestExitCodes:
         path.write_text('{"wat": 1}')
         assert cli.main(["pretrain", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("command,section,value", [
+        ("pretrain", "data", {"csv": {"paths": [], "delimiter": ";"}}),
+        ("pretrain", "data", {"csv": {"cat_cols": []}}),
+        ("pretrain", "pipeline", {"lambda_p": -1.0}),
+        ("attack", "privacy", {"lambda_f": [-1.0]}),
+        ("attack", "privacy", {"encoder_source": "pretrained_local"}),
+    ], ids=["csv-unknown-key", "csv-no-paths", "negative-lambda-p", "negative-lambda-f",
+            "encoder-source"])
+    def test_malformed_section_is_2(self, tmp_path, capsys, command, section, value):
+        cfg = json.loads(json.dumps(TINY))
+        cfg[section] = value if section == "data" else {**cfg[section], **value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_data_error_is_3(self, tmp_path):
         assert cli.main(["report", "--out", str(tmp_path / "empty")]) == 3
 
@@ -235,9 +252,22 @@ class TestFinetuneAndAttack:
         # CAP in the JSON equals a recomputation from the CSV rows
         curve = privacy.TradeoffCurve()
         for line in lines[1:]:
-            _, _, lam, _, util, rec = line.split(",")
+            _, dataset, lam, _, util, rec = line.split(",")
+            assert dataset == "synthetic"
             curve.add_point(float(lam), float(util), float(rec))
         assert attack["cap"] == pytest.approx(privacy.cap(curve), abs=1e-12)
+
+    def test_tradeoff_names_csv_data(self, cfg_path, tmp_path):
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", cfg_path, "--out", str(data_dir)]) == 0
+        paths = [str(data_dir / f"party{i}.csv") for i in (1, 2)]
+        path = tmp_path / "csv.json"
+        path.write_text(json.dumps({**TINY, "data": {"csv": {"paths": paths}}}))
+        out = tmp_path / "out"
+        assert cli.main(["attack", "--config", str(path), "--preset", "fedsplitnn",
+                         "--out", str(out)]) == 0
+        rows = (out / "tradeoff.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["csv", "csv"]
 
     def test_checkpoint_loaded_once_outputs_unchanged(self, tmp_path, monkeypatch):
         # Oracle: every lr candidate restores from a fresh read of the file.
@@ -278,11 +308,10 @@ def test_select_lr_ranks_diverged_candidates_last(tmp_path):
     config = cli.load_config()
     assert cli.main(["pretrain", "--out", str(tmp_path)]) == 0
     dataset = cli.build_dataset(config)
-    protection = privacy.IsoConfig(20.0, targets=("finetune_grad",))
     checkpoint = cli._load_checkpoint(config, str(tmp_path / "checkpoint.bin"))
     with np.errstate(over="ignore", invalid="ignore"):
         trainer, val_acc, lr = cli._select_lr(
-            config, dataset, 2, 200, checkpoint, protection=protection
+            config, dataset, 2, 200, checkpoint, lambda_f=20.0
         )
     assert (lr, val_acc) == (0.005, 0.225)
     assert np.isfinite(trainer.logits(dataset.test_ids)).all()

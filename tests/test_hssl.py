@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vflhssl import data, hssl, nn, tensor as T, vfl
+from vflhssl import data, hssl, nn, privacy, tensor as T, vfl
 from vflhssl.errors import ConfigError
 from vflhssl.ssl import SslVariant
 
@@ -135,6 +135,63 @@ class TestPma:
         assert net.counts["ModelBlob"] == 6  # 3 uploads + 3 broadcasts
 
 
+class TestPretrainNoise:
+    """lambda_p perturbs party 1's outgoing cross Repr and PMA blob only."""
+
+    LAM = 0.5
+
+    def spy_sends(self, monkeypatch):
+        frames = []
+        send = vfl.Network.send
+
+        def spy(net, src, dst, msg):
+            frames.append((src, dst, msg.payload.copy()))
+            return send(net, src, dst, msg)
+
+        monkeypatch.setattr(vfl.Network, "send", spy)
+        return frames
+
+    def test_only_party_1_cross_repr_is_noisy(self, monkeypatch):
+        ds, nodes, net = setup(parties=3)
+        ids = ds.aligned_ids
+        own = {p.party_id: p.stack.cross.forward(*p.features(ids)).values for p in nodes}
+        opts = {p.party_id: T.SgdOptimizer(p.stack.params_cross(), 0.05) for p in nodes}
+        frames = self.spy_sends(monkeypatch)
+        hssl.cross_party_ssl_epoch(
+            nodes, net, ids, SslVariant("simsiam"), opts, batch_size=len(ids),
+            lambda_p=self.LAM, noise_rng=np.random.default_rng(7),
+        )
+        noisy = privacy.iso_perturb(own[1], self.LAM, np.random.default_rng(7))
+        assert not np.array_equal(noisy, own[1])
+        assert len(frames) == 4
+        for src, _, payload in frames:
+            np.testing.assert_array_equal(payload, noisy if src == 1 else own[src])
+
+    def test_only_party_1_pma_blob_is_noisy(self, monkeypatch):
+        ds, nodes, net = setup(parties=3)
+        own = {p.party_id: hssl._flatten_pma(p.stack) for p in nodes}
+        frames = self.spy_sends(monkeypatch)
+        hssl.partial_model_aggregation(nodes, net, self.LAM, np.random.default_rng(7))
+        noisy = privacy.iso_perturb(own[1], self.LAM, np.random.default_rng(7)).reshape(-1)
+        assert not np.array_equal(noisy, own[1])
+        uploads = {src: payload for src, dst, payload in frames if dst == hssl.SERVER_ID}
+        assert sorted(uploads) == [1, 2, 3]
+        for pid, payload in uploads.items():
+            np.testing.assert_array_equal(payload, noisy if pid == 1 else own[pid])
+
+    def test_zero_lambda_checkpoint_equals_noise_free_run(self, tmp_path, monkeypatch):
+        def checkpoint(path):
+            ds, nodes, net = setup()
+            cfg = hssl.PipelineConfig(global_iterations=2, batch_size=16, lambda_p=0.0)
+            hssl.pretrain(ds, nodes, net, cfg, seed=4)
+            nn.save_checkpoint(path, [p.model for p in nodes], "fp", seeds=[4])
+            return path.read_bytes()
+
+        zero = checkpoint(tmp_path / "zero.bin")
+        monkeypatch.setattr(hssl, "iso_perturb", lambda d, lam, rng: np.array(d, ndmin=2))
+        assert checkpoint(tmp_path / "noise_free.bin") == zero
+
+
 class TestMessageBudget:
     @pytest.mark.parametrize("parties,aligned,batch", [(2, 48, 16), (3, 48, 16), (2, 50, 16)])
     def test_cross_step_repr_count(self, parties, aligned, batch):
@@ -242,6 +299,8 @@ class TestPresets:
             hssl.PipelineConfig(steps_cross=False, steps_guided_local=True, gamma=0.5)
         with pytest.raises(ConfigError):
             hssl.PipelineConfig(steps_guided_local=False, steps_pma=True, gamma=0.0)
+        with pytest.raises(ConfigError):
+            hssl.PipelineConfig(lambda_p=-1.0)
         with pytest.raises(ConfigError):
             hssl.PipelineConfig(aligned_fraction=0.0)
 

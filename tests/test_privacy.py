@@ -43,12 +43,6 @@ class TestIsoPerturb:
     def test_negative_lambda(self, rng):
         with pytest.raises(ValidationError):
             privacy.iso_perturb(np.ones((1, 2)), -1.0, rng)
-        with pytest.raises(ValidationError):
-            privacy.IsoConfig(-1.0)
-
-    def test_unknown_target(self):
-        with pytest.raises(ConfigError):
-            privacy.IsoConfig(1.0, targets=("weights",))
 
 
 class TestMetrics:
@@ -109,28 +103,16 @@ def adversary_dataset(classes=2, seed=0, sep=4.0, noise=0.0):
     return data.generate_synthetic(spec)
 
 
-class IdentityTower:
-    """Oracle encoder: passes raw features straight through."""
-
-    def encode(self, cont, cats):
-        return T.Tensor(cont)
-
-
-class IdentityStack:
-    local = cross = IdentityTower()
-
-    def finetune_repr(self, cont, cats):
-        return T.Tensor(cont)
-
-
 class IdentityAdversary:
+    """Oracle party whose split-network representation is its raw features."""
+
     def __init__(self, dataset, party_id=2):
         self.dataset = dataset
         self.party_id = party_id
-        self.stack = IdentityStack()
 
-    def features(self, ids):
-        return self.dataset.rows(self.party_id - 1, ids)
+    def finetune_forward(self, ids):
+        cont, _ = self.dataset.rows(self.party_id - 1, ids)
+        return T.Tensor(cont)
 
 
 class TestMcAttack:
@@ -191,7 +173,3 @@ class TestMcAttack:
         a = privacy.mc_attack(*args, np.random.default_rng(3))
         b = privacy.mc_attack(*args, np.random.default_rng(3))
         assert a == b
-
-    def test_bad_encoder_source(self):
-        with pytest.raises(ConfigError):
-            privacy.McAttackConfig(encoder_source="oracle")

@@ -3,7 +3,6 @@ import pytest
 
 from vflhssl import data, nn, tensor as T, vfl
 from vflhssl.errors import ConfigError, ProtocolError
-from vflhssl.privacy import IsoConfig
 
 
 def desk_cfg(**kw):
@@ -257,9 +256,7 @@ class TestSplitTraining:
     def test_zero_lambda_protection_is_exact(self):
         _, nodes_a, _, trainer_a = make_trainer(seed=11)
         _, nodes_b, _, trainer_b = make_trainer(
-            seed=11,
-            protection=IsoConfig(0.0, targets=("finetune_grad",)),
-            protection_rng=np.random.default_rng(0),
+            seed=11, lambda_f=0.0, noise_rng=np.random.default_rng(0),
         )
         ids = desk_dataset().labeled_ids[:16]
         for _ in range(2):
@@ -272,9 +269,7 @@ class TestSplitTraining:
     def test_nonzero_lambda_perturbs(self):
         _, nodes_a, _, trainer_a = make_trainer(seed=11)
         _, nodes_b, _, trainer_b = make_trainer(
-            seed=11,
-            protection=IsoConfig(5.0, targets=("finetune_grad",)),
-            protection_rng=np.random.default_rng(0),
+            seed=11, lambda_f=5.0, noise_rng=np.random.default_rng(0),
         )
         ids = desk_dataset().labeled_ids[:16]
         trainer_a.train_step(ids)
