@@ -10,7 +10,7 @@ so you can see exactly what crossed the wire.
 
 import numpy as np
 
-from vflhssl import data, hssl, vfl
+from vflhssl import cli, data, hssl, vfl
 from vflhssl.nn import ModelConfig
 from vflhssl.ssl import SslVariant
 
@@ -20,21 +20,22 @@ SPEC = data.SyntheticSpec(
     aligned=200, unaligned=(450, 150), labeled=200, test=1600, seed=0,
 )
 
-METHODS = ["FedLocalSSL", "FedCSSL", "FedGSSL", "FedHSSL"]
 SEEDS = range(3)
+# method -> the fine-tune encoders of its CLI presets
+FINETUNE_ENCODERS = {method: encoders for method, _, encoders in cli.CLI_PRESETS.values()}
 
 
-def run_method(ds, preset, seed):
+def run_method(ds, method, seed):
     cfg = ModelConfig(
         input_dim=1, num_classes=10, num_parties=2, hidden_dim=32,
         repr_dim=16, projector_dims=(16, 16, 16), predictor_dims=(8, 16),
         moco_projector_out=16,
-        finetune_encoders=hssl.preset_finetune_encoders(preset),
+        finetune_encoders=FINETUNE_ENCODERS[method],
     )
     parties = vfl.make_parties(ds, cfg, "simsiam", seed)
     network = hssl.make_network(2)
-    pipeline = hssl.PipelineConfig.from_preset(
-        preset, variant=SslVariant("simsiam"), global_iterations=10, batch_size=128
+    pipeline = hssl.PipelineConfig(
+        method=method, variant=SslVariant("simsiam"), global_iterations=10, batch_size=128
     )
     hssl.pretrain(ds, parties, network, pipeline, seed=seed)
     messages = dict(network.counts)
@@ -55,13 +56,13 @@ def main():
     print(f"dataset: {ds.num_classes} classes, aligned={len(ds.aligned_ids)}, "
           f"labeled={len(ds.labeled_ids)}, test={len(ds.test_ids)}\n")
 
-    for preset in METHODS:
+    for method in hssl.METHODS:
         scores = []
         for seed in SEEDS:
-            acc, messages = run_method(ds, preset, seed)
+            acc, messages = run_method(ds, method, seed)
             scores.append(acc)
         mean, std = np.mean(scores), np.std(scores)
-        print(f"{preset:12s}  test top-1 {mean:.4f} ± {std:.4f}   "
+        print(f"{method:12s}  test top-1 {mean:.4f} ± {std:.4f}   "
               f"pretrain messages {messages or '{}'}")
 
     print("\nFedLocalSSL exchanges nothing during pretraining; the cross-party "

@@ -30,8 +30,8 @@ def main():
         moco_projector_out=16, finetune_encoders="concat",
     )
     parties = vfl.make_parties(ds, cfg, "simsiam", SEED)
-    pipeline = hssl.PipelineConfig.from_preset(
-        "FedHSSL", variant=SslVariant("simsiam"),
+    pipeline = hssl.PipelineConfig(
+        method="FedHSSL", variant=SslVariant("simsiam"),
         global_iterations=10, batch_size=128,
     )
     hssl.pretrain(ds, parties, hssl.make_network(2), pipeline, seed=SEED)
@@ -56,7 +56,7 @@ def main():
                 trainer.train_step(batch)
         utility = trainer.accuracy(ds.test_ids)
 
-        attack = privacy.McAttackConfig(aux_labeled_count=80, epochs=60)
+        attack = privacy.McAttackConfig(epochs=60)
         recovery = privacy.mc_attack(
             trainer.parties[-1], attack, ds.labeled_ids[:80], ds.test_ids,
             ds.num_classes, np.random.default_rng((SEED, 7)),

@@ -28,16 +28,17 @@ from .errors import ConfigError, DataError, VflError
 from .ssl import SslVariant
 
 CLI_PRESETS = {
-    # name -> (ablation preset or None for plain split training, SSL variant)
-    "fedhssl-simsiam": ("FedHSSL", "simsiam"),
-    "fedhssl-byol": ("FedHSSL", "byol"),
-    "fedhssl-moco": ("FedHSSL", "moco"),
-    "fedlocal-simsiam": ("FedLocalSSL", "simsiam"),
-    "fedlocal-byol": ("FedLocalSSL", "byol"),
-    "fedlocal-moco": ("FedLocalSSL", "moco"),
-    "fedcssl": ("FedCSSL", "simsiam"),
-    "fedgssl": ("FedGSSL", "simsiam"),
-    "fedsplitnn": (None, "simsiam"),
+    # name -> (hssl.METHODS key or None for plain split training, SSL
+    # variant, fine-tune encoders)
+    "fedhssl-simsiam": ("FedHSSL", "simsiam", "concat"),
+    "fedhssl-byol": ("FedHSSL", "byol", "concat"),
+    "fedhssl-moco": ("FedHSSL", "moco", "concat"),
+    "fedlocal-simsiam": ("FedLocalSSL", "simsiam", "local"),
+    "fedlocal-byol": ("FedLocalSSL", "byol", "local"),
+    "fedlocal-moco": ("FedLocalSSL", "moco", "local"),
+    "fedcssl": ("FedCSSL", "simsiam", "cross"),
+    "fedgssl": ("FedGSSL", "simsiam", "concat"),
+    "fedsplitnn": (None, "simsiam", "local"),
 }
 
 SWEEP_KEYS = {"gamma": ("pipeline", "gamma"), "aligned": ("pipeline", "aligned_fraction")}
@@ -87,7 +88,27 @@ def _check_keys(section, given, allowed):
         raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
 
 
-def load_config(path=None, preset=None, overrides=None):
+JSON_TYPES = ((type(None), "null"), (bool, "boolean"), ((int, float), "number"),
+              (str, "string"), (list, "array"), (dict, "object"))
+
+
+def _json_type(value):
+    return next(name for types, name in JSON_TYPES if isinstance(value, types))
+
+
+def _check_section(section, given, defaults):
+    """Reject unknown keys and values whose JSON type differs from the
+    default's; ``pipeline.preset`` may also be null."""
+    if _json_type(given) != "object":
+        raise ConfigError(f"{section!r} must be an object")
+    _check_keys(section, given, defaults)
+    for key, value in given.items():
+        want = _json_type(defaults[key])
+        if _json_type(value) != want and (section, key, value) != ("pipeline", "preset", None):
+            raise ConfigError(f"{section}.{key} must be a JSON {want}, got {value!r}")
+
+
+def load_config(path=None, preset=None):
     """Merge the default config, an optional JSON file and a CLI preset."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -98,39 +119,34 @@ def load_config(path=None, preset=None, overrides=None):
             raise ConfigError(f"config file not found: {path}") from exc
         except ValueError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        _check_keys("config", user, DEFAULT_CONFIG)
+        _check_section("config", user, DEFAULT_CONFIG)
         for section, value in user.items():
-            if isinstance(value, dict) and section != "data":
-                _check_keys(section, value, DEFAULT_CONFIG[section])
-                config[section].update(value)
-            elif section == "data":
-                if set(value) - {"synthetic", "csv"}:
-                    raise ConfigError("data section takes 'synthetic' or 'csv'")
+            if section == "data":
+                _check_section("data", value, {"synthetic": {}, "csv": {}})
                 config["data"] = value
                 if "synthetic" in value:
-                    _check_keys("data.synthetic", value["synthetic"],
-                                DEFAULT_CONFIG["data"]["synthetic"])
+                    _check_section("data.synthetic", value["synthetic"],
+                                   DEFAULT_CONFIG["data"]["synthetic"])
                     merged = dict(DEFAULT_CONFIG["data"]["synthetic"])
                     merged.update(value["synthetic"])
                     config["data"] = {"synthetic": merged}
+            elif isinstance(value, dict):
+                _check_section(section, value, DEFAULT_CONFIG[section])
+                config[section].update(value)
             else:
                 config[section] = value
+    pipeline = config["pipeline"]
     if preset is not None:
         if preset not in CLI_PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(CLI_PRESETS)}")
-        ablation, variant = CLI_PRESETS[preset]
-        config["pipeline"]["variant"] = variant
-        if ablation is None:
-            config["pipeline"]["preset"] = None
-            config["pipeline"]["pretrain"] = False
-            config["model"]["finetune_encoders"] = "local"
-        else:
-            config["pipeline"]["preset"] = ablation
-            config["pipeline"]["pretrain"] = True
-            config["model"]["finetune_encoders"] = hssl.preset_finetune_encoders(ablation)
-            config["pipeline"]["gamma"] = hssl.ABLATION_PRESETS[ablation][3]
-    for (section, key), value in (overrides or {}).items():
-        config[section][key] = value
+        method, pipeline["variant"], config["model"]["finetune_encoders"] = CLI_PRESETS[preset]
+        pipeline.update(preset=method, pretrain=method is not None)
+    method = pipeline["preset"]
+    if method not in (None, *hssl.METHODS) or pipeline["pretrain"] != (method is not None):
+        raise ConfigError(
+            f"pipeline.preset must be one of {sorted(hssl.METHODS)} with pretrain true, or "
+            f"null with pretrain false; got {method!r} with pretrain {pipeline['pretrain']!r}"
+        )
     return config
 
 
@@ -182,7 +198,8 @@ def build_model_config(config, dataset):
 
 def build_pipeline_config(config):
     p = config["pipeline"]
-    shared = dict(
+    return hssl.PipelineConfig(
+        method=p["preset"],
         variant=SslVariant(p["variant"]),
         gamma=p["gamma"],
         global_iterations=p["global_iterations"],
@@ -196,9 +213,6 @@ def build_pipeline_config(config):
         augmentation=data.AugmentationPolicy(p["corruption_fraction"]),
         lambda_p=p["lambda_p"],
     )
-    if p["preset"] is not None:
-        return hssl.PipelineConfig.from_preset(p["preset"], **shared)
-    return hssl.PipelineConfig(**shared)
 
 
 # -- atomic output --------------------------------------------------------
@@ -253,8 +267,7 @@ def _pretrained_parties(config, dataset, seed):
     net = hssl.make_network(dataset.num_parties)
     trace = []
     if config["pipeline"]["pretrain"]:
-        pipeline = build_pipeline_config(config)
-        trace = hssl.pretrain(dataset, nodes, net, pipeline, seed=seed)
+        trace = hssl.pretrain(dataset, nodes, net, build_pipeline_config(config), seed=seed)
     return nodes, net, trace
 
 
@@ -316,11 +329,8 @@ def _finetune_once(config, dataset, nodes, seed, labeled_count, learning_rate,
         raise DataError("labeled subset too small to split off validation")
 
     net = hssl.make_network(dataset.num_parties)
-    trainer = vfl.SplitTrainer(
-        nodes, net, learning_rate,
-        aggregator=config["model"]["aggregator"],
-        lambda_f=lambda_f, noise_rng=np.random.default_rng((seed, 5)),
-    )
+    trainer = vfl.SplitTrainer(nodes, net, learning_rate, lambda_f=lambda_f,
+                               noise_rng=np.random.default_rng((seed, 5)))
     shuffle = np.random.default_rng((seed, 6))
     for _ in range(ft["epochs"]):
         for batch in data.batches(train_ids, ft["batch_size"], rng=shuffle):
@@ -401,6 +411,10 @@ def cmd_attack(config, out_dir, checkpoint_path):
         raise ConfigError(
             f"privacy.encoder_source must be 'finetuned_local', got {priv['encoder_source']!r}"
         )
+    lambdas = priv["lambda_f"]
+    if not lambdas or not all(_json_type(lam) == "number" and lam >= 0 for lam in lambdas):
+        raise ConfigError(f"privacy.lambda_f must be a non-empty list of numbers >= 0, "
+                          f"got {lambdas!r}")
     dataset = build_dataset(config)
     checkpoint = _load_checkpoint(config, checkpoint_path)
     labeled_count = config["finetune"]["labeled_counts"][0]
@@ -408,22 +422,18 @@ def cmd_attack(config, out_dir, checkpoint_path):
         method=config["pipeline"]["preset"] or "FedSplitNN",
         dataset="synthetic" if "synthetic" in config["data"] else "csv",
     )
+    attack_cfg = privacy.McAttackConfig(head_hidden_dim=priv["head_hidden_dim"],
+                                        epochs=priv["attack_epochs"])
     per_seed = []
-    for lam in priv["lambda_f"]:
+    for lam in lambdas:
         utilities, recoveries = [], []
         for seed in config["seeds"]:
             trainer, _, _ = _select_lr(
                 config, dataset, seed, labeled_count, checkpoint, lambda_f=float(lam)
             )
-            adversary = trainer.parties[-1]
-            attack_cfg = privacy.McAttackConfig(
-                aux_labeled_count=priv["aux_labeled_count"],
-                head_hidden_dim=priv["head_hidden_dim"],
-                epochs=priv["attack_epochs"],
-            )
             aux_ids = dataset.labeled_ids[: priv["aux_labeled_count"]]
             recovery = privacy.mc_attack(
-                adversary, attack_cfg, aux_ids, dataset.test_ids,
+                trainer.parties[-1], attack_cfg, aux_ids, dataset.test_ids,
                 dataset.num_classes, np.random.default_rng((seed, 7)),
             )
             utilities.append(trainer.accuracy(dataset.test_ids))

@@ -1,12 +1,13 @@
 """FedHSSL pretraining orchestration.
 
-Each global iteration runs up to three steps: (1) cross-party SSL on
-aligned samples, where each party's representation is the positive view
-for its peers and only representations (never gradients) cross the
-wire; (2) cross-party-guided local SSL on every party's full local
-data, a symmetrized augmentation loss regularized toward the frozen
-cross encoder; (3) partial model aggregation, a server-side uniform
-parameter mean of every party's local-top encoder and predictor.
+Each global iteration runs the steps of its method in ``METHODS``, in
+this order: (1) cross-party SSL on aligned samples, where each party's
+representation is the positive view for its peers and only
+representations (never gradients) cross the wire; (2) cross-party-guided
+local SSL on every party's full local data, a symmetrized augmentation
+loss regularized toward the frozen cross encoder; (3) partial model
+aggregation, a server-side uniform parameter mean of every party's
+local-top encoder and predictor.
 Party 1's outgoing cross representations and PMA blob carry ISO noise
 of strength ``lambda_p``.
 
@@ -30,28 +31,24 @@ from .vfl import MSG_MODEL_BLOB, MSG_REPR, Network, WireMessage
 
 SERVER_ID = 0
 
-ABLATION_PRESETS = {
-    # name: (cross, guided_local, pma, gamma, finetune_encoders)
-    "FedLocalSSL": (False, True, False, 0.0, "local"),
-    "FedCSSL": (True, False, False, 0.0, "cross"),
-    "FedGSSL": (True, True, False, 0.5, "concat"),
-    "FedGSSL*": (True, True, False, 0.5, "local"),
-    "FedHSSL": (True, True, True, 0.5, "concat"),
-    "FedHSSL*": (True, True, True, 0.5, "local"),
+METHODS = {
+    # the paper's ablation ladder: method -> the steps one global iteration runs
+    "FedLocalSSL": ("local",),
+    "FedCSSL": ("cross",),
+    "FedGSSL": ("cross", "local"),
+    "FedHSSL": ("cross", "local", "pma"),
 }
 
 
 @dataclass
 class PipelineConfig:
+    method: str = "FedHSSL"  # a key of METHODS
     variant: SslVariant = field(default_factory=lambda: SslVariant("simsiam"))
-    gamma: float = 0.5
+    gamma: float = 0.5  # step 2's guidance weight; a method without the cross step ignores it
     global_iterations: int = 10
     cross_epochs: int = 1
     local_epochs: int = 1
     local_updates: int = 1  # optimizer steps per cross-party exchange
-    steps_cross: bool = True
-    steps_guided_local: bool = True
-    steps_pma: bool = True
     aligned_fraction: float = 1.0  # share of the dataset's aligned pool used in step 1
     batch_size: int = 256
     cross_lr: float = 0.03
@@ -60,6 +57,8 @@ class PipelineConfig:
     lambda_p: float = 0.0  # ISO strength on party 1's cross Repr and PMA blob
 
     def __post_init__(self):
+        if self.method not in METHODS:
+            raise ConfigError(f"unknown method {self.method!r}; choose from {sorted(METHODS)}")
         if self.lambda_p < 0:
             raise ConfigError("lambda_p must be non-negative")
         if self.gamma < 0:
@@ -68,25 +67,6 @@ class PipelineConfig:
             raise ConfigError("local_updates must be >= 1")
         if not 0.0 < self.aligned_fraction <= 1.0:
             raise ConfigError("aligned_fraction must be in (0, 1]")
-        if self.steps_guided_local and self.gamma > 0 and not self.steps_cross:
-            raise ConfigError("guided local SSL with gamma > 0 requires the cross step")
-        if self.steps_pma and not self.steps_guided_local:
-            raise ConfigError("PMA requires the guided local step")
-
-    @staticmethod
-    def from_preset(name, **overrides):
-        if name not in ABLATION_PRESETS:
-            raise ConfigError(f"unknown ablation preset {name!r}")
-        cross, guided, pma, gamma, _ = ABLATION_PRESETS[name]
-        base = dict(steps_cross=cross, steps_guided_local=guided, steps_pma=pma, gamma=gamma)
-        base.update(overrides)
-        return PipelineConfig(**base)
-
-
-def preset_finetune_encoders(name):
-    if name not in ABLATION_PRESETS:
-        raise ConfigError(f"unknown ablation preset {name!r}")
-    return ABLATION_PRESETS[name][4]
 
 
 def step1_aligned_ids(dataset, fraction):
@@ -286,10 +266,12 @@ def pretrain(dataset, parties, network, config: PipelineConfig, seed=0):
         p.party_id: T.SgdOptimizer(p.stack.params_local(), config.local_lr)
         for p in parties
     }
+    steps = METHODS[config.method]
+    gamma = config.gamma if "cross" in steps else 0.0
     trace = []
 
     for it in range(config.global_iterations):
-        if config.steps_cross:
+        if "cross" in steps:
             ids = step1_aligned_ids(dataset, config.aligned_fraction)
             for epoch in range(config.cross_epochs):
                 shuffle_rng = np.random.default_rng((seed, 1, it, epoch))
@@ -304,20 +286,20 @@ def pretrain(dataset, parties, network, config: PipelineConfig, seed=0):
                 for pid, loss in losses.items():
                     trace.append({"iteration": it, "party": pid, "step": "cross", "loss": loss})
 
-        if config.steps_guided_local:
+        if "local" in steps:
             for p in parties:
                 for epoch in range(config.local_epochs):
                     aug_rng = np.random.default_rng((seed, 2, p.party_id, it, epoch))
                     shuffle_rng = np.random.default_rng((seed, 3, p.party_id, it, epoch))
                     loss = guided_local_ssl_epoch(
                         p, dataset.local_ids(p.party_id - 1), config.variant,
-                        config.gamma, config.augmentation, opt_local[p.party_id],
+                        gamma, config.augmentation, opt_local[p.party_id],
                         batch_size=config.batch_size,
                         aug_rng=aug_rng, shuffle_rng=shuffle_rng,
                     )
                     trace.append({"iteration": it, "party": p.party_id, "step": "local", "loss": loss})
 
-        if config.steps_pma:
+        if "pma" in steps:
             partial_model_aggregation(parties, network, config.lambda_p, noise_rng)
             for p in parties:
                 trace.append({"iteration": it, "party": p.party_id, "step": "pma", "loss": None})

@@ -48,7 +48,6 @@ def metric_top1(predictions, labels):
 
 @dataclass
 class McAttackConfig:
-    aux_labeled_count: int = 80
     head_hidden_dim: int = 32
     epochs: int = 100
     learning_rate: float = 0.05

@@ -184,11 +184,12 @@ class SplitTrainer:
     """Drives FedSplitNN supervised training/fine-tuning over parties.
 
     ``lambda_f`` is the ISO strength on the gradients sent to passive
-    parties, drawn from ``noise_rng``; 0 sends them exact.
+    parties, drawn from ``noise_rng``; 0 sends them exact. The active
+    party's ``ModelConfig.aggregator`` joins the party representations.
     """
 
-    def __init__(self, parties, network, learning_rate, aggregator="concat",
-                 lambda_f=0.0, noise_rng=None, momentum=0.9):
+    def __init__(self, parties, network, learning_rate, lambda_f=0.0, noise_rng=None,
+                 momentum=0.9):
         self.parties = sorted(parties, key=lambda p: p.party_id)
         if self.parties[0].role != "active":
             raise ConfigError("party 1 must be active")
@@ -197,7 +198,7 @@ class SplitTrainer:
         if lambda_f < 0:
             raise ConfigError("lambda_f must be non-negative")
         self.network = network
-        self.aggregator = aggregator
+        self.aggregator = self.parties[0].stack.cfg.aggregator
         self.lambda_f = lambda_f
         self.noise_rng = noise_rng
         self.optimizers = []

@@ -44,12 +44,15 @@ def bench_model_config(finetune_encoders):
     )
 
 
-def pretrained_parties(ds, preset, seed, global_iterations=10):
-    mode = "local" if preset is None else hssl.preset_finetune_encoders(preset)
-    nodes = vfl.make_parties(ds, bench_model_config(mode), "simsiam", seed)
-    if preset is not None:
-        cfg = hssl.PipelineConfig.from_preset(
-            preset, variant=SslVariant("simsiam"),
+# method (None: no pretraining) -> the fine-tune encoders of its CLI presets
+FINETUNE_ENCODERS = {method: encoders for method, _, encoders in cli.CLI_PRESETS.values()}
+
+
+def pretrained_parties(ds, method, seed, global_iterations=10):
+    nodes = vfl.make_parties(ds, bench_model_config(FINETUNE_ENCODERS[method]), "simsiam", seed)
+    if method is not None:
+        cfg = hssl.PipelineConfig(
+            method=method, variant=SslVariant("simsiam"),
             global_iterations=global_iterations, batch_size=128,
         )
         hssl.pretrain(ds, nodes, hssl.make_network(2), cfg, seed=seed)
@@ -325,10 +328,10 @@ def test_criterion_8_method_ordering_trend():
         "FedLocalSSL": "FedLocalSSL", "FedSplitNN": None,
     }
     scores = {}
-    for name, preset in methods.items():
+    for name, method in methods.items():
         per_seed = []
         for seed in SEEDS:
-            nodes = pretrained_parties(ds, preset, seed)
+            nodes = pretrained_parties(ds, method, seed)
             snap = snapshot_params(nodes)
             restarts = []
             for restart in range(3):
@@ -367,7 +370,7 @@ def test_criterion_9_recovery_and_utility_non_increasing_in_lambda():
             restore_params(nodes, snap)
             trainer, _ = finetune_and_score(ds, nodes, seed, 0, lr=0.003, lambda_f=lam)
             utility = trainer.accuracy(ds.test_ids)
-            attack_cfg = privacy.McAttackConfig(aux_labeled_count=80, epochs=60)
+            attack_cfg = privacy.McAttackConfig(epochs=60)
             recovery = privacy.mc_attack(
                 trainer.parties[-1], attack_cfg, ds.labeled_ids[:80],
                 ds.test_ids, 10, np.random.default_rng((seed, 7)),

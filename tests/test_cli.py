@@ -88,8 +88,15 @@ class TestExitCodes:
         ("pretrain", "pipeline", {"lambda_p": -1.0}),
         ("attack", "privacy", {"lambda_f": [-1.0]}),
         ("attack", "privacy", {"encoder_source": "pretrained_local"}),
+        ("pretrain", "data", {"csv": ["a.csv"]}),
+        ("pretrain", "pipeline", {"lambda_p": "0.5"}),
+        ("attack", "privacy", {"lambda_f": 1.0}),
+        ("pretrain", "pipeline", {"preset": "FedHSSL*"}),
+        ("pretrain", "pipeline", {"preset": None}),
+        ("pretrain", "pipeline", {"pretrain": False}),
     ], ids=["csv-unknown-key", "csv-no-paths", "negative-lambda-p", "negative-lambda-f",
-            "encoder-source"])
+            "encoder-source", "csv-not-object", "string-lambda-p", "scalar-lambda-f",
+            "star-preset", "null-preset-with-pretrain", "method-without-pretrain"])
     def test_malformed_section_is_2(self, tmp_path, capsys, command, section, value):
         cfg = json.loads(json.dumps(TINY))
         cfg[section] = value if section == "data" else {**cfg[section], **value}
@@ -98,6 +105,17 @@ class TestExitCodes:
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_lambda_f_checked_before_any_training(self, tmp_path, capsys, monkeypatch):
+        steps = []
+        monkeypatch.setattr(vfl.SplitTrainer, "train_step", lambda self, ids: steps.append(ids))
+        cfg = json.loads(json.dumps(TINY))
+        cfg["privacy"]["lambda_f"] = [1.0, -1.0]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["attack", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "lambda_f" in capsys.readouterr().err
+        assert steps == []
 
     def test_data_error_is_3(self, tmp_path):
         assert cli.main(["report", "--out", str(tmp_path / "empty")]) == 3
@@ -359,14 +377,24 @@ class TestSweep:
         plain = (tmp_path / "plain" / "checkpoint.bin").read_bytes()
         assert (tmp_path / "swept" / "sweep_gamma_0.5" / "checkpoint.bin").read_bytes() == plain
 
-    def test_pipeline_gamma_overrides_preset(self):
-        config = cli.load_config()
-        config["pipeline"]["gamma"] = 0.25
-        assert cli.build_pipeline_config(config).gamma == 0.25
-        assert cli.build_pipeline_config(cli.load_config(preset="fedlocal-byol")).gamma == 0.0
-
-    def test_local_preset_with_gamma_in_config_exits_2(self, tmp_path, capsys):
+    def test_pipeline_gamma_overrides_preset(self, tmp_path):
+        # A preset picks the method, variant and fine-tune encoders; the
+        # config's gamma holds under every preset.
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"pipeline": {"preset": "FedLocalSSL"}}))
-        assert cli.main(["pretrain", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert "requires the cross step" in capsys.readouterr().err
+        path.write_text(json.dumps({"pipeline": {"gamma": 0.25}}))
+        for preset in (None, "fedhssl-simsiam", "fedlocal-byol", "fedcssl"):
+            config = cli.load_config(str(path), preset=preset)
+            assert cli.build_pipeline_config(config).gamma == 0.25
+
+    def test_local_method_ignores_gamma(self, cfg_path, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["pretrain", "--config", cfg_path, "--preset", "fedlocal-simsiam",
+                         "--out", str(out), "--sweep", "gamma=0,2"]) == 0
+        zero, two = (
+            nn.load_checkpoint(str(out / f"sweep_gamma_{g}" / "checkpoint.bin")).party_params
+            for g in ("0", "2")
+        )
+        for a, b in zip(zero, two, strict=True):
+            assert a.keys() == b.keys()
+            for name in a:
+                np.testing.assert_array_equal(a[name], b[name], err_msg=name)

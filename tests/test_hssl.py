@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vflhssl import data, hssl, nn, privacy, tensor as T, vfl
+from vflhssl import cli, data, hssl, nn, privacy, tensor as T, vfl
 from vflhssl.errors import ConfigError
 from vflhssl.ssl import SslVariant
 
@@ -197,8 +197,7 @@ class TestMessageBudget:
     def test_cross_step_repr_count(self, parties, aligned, batch):
         ds, nodes, net = setup(parties=parties, aligned=aligned)
         cfg = hssl.PipelineConfig(
-            variant=SslVariant("simsiam"), global_iterations=2,
-            steps_guided_local=False, steps_pma=False, gamma=0.0,
+            method="FedCSSL", variant=SslVariant("simsiam"), global_iterations=2,
             batch_size=batch,
         )
         hssl.pretrain(ds, nodes, net, cfg, seed=0)
@@ -210,8 +209,7 @@ class TestMessageBudget:
     def test_invariant_in_local_updates(self, local_updates):
         ds, nodes, net = setup()
         cfg = hssl.PipelineConfig(
-            variant=SslVariant("simsiam"), global_iterations=1,
-            steps_guided_local=False, steps_pma=False, gamma=0.0,
+            method="FedCSSL", variant=SslVariant("simsiam"), global_iterations=1,
             batch_size=16, local_updates=local_updates,
         )
         hssl.pretrain(ds, nodes, net, cfg, seed=0)
@@ -275,30 +273,32 @@ class TestGuidedLocal:
 class TestPresets:
     def test_flag_table(self):
         cases = {
-            "FedLocalSSL": (False, True, False),
-            "FedCSSL": (True, False, False),
-            "FedGSSL": (True, True, False),
-            "FedHSSL": (True, True, True),
+            "FedLocalSSL": {"local"},
+            "FedCSSL": {"cross"},
+            "FedGSSL": {"cross", "local"},
+            "FedHSSL": {"cross", "local", "pma"},
         }
-        for name, (cross, guided, pma) in cases.items():
-            cfg = hssl.PipelineConfig.from_preset(name, global_iterations=1)
-            assert (cfg.steps_cross, cfg.steps_guided_local, cfg.steps_pma) == (cross, guided, pma)
+        assert set(hssl.METHODS) == set(cases)
+        for name, steps in cases.items():
+            ds, nodes, net = setup()
+            cfg = hssl.PipelineConfig(method=name, global_iterations=1, batch_size=16)
+            trace = hssl.pretrain(ds, nodes, net, cfg, seed=0)
+            assert {r["step"] for r in trace} == steps
 
     def test_finetune_encoder_modes(self):
-        assert hssl.preset_finetune_encoders("FedLocalSSL") == "local"
-        assert hssl.preset_finetune_encoders("FedCSSL") == "cross"
-        assert hssl.preset_finetune_encoders("FedGSSL") == "concat"
-        assert hssl.preset_finetune_encoders("FedHSSL*") == "local"
+        encoders = {
+            "fedlocal-simsiam": "local", "fedcssl": "cross", "fedgssl": "concat",
+            "fedhssl-simsiam": "concat", "fedsplitnn": "local",
+        }
+        for preset, mode in encoders.items():
+            assert cli.load_config(preset=preset)["model"]["finetune_encoders"] == mode
 
     def test_unknown_preset(self):
-        with pytest.raises(ConfigError):
-            hssl.PipelineConfig.from_preset("FedMagic")
+        for name in ("FedMagic", None):
+            with pytest.raises(ConfigError, match="unknown method"):
+                hssl.PipelineConfig(method=name)
 
     def test_invalid_combinations(self):
-        with pytest.raises(ConfigError):
-            hssl.PipelineConfig(steps_cross=False, steps_guided_local=True, gamma=0.5)
-        with pytest.raises(ConfigError):
-            hssl.PipelineConfig(steps_guided_local=False, steps_pma=True, gamma=0.0)
         with pytest.raises(ConfigError):
             hssl.PipelineConfig(lambda_p=-1.0)
         with pytest.raises(ConfigError):
@@ -328,8 +328,8 @@ class TestPretrain:
     def test_cross_loss_improves(self):
         ds, nodes, net = setup()
         cfg = hssl.PipelineConfig(
-            variant=SslVariant("simsiam"), global_iterations=6, batch_size=48,
-            steps_guided_local=False, steps_pma=False, gamma=0.0, cross_lr=0.05,
+            method="FedCSSL", variant=SslVariant("simsiam"), global_iterations=6,
+            batch_size=48, cross_lr=0.05,
         )
         trace = hssl.pretrain(ds, nodes, net, cfg, seed=0)
         cross = [r["loss"] for r in trace if r["step"] == "cross" and r["party"] == 1]

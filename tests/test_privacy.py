@@ -119,7 +119,7 @@ class TestMcAttack:
     def test_separable_oracle_recovers_labels(self):
         ds = adversary_dataset()
         adv = IdentityAdversary(ds)
-        cfg = privacy.McAttackConfig(aux_labeled_count=80, epochs=60)
+        cfg = privacy.McAttackConfig(epochs=60)
         rec = privacy.mc_attack(
             adv, cfg, ds.labeled_ids[:80], ds.test_ids, ds.num_classes,
             np.random.default_rng(0),
@@ -132,7 +132,7 @@ class TestMcAttack:
         keys = list(ds.labels)
         ds.labels = {k: int(shuffler.integers(4)) for k in keys}
         adv = IdentityAdversary(ds)
-        cfg = privacy.McAttackConfig(aux_labeled_count=80, epochs=60)
+        cfg = privacy.McAttackConfig(epochs=60)
         rec = privacy.mc_attack(
             adv, cfg, ds.labeled_ids[:80], ds.test_ids, 4, np.random.default_rng(0),
         )

@@ -329,6 +329,7 @@ class TestAggregators:
         ds = desk_dataset()
         nodes = vfl.make_parties(ds, desk_cfg(aggregator="mean"), "simsiam", 2)
         net = vfl.Network([0, 1, 2])
-        trainer = vfl.SplitTrainer(nodes, net, learning_rate=0.05, aggregator="mean")
+        trainer = vfl.SplitTrainer(nodes, net, learning_rate=0.05)
+        assert trainer.aggregator == "mean"  # read from the active party's ModelConfig
         loss = trainer.train_step(ds.labeled_ids[:8])
         assert np.isfinite(loss)
