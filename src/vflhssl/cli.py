@@ -96,16 +96,30 @@ def _json_type(value):
     return next(name for types, name in JSON_TYPES if isinstance(value, types))
 
 
+def _conforms(value, default):
+    """``value`` has the JSON type of ``default``. Under an integer
+    default it is an integer (a count); under a non-empty list it is a
+    non-empty list whose items conform to the default's first item."""
+    if _json_type(value) != _json_type(default):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, int)
+    if isinstance(default, list) and default:
+        return bool(value) and all(_conforms(item, default[0]) for item in value)
+    return True
+
+
 def _check_section(section, given, defaults):
-    """Reject unknown keys and values whose JSON type differs from the
-    default's; ``pipeline.preset`` may also be null."""
+    """Reject unknown keys and values that do not conform to the
+    default's type; ``pipeline.preset`` may also be null."""
     if _json_type(given) != "object":
         raise ConfigError(f"{section!r} must be an object")
     _check_keys(section, given, defaults)
     for key, value in given.items():
-        want = _json_type(defaults[key])
-        if _json_type(value) != want and (section, key, value) != ("pipeline", "preset", None):
-            raise ConfigError(f"{section}.{key} must be a JSON {want}, got {value!r}")
+        null_preset = (section, key, value) == ("pipeline", "preset", None)
+        if not (_conforms(value, defaults[key]) or null_preset):
+            raise ConfigError(f"{section}.{key} must be a JSON {_json_type(defaults[key])} shaped "
+                              f"like its default (counts integer, lists non-empty), got {value!r}")
 
 
 def load_config(path=None, preset=None):
@@ -123,13 +137,11 @@ def load_config(path=None, preset=None):
         for section, value in user.items():
             if section == "data":
                 _check_section("data", value, {"synthetic": {}, "csv": {}})
-                config["data"] = value
                 if "synthetic" in value:
-                    _check_section("data.synthetic", value["synthetic"],
-                                   DEFAULT_CONFIG["data"]["synthetic"])
-                    merged = dict(DEFAULT_CONFIG["data"]["synthetic"])
-                    merged.update(value["synthetic"])
-                    config["data"] = {"synthetic": merged}
+                    defaults = DEFAULT_CONFIG["data"]["synthetic"]
+                    _check_section("data.synthetic", value["synthetic"], defaults)
+                    value = {"synthetic": {**defaults, **value["synthetic"]}}
+                config["data"] = value
             elif isinstance(value, dict):
                 _check_section(section, value, DEFAULT_CONFIG[section])
                 config[section].update(value)
@@ -511,18 +523,15 @@ def build_parser():
     return parser
 
 
+COMMANDS = {"gen-data": cmd_gen_data, "pretrain": cmd_pretrain,
+            "finetune": cmd_finetune, "attack": cmd_attack}
+
+
 def _run_one(args, config, out_dir):
-    if args.command == "gen-data":
-        return cmd_gen_data(config, out_dir)
-    if args.command == "pretrain":
-        return cmd_pretrain(config, out_dir)
-    if args.command == "finetune":
-        return cmd_finetune(config, out_dir, args.checkpoint)
-    if args.command == "attack":
-        return cmd_attack(config, out_dir, args.checkpoint)
     if args.command == "report":
         return cmd_report(out_dir)
-    raise ConfigError(f"unknown command {args.command!r}")
+    checkpoint = (args.checkpoint,) if args.command in ("finetune", "attack") else ()
+    return COMMANDS[args.command](config, out_dir, *checkpoint)
 
 
 def main(argv=None):

@@ -307,11 +307,14 @@ def export_csv(dataset: VerticalDataset, paths, id_col="id", label_col="label"):
                 writer.writerow(row)
 
 
-def _int_cell(text, what, p):
+def _int_cell(text, what, p, low=-2**63):
     try:
-        return int(text)
+        value = int(text)
     except ValueError as exc:
         raise DataError(f"non-integer {what} {text!r} in party {p + 1} file") from exc
+    if not low <= value < 2**63:
+        raise DataError(f"{what} {text!r} out of range in party {p + 1} file")
+    return value
 
 
 def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=None,
@@ -371,7 +374,7 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
                 raise DataError(f"non-numeric continuous cell for id {sid}") from exc
             cats.append([row[j] for j, _ in cat_cols_p])
             if label_at is not None and row[label_at] != "":
-                labels[sid] = _int_cell(row[label_at], "label", p)
+                labels[sid] = _int_cell(row[label_at], "label", p, low=0)
         pinned = cat_levels[p] if cat_levels is not None else None
         if pinned is not None:
             levels = [{str(lvl): k for k, lvl in enumerate(col)} for col in pinned]
@@ -387,9 +390,13 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
                         continue
                     levels[j][raw] = len(levels[j])
                 coded[r, j] = levels[j][raw]
+        cont = np.array(cont, dtype=np.float64).reshape(len(ids), len(cont_cols))
+        finite = np.isfinite(cont).all(axis=1)
+        if not finite.all():
+            raise DataError(f"non-finite continuous cell for id {ids[int(finite.argmin())]}")
         parsed.append({
             "ids": np.array(ids, dtype=np.int64),
-            "cont": np.array(cont, dtype=np.float64).reshape(len(ids), len(cont_cols)),
+            "cont": cont,
             "cats": coded,
             "cards": tuple(len(lv) for lv in levels),
         })

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -75,10 +76,8 @@ def step1_aligned_ids(dataset, fraction):
 
 
 def _mean_loss(losses):
-    acc = losses[0]
-    for extra in losses[1:]:
-        acc = T.add(acc, extra)
-    return T.affine(acc, 1.0 / len(losses)) if len(losses) > 1 else acc
+    total = reduce(T.add, losses)
+    return T.affine(total, 1.0 / len(losses)) if len(losses) > 1 else total
 
 
 def _queue(party, name, capacity):

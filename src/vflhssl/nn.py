@@ -220,10 +220,7 @@ class ModelConfig:
         return self.repr_dim * (2 if self.finetune_encoders == "concat" else 1)
 
     def top_input_dim(self):
-        per_party = self.finetune_repr_dim()
-        if self.aggregator == "concat":
-            return per_party * self.num_parties
-        return per_party
+        return self.finetune_repr_dim() * (self.num_parties if self.aggregator == "concat" else 1)
 
 
 class EncoderStack:

@@ -23,9 +23,7 @@ def iso_perturb(d, lam, rng):
     """
     if lam < 0:
         raise ValidationError("lambda must be non-negative")
-    d = np.asarray(d, dtype=np.float64)
-    if d.ndim == 1:
-        d = d.reshape(1, -1)
+    d = np.atleast_2d(np.asarray(d, dtype=np.float64))
     if lam == 0.0:
         return d.copy()
     m = d.shape[1]

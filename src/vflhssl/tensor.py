@@ -9,6 +9,8 @@ cross-entropy used elsewhere in the package. Everything is float64.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .errors import ShapeError, ValidationError
@@ -57,9 +59,10 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- gradient plumbing ---------------------------------------------
-    def _accumulate(self, g):
+    def _accumulate(self, g, fresh=False):
+        """Add ``g`` to the gradient; a ``fresh`` g, held by nothing else, is kept uncopied."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            self.grad = g if fresh else np.array(g, dtype=np.float64, copy=True)
         else:
             self.grad += g
 
@@ -76,6 +79,7 @@ class Tensor:
             if grad.shape != self.values.shape:
                 raise ShapeError(f"seed gradient {grad.shape} != tensor {self.shape}")
 
+        # Leaves run no closure (their parents fill them): only op nodes enter the order.
         order = []
         seen = set()
         stack = [(self, False)]
@@ -89,7 +93,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
+                if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
 
         self._accumulate(grad)
@@ -133,9 +137,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.values.T)
+            a._accumulate(g @ b.values.T, fresh=True)
         if b.requires_grad:
-            b._accumulate(a.values.T @ g)
+            b._accumulate(a.values.T @ g, fresh=True)
 
     return _result(out_values, (a, b), backward)
 
@@ -161,7 +165,8 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor, relu: bool) -> Tensor:
     x = as_tensor(x)
     if x.cols != weight.rows or bias.shape != (1, weight.cols):
         raise ShapeError(f"dense shapes disagree: {x.shape} x {weight.shape} + {bias.shape}")
-    out_values = x.values @ weight.values + bias.values
+    out_values = x.values @ weight.values
+    out_values += bias.values
     if relu:
         mask = out_values > 0.0
         out_values = np.where(mask, out_values, 0.0)
@@ -170,11 +175,12 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor, relu: bool) -> Tensor:
         if relu:
             g = g * mask
         if bias.requires_grad:
-            bias._accumulate(_reduce_to(g, bias.shape))
+            gb = _reduce_to(g, bias.shape)
+            bias._accumulate(gb, fresh=gb is not g)
         if x.requires_grad:
-            x._accumulate(g @ weight.values.T)
+            x._accumulate(g @ weight.values.T, fresh=True)
         if weight.requires_grad:
-            weight._accumulate(x.values.T @ g)
+            weight._accumulate(x.values.T @ g, fresh=True)
 
     return _result(out_values, (x, weight, bias), backward)
 
@@ -205,9 +211,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_reduce_to(g * b.values, a.shape))
+            a._accumulate(_reduce_to(g * b.values, a.shape), fresh=True)
         if b.requires_grad:
-            b._accumulate(_reduce_to(g * a.values, b.shape))
+            b._accumulate(_reduce_to(g * a.values, b.shape), fresh=True)
 
     return _result(out_values, (a, b), backward)
 
@@ -219,7 +225,7 @@ def affine(x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(scale * g)
+            x._accumulate(scale * g, fresh=True)
 
     return _result(out_values, (x,), backward)
 
@@ -231,7 +237,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g * mask)
+            x._accumulate(g * mask, fresh=True)
 
     return _result(out_values, (x,), backward)
 
@@ -245,9 +251,9 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * take_a)
+            a._accumulate(g * take_a, fresh=True)
         if b.requires_grad:
-            b._accumulate(g * ~take_a)
+            b._accumulate(g * ~take_a, fresh=True)
 
     return _result(out_values, (a, b), backward)
 
@@ -264,7 +270,7 @@ def row_l2_normalize(x: Tensor) -> Tensor:
         if x.requires_grad:
             dot = (g * x.values).sum(axis=1, keepdims=True)
             gx = g / denom - np.where(live, x.values * dot / denom**3, 0.0)
-            x._accumulate(gx)
+            x._accumulate(gx, fresh=True)
 
     return _result(out_values, (x,), backward)
 
@@ -280,7 +286,7 @@ def sum_all(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(np.full_like(x.values, g[0, 0]))
+            x._accumulate(np.full_like(x.values, g[0, 0]), fresh=True)
 
     return _result(out_values, (x,), backward)
 
@@ -292,7 +298,7 @@ def mean_all(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(np.full_like(x.values, g[0, 0] / n))
+            x._accumulate(np.full_like(x.values, g[0, 0] / n), fresh=True)
 
     return _result(out_values, (x,), backward)
 
@@ -304,23 +310,17 @@ def row_sum(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(np.broadcast_to(g, x.shape).copy())
+            x._accumulate(np.broadcast_to(g, x.shape).copy(), fresh=True)
 
     return _result(out_values, (x,), backward)
 
 
 def concat_cols(tensors) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat_cols of zero tensors")
-    n = tensors[0].rows
-    for t in tensors:
-        if t.rows != n:
-            raise ShapeError("concat_cols row counts differ")
+    if len({t.rows for t in tensors}) != 1:
+        raise ShapeError("concat_cols needs one or more tensors with equal row counts")
     out_values = np.concatenate([t.values for t in tensors], axis=1)
-    offsets = [0]
-    for t in tensors:
-        offsets.append(offsets[-1] + t.cols)
+    offsets = [0, *accumulate(t.cols for t in tensors)]
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
@@ -344,7 +344,7 @@ def embedding_lookup(table: Tensor, indices, frozen_rows=()) -> Tensor:
             np.add.at(gt, idx, g)
             for r in frozen:
                 gt[r] = 0.0
-            table._accumulate(gt)
+            table._accumulate(gt, fresh=True)
 
     return _result(out_values, (table,), backward)
 
@@ -367,7 +367,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         if logits.requires_grad:
             probs = np.exp(log_probs)
             probs[np.arange(n), y] -= 1.0
-            logits._accumulate(probs * (g[0, 0] / n))
+            logits._accumulate(probs * (g[0, 0] / n), fresh=True)
 
     return _result(out_values, (logits,), backward)
 
@@ -380,6 +380,12 @@ class SgdOptimizer:
     step(): v <- momentum*v + grad; theta -= lr*v;
     gradients are zeroed afterwards. Parameters without a gradient (or
     with requires_grad off) are untouched.
+
+    The parameters are packed into one contiguous buffer: each
+    ``Tensor.values`` becomes a view of it, so every writer must write in
+    place, and a step with every gradient present updates the whole
+    buffer at once. A later optimizer that packs a parameter takes it
+    over; this one then refuses to step.
     """
 
     def __init__(self, params, learning_rate, momentum=0.9):
@@ -388,16 +394,35 @@ class SgdOptimizer:
         if not 0.0 <= momentum < 1.0:
             raise ValidationError("momentum must be in [0, 1)")
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValidationError("a parameter is listed twice")
         self.learning_rate = learning_rate
         self.momentum = momentum
-        self._velocity = {id(p): np.zeros_like(p.values) for p in self.params}
+        offsets = np.cumsum([0] + [p.values.size for p in self.params])
+        self._values, self._grad = np.empty(offsets[-1]), np.empty(offsets[-1])
+        self._velocity = np.zeros(offsets[-1])
+        self._velocities = []
+        for p, lo, hi in zip(self.params, offsets[:-1], offsets[1:]):
+            self._values[lo:hi] = p.values.reshape(-1)
+            p.values = self._values[lo:hi].reshape(p.shape)
+            self._velocities.append(self._velocity[lo:hi].reshape(p.shape))
+
+    def _update(self, theta, v, g):
+        v *= self.momentum
+        v += g
+        theta -= self.learning_rate * v
 
     def step(self):
-        for p in self.params:
-            if not p.requires_grad or p.grad is None:
-                continue
-            v = self._velocity[id(p)]
-            v *= self.momentum
-            v += p.grad
-            p.values -= self.learning_rate * v
-            p.grad = None
+        if any(p.values.base is not self._values for p in self.params):
+            raise ValidationError("a parameter was packed by a later optimizer")
+        grads = [p.grad for p in self.params if p.requires_grad and p.grad is not None]
+        if grads and len(grads) == len(self.params):
+            np.concatenate(grads, axis=None, out=self._grad)
+            self._update(self._values, self._velocity, self._grad)
+            for p in self.params:
+                p.grad = None
+            return
+        for p, v in zip(self.params, self._velocities):
+            if p.requires_grad and p.grad is not None:
+                self._update(p.values, v, p.grad)
+                p.grad = None

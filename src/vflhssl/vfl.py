@@ -10,9 +10,11 @@ before they leave the active party.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import Counter, deque
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -64,12 +66,13 @@ def decode_message(raw: bytes) -> WireMessage:
         raise ProtocolError("truncated frame header")
     dims = struct.unpack_from(f"<{ndim}I", raw, offset)
     offset += 4 * ndim
-    count = 1
-    for d in dims:
-        count *= d
+    count = math.prod(dims)
     if len(raw) != offset + 8 * count:
         raise ProtocolError("frame length does not match payload shape")
-    payload = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(dims).copy()
+    try:
+        payload = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(dims).copy()
+    except ValueError as exc:  # numpy refuses the shape: too many dims, or an overflowing product
+        raise ProtocolError(f"frame shape {dims} is not representable") from exc
     return WireMessage(msg_type=msg_type, round=rnd, sender=sender, payload=payload)
 
 
@@ -168,15 +171,9 @@ def _aggregate(tensors, kind):
     if len(dims) != 1:
         raise ShapeError(f"{kind} aggregator requires equal per-party dims, got {sorted(dims)}")
     if kind == "mean":
-        acc = tensors[0]
-        for t in tensors[1:]:
-            acc = T.add(acc, t)
-        return T.affine(acc, 1.0 / len(tensors))
+        return T.affine(reduce(T.add, tensors), 1.0 / len(tensors))
     if kind == "max":
-        acc = tensors[0]
-        for t in tensors[1:]:
-            acc = T.maximum(acc, t)
-        return acc
+        return reduce(T.maximum, tensors)
     raise ConfigError(f"unknown aggregator {kind!r}")
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from vflhssl import tensor as T
+
 
 def finite_diff_grad(fn, x, h=1e-5):
     """Central finite differences of a scalar-valued fn wrt ndarray x."""
@@ -27,3 +29,23 @@ def rel_err(a, b):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+class PerParameterSgd(T.SgdOptimizer):
+    """One update per parameter: the loop that the packed
+    ``SgdOptimizer.step`` replaces, kept as the reference it must equal
+    bit for bit."""
+
+    def __init__(self, params, learning_rate, momentum=0.9):
+        super().__init__(params, learning_rate, momentum=momentum)
+        self.velocity = {id(p): np.zeros_like(p.values) for p in self.params}
+
+    def step(self):
+        for p in self.params:
+            if not p.requires_grad or p.grad is None:
+                continue
+            v = self.velocity[id(p)]
+            v *= self.momentum
+            v += p.grad
+            p.values -= self.learning_rate * v
+            p.grad = None

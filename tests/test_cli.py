@@ -6,6 +6,8 @@ import pytest
 from vflhssl import cli, nn, privacy, vfl
 from vflhssl.errors import ConfigError
 
+from conftest import PerParameterSgd
+
 
 TINY = {
     "data": {"synthetic": {
@@ -94,12 +96,23 @@ class TestExitCodes:
         ("pretrain", "pipeline", {"preset": "FedHSSL*"}),
         ("pretrain", "pipeline", {"preset": None}),
         ("pretrain", "pipeline", {"pretrain": False}),
+        ("pretrain", "seeds", []),
+        ("attack", "seeds", []),
+        ("pretrain", "seeds", [0.5]),
+        ("pretrain", "pipeline", {"global_iterations": 2.5}),
+        ("attack", "finetune", {"labeled_counts": []}),
+        ("finetune", "finetune", {"labeled_counts": [32.0]}),
+        ("finetune", "finetune", {"lr_candidates": []}),
     ], ids=["csv-unknown-key", "csv-no-paths", "negative-lambda-p", "negative-lambda-f",
             "encoder-source", "csv-not-object", "string-lambda-p", "scalar-lambda-f",
-            "star-preset", "null-preset-with-pretrain", "method-without-pretrain"])
+            "star-preset", "null-preset-with-pretrain", "method-without-pretrain",
+            "empty-seeds-pretrain", "empty-seeds-attack", "float-seed",
+            "float-global-iterations", "empty-labeled-counts", "float-labeled-count",
+            "empty-lr-candidates"])
     def test_malformed_section_is_2(self, tmp_path, capsys, command, section, value):
         cfg = json.loads(json.dumps(TINY))
-        cfg[section] = value if section == "data" else {**cfg[section], **value}
+        merge = isinstance(value, dict) and section != "data"
+        cfg[section] = {**cfg[section], **value} if merge else value
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -334,6 +347,22 @@ def test_select_lr_ranks_diverged_candidates_last(tmp_path):
     assert (lr, val_acc) == (0.005, 0.225)
     assert np.isfinite(trainer.logits(dataset.test_ids)).all()
 
+
+
+def test_select_lr_packed_optimizer_equals_per_parameter_loop(cfg_path, monkeypatch):
+    config = cli.load_config(cfg_path)
+    config["finetune"]["lr_candidates"] = [0.01, 0.03]
+    dataset = cli.build_dataset(config)
+
+    def select():
+        trainer, val_acc, lr = cli._select_lr(config, dataset, 0, 32, None, lambda_f=1.0)
+        params = [p.values.tobytes() for node in trainer.parties
+                  for _, p in node.model.named_params()]
+        return params, val_acc, lr
+
+    packed = select()
+    monkeypatch.setattr(vfl.T, "SgdOptimizer", PerParameterSgd)
+    assert select() == packed
 
 class TestSweep:
     def test_gamma_sweep_creates_subdirs(self, cfg_path, tmp_path):

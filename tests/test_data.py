@@ -301,6 +301,9 @@ class TestCsv:
         ("id,x0,label\n1,0.1,0\nx2,0.2,1\n", "non-integer id"),
         ("id,x0,label\n1,0.1,0\n2,0.2,cat\n", "non-integer label"),
         ("id,x0,label\n1,0.1,0\n2,0.2\n", "row of 2 cells"),
+        ("id,x0,label\n1,0.1,0\n99999999999999999999,0.2,1\n", "id .* out of range"),
+        ("id,x0,label\n1,0.1,0\n2,0.2,-1\n", "label '-1' out of range"),
+        ("id,x0,label\n1,0.1,0\n2,inf,1\n", "non-finite continuous cell for id 2"),
     ])
     def test_malformed_cells_raise_data_error(self, tmp_path, party1, match):
         p1 = tmp_path / "p1.csv"
@@ -317,3 +320,39 @@ class TestCsv:
         p2.write_text("id,x0\n2,1.0\n")
         with pytest.raises(DataError, match="aligned"):
             data.load_csv([p1, p2])
+
+
+
+def test_arbitrary_csv_text_raises_only_data_error(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # Valid party files with a few cells overwritten reach every cell
+    # check; free text reaches the reader and the header checks.
+    token = st.sampled_from(["", "x", "-1", "0.5", "nan", "1e999", "99999999999999999999",
+                             '"', "\x00", "é", "1,2", "\n", "id", "label"])
+    edit = st.tuples(st.integers(0, 1), st.integers(0, 9), st.integers(0, 2), token)
+
+    def edited(n, edits):
+        tables = [[["id", "x0", "label"]] + [[str(i), "0.5", str(i % 3)] for i in range(n)],
+                  [["id", "x0"]] + [[str(i), str(i)] for i in range(n)]]
+        for party, r, c, text in edits:
+            row = tables[party][r % len(tables[party])]
+            row[c % len(row)] = text
+        return tuple("".join(",".join(row) + "\n" for row in t) for t in tables)
+
+    free = st.text(st.characters(blacklist_categories=("Cs",)), max_size=60)
+    files = st.one_of(st.builds(edited, st.integers(0, 9), st.lists(edit, max_size=4)),
+                      st.tuples(free, free))
+
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(files=files, with_cats=st.booleans())
+    def check(files, with_cats):
+        paths = [tmp_path / "p1.csv", tmp_path / "p2.csv"]
+        for path, text in zip(paths, files):
+            path.write_text(text, encoding="utf-8")
+        try:
+            data.load_csv(paths, cat_cols=[("x0",), ()] if with_cats else None)
+        except DataError:
+            pass
+
+    check()

@@ -135,6 +135,49 @@ class TestPma:
         assert net.counts["ModelBlob"] == 6  # 3 uploads + 3 broadcasts
 
 
+def test_writers_write_through_packed_views():
+    """Checkpoint restore, PMA and the EMA update write parameters in
+    place, so the optimizers that pack them step what they wrote."""
+    _, nodes, _ = setup(variant="byol")
+    node = nodes[0]
+    online = [p for p in node.model.named_params() if p[1].requires_grad]
+    target = [p for p in node.model.named_params() if not p[1].requires_grad]
+    assert target, "byol has an EMA target"
+    opt = T.SgdOptimizer([p for _, p in online], 0.5, momentum=0.0)
+    T.SgdOptimizer([p for _, p in target], 0.5)
+    views = {name: p.values for name, p in node.model.named_params()}
+
+    def assert_written_through(expected):
+        for name, p in node.model.named_params():
+            assert p.values is views[name], name
+            np.testing.assert_array_equal(p.values, expected[name], err_msg=name)
+
+    blob = {name: p.values + 1.0 for name, p in node.model.named_params()}
+    nn.Checkpoint(1, "fp", [0], [blob]).restore_into([node.model])
+    assert_written_through(blob)
+
+    hssl._unflatten_pma(node.stack, 2.0 * hssl._flatten_pma(node.stack))
+    expected = snapshot(node)
+    for name, _ in node.stack.named_pma_params():
+        np.testing.assert_array_equal(expected[name], 2.0 * blob[name])
+    assert_written_through(expected)
+
+    target_names = {id(p): name for name, p in target}
+    node.stack.ema.update()
+    m = node.stack.ema.momentum
+    for on, tgt in node.stack.ema.pairs:
+        name = target_names[id(tgt)]
+        expected[name] = m * expected[name] + (1.0 - m) * on.values
+    assert_written_through(expected)
+
+    for _, p in online:
+        p.grad = np.ones(p.shape)
+    opt.step()
+    for name, _ in online:
+        expected[name] = expected[name] - 0.5
+    assert_written_through(expected)
+
+
 class TestPretrainNoise:
     """lambda_p perturbs party 1's outgoing cross Repr and PMA blob only."""
 

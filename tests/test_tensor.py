@@ -6,7 +6,7 @@ import pytest
 from vflhssl import tensor as T
 from vflhssl.errors import ShapeError, ValidationError
 
-from conftest import finite_diff_grad, rel_err
+from conftest import PerParameterSgd, finite_diff_grad, rel_err
 
 
 def check_grad(op, shapes, rng, h=1e-5, tol=1e-4, **kwargs):
@@ -56,23 +56,29 @@ class TestDense:
     @pytest.mark.parametrize("batch", [1, 64])
     @pytest.mark.parametrize("relu", [False, True])
     def test_bit_identical_to_composition(self, rng, batch, relu):
-        arrays = (rng.normal(size=(batch, 32)), rng.normal(size=(32, 16)),
-                  rng.normal(size=(1, 16)))
-        g = rng.normal(size=(batch, 16))
+        arrays = [rng.normal(size=(batch, 32)), rng.normal(size=(32, 16)),
+                  rng.normal(size=(1, 16)), rng.normal(size=(batch, 16))]
+        # The same operands again, with NaN, signed zeros and infinities.
+        special = [a.copy() for a in arrays]
+        for a in special:
+            cells = rng.random(a.shape) < 0.2
+            a[cells] = rng.choice([np.nan, 0.0, -0.0, np.inf, -np.inf], size=cells.sum())
 
-        def run(fused):
-            x, w, b = (T.Tensor(a.copy(), requires_grad=True) for a in arrays)
+        def run(operands, fused):
+            x, w, b = (T.Tensor(a.copy(), requires_grad=True) for a in operands[:3])
             if fused:
                 out = T.dense(x, w, b, relu)
             else:
                 out = T.add(T.matmul(x, w), b)
                 if relu:
                     out = T.relu(out)
-            out.backward(grad=g)
+            out.backward(grad=operands[3])
             return out.values, x.grad, w.grad, b.grad
 
-        for fused_part, composed_part in zip(run(True), run(False)):
-            assert np.array_equal(fused_part, composed_part)
+        with np.errstate(invalid="ignore"):
+            for operands in (arrays, special):
+                for fused_part, composed_part in zip(run(operands, True), run(operands, False)):
+                    assert fused_part.tobytes() == composed_part.tobytes()
 
     def test_frozen_weights_pass_input_gradient(self, rng):
         x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -236,6 +242,53 @@ class TestSgdOptimizer:
         p = T.Tensor([[1.0]], requires_grad=True)
         T.SgdOptimizer([p], 0.1).step()
         assert p.values[0, 0] == 1.0
+
+    def test_packed_step_equals_per_parameter_loop(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        masks = st.one_of(st.just([True] * 5), st.lists(st.booleans(), min_size=5, max_size=5))
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            shapes=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                            min_size=1, max_size=5),
+            learning_rate=st.floats(1e-4, 1.0),
+            momentum=st.floats(0.0, 0.99),
+            has_grad=st.lists(masks, min_size=3, max_size=6),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(shapes, learning_rate, momentum, has_grad, seed):
+            rng = np.random.default_rng(seed)
+            init = [rng.normal(size=shape) for shape in shapes]
+            packed = [T.Tensor(a.copy(), requires_grad=True) for a in init]
+            looped = [T.Tensor(a.copy(), requires_grad=True) for a in init]
+            opts = (T.SgdOptimizer(packed, learning_rate, momentum),
+                    PerParameterSgd(looped, learning_rate, momentum))
+            for mask in has_grad:
+                for a, b, with_grad in zip(packed, looped, mask):
+                    if with_grad:
+                        g = rng.normal(size=a.shape)
+                        a.grad, b.grad = g.copy(), g
+                for opt in opts:
+                    opt.step()
+                for a, b in zip(packed, looped):
+                    assert a.values.tobytes() == b.values.tobytes()
+                    assert a.grad is None and b.grad is None
+
+        check()
+
+    def test_parameter_packed_twice(self):
+        p, q = (T.Tensor([[1.0, 2.0]], requires_grad=True) for _ in range(2))
+        with pytest.raises(ValidationError, match="twice"):
+            T.SgdOptimizer([p, q, p], 0.1)
+        first = T.SgdOptimizer([p, q], 0.1, momentum=0.0)
+        second = T.SgdOptimizer([q], 0.1, momentum=0.0)
+        p.grad, q.grad = np.ones((1, 2)), np.ones((1, 2))
+        with pytest.raises(ValidationError, match="later optimizer"):
+            first.step()
+        second.step()  # q moved to the later optimizer, which steps it
+        assert q.values.tolist() == [[0.9, 1.9]]
+        assert p.values.tolist() == [[1.0, 2.0]]
 
 
 def test_determinism_same_seed_bit_identical():

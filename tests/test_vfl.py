@@ -125,6 +125,15 @@ def test_malformed_frames_raise_only_protocol_error():
     check()
 
 
+def test_empty_frame_with_unrepresentable_shape_is_protocol_error():
+    # ndim 2 -> 18 reads the payload as dims: a zero dim makes the frame
+    # length check pass, and numpy refuses the huge remaining dims.
+    raw = bytearray(vfl.encode_message(vfl.WireMessage(0, 7, 1, np.ones((2, 4)))))
+    raw[13] = 18
+    with pytest.raises(ProtocolError, match="not representable"):
+        vfl.decode_message(bytes(raw))
+
+
 class TestChannel:
     """The network's per-link frame queues."""
 
