@@ -15,9 +15,7 @@ import argparse
 import copy
 import inspect
 import json
-import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -227,24 +225,8 @@ def build_pipeline_config(config):
     )
 
 
-# -- atomic output --------------------------------------------------------
-
-def atomic_write_text(path, text):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def atomic_write_json(path, obj):
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    data.atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # -- commands -------------------------------------------------------------
@@ -252,7 +234,6 @@ def atomic_write_json(path, obj):
 def cmd_gen_data(config, out_dir):
     dataset = build_dataset(config)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / f"party{i + 1}.csv" for i in range(dataset.num_parties)]
     data.export_csv(dataset, paths)
     manifest = {
@@ -288,10 +269,9 @@ def cmd_pretrain(config, out_dir):
     seed = config["seeds"][0]
     nodes, net, trace = _pretrained_parties(config, dataset, seed)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_path = out_dir / "checkpoint.bin"
     nn.save_checkpoint(
-        ckpt_path, [p.model for p in nodes], config_fingerprint(config), seeds=[seed]
+        out_dir / "checkpoint.bin", [p.model for p in nodes], config_fingerprint(config),
+        seeds=[seed],
     )
     atomic_write_json(out_dir / "trace.json", {
         "config_fingerprint": config_fingerprint(config),
@@ -404,7 +384,7 @@ def cmd_finetune(config, out_dir, checkpoint_path):
             f"{r['labeled_count']},{r['seed']},{r['learning_rate']},"
             f"{r['val_top1']},{r['test_top1']}"
         )
-    atomic_write_text(out_dir / "report.csv", "\n".join(lines) + "\n")
+    data.atomic_write(out_dir / "report.csv", "\n".join(lines) + "\n")
     for s in summary:
         print(_summary_line(s))
     return 0
@@ -456,7 +436,6 @@ def cmd_attack(config, out_dir, checkpoint_path):
             })
         curve.add_point(float(lam), float(np.mean(utilities)), float(np.mean(recoveries)))
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     privacy.export_tradeoff_csv(
         out_dir / "tradeoff.csv", [curve], lambda_p=config["pipeline"]["lambda_p"]
     )

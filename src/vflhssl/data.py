@@ -5,15 +5,19 @@ Parties hold disjoint feature blocks over a shared sample-id space.
 Aligned ids exist at every party; each party additionally holds its own
 unaligned ids. Only party 1 sees labels, and only for a subset of the
 aligned ids; a further slice of labeled aligned ids is held out as the
-test split and never enters any training iterator.
+test split and never enters any training iterator. Every artifact is
+written through ``atomic_write``.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -281,6 +285,31 @@ def batches(ids, batch_size, rng=None):
         yield ids[start : start + batch_size]
 
 
+# -- output -------------------------------------------------------------
+
+def atomic_write(path, content):
+    """Write ``content`` (bytes, or text as UTF-8) to ``path`` through a
+    temporary file in the same directory, so an interrupted write leaves
+    the previous file intact."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(content.encode() if isinstance(content, str) else content)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def csv_text(rows):
+    """``rows`` as CSV text, with the ``csv`` module's CRLF line ends."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 # -- CSV ingestion ------------------------------------------------------
 
 def export_csv(dataset: VerticalDataset, paths, id_col="id", label_col="label"):
@@ -291,20 +320,16 @@ def export_csv(dataset: VerticalDataset, paths, id_col="id", label_col="label"):
     for i, (block, path) in enumerate(zip(dataset.parties, paths)):
         cont_names = [f"x{j}" for j in range(block.cont.shape[1])]
         cat_names = [f"c{j}" for j in range(block.cats.shape[1])]
-        header = [id_col] + cont_names + cat_names
-        if i == 0:
-            header.append(label_col)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for r, sid in enumerate(block.ids):
-                row = [int(sid)]
-                row += [repr(float(v)) for v in block.cont[r]]
-                row += [int(v) for v in block.cats[r]]
-                if i == 0:
-                    label = dataset.labels.get(int(sid))
-                    row.append("" if label is None else label)
-                writer.writerow(row)
+        rows = [[id_col] + cont_names + cat_names + ([label_col] if i == 0 else [])]
+        for r, sid in enumerate(block.ids):
+            row = [int(sid)]
+            row += [repr(float(v)) for v in block.cont[r]]
+            row += [int(v) for v in block.cats[r]]
+            if i == 0:
+                label = dataset.labels.get(int(sid))
+                row.append("" if label is None else label)
+            rows.append(row)
+        atomic_write(path, csv_text(rows))
 
 
 def _int_cell(text, what, p, low=-2**63):

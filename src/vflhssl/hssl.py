@@ -27,7 +27,7 @@ from . import tensor as T
 from .data import AugmentationPolicy, augment, batches
 from .errors import ConfigError, ProtocolError
 from .privacy import iso_perturb
-from .ssl import NegativeQueue, SslVariant, ssl_loss
+from .ssl import QUEUE_CAPACITY, NegativeQueue, SslVariant, ssl_loss
 from .vfl import MSG_MODEL_BLOB, MSG_REPR, Network, WireMessage
 
 SERVER_ID = 0
@@ -80,9 +80,9 @@ def _mean_loss(losses):
     return T.affine(total, 1.0 / len(losses)) if len(losses) > 1 else total
 
 
-def _queue(party, name, capacity):
+def _queue(party, name):
     if name not in party.queues:
-        party.queues[name] = NegativeQueue(capacity)
+        party.queues[name] = NegativeQueue(QUEUE_CAPACITY)
     return party.queues[name]
 
 
@@ -106,7 +106,7 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
         # Exchange phase: each party computes and ships its representation.
         values = {}
         for p in parties:
-            values[p.party_id] = p.stack.cross.forward(*p.features(batch_ids)).values
+            values[p.party_id] = p.model.cross.forward(*p.features(batch_ids)).values
         outgoing_active = iso_perturb(values[1], lambda_p, noise_rng)
         for p in parties[1:]:
             network.send(1, p.party_id, WireMessage(MSG_REPR, rnd, 1, outgoing_active))
@@ -120,14 +120,11 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
             opt = optimizers[p.party_id]
             peers = received[p.party_id]
             for _ in range(local_updates):
-                z = p.stack.cross.forward(*p.features(batch_ids))
-                pred = p.stack.h_c.forward(z)
+                z = p.model.cross.forward(*p.features(batch_ids))
+                pred = p.model.h_c.forward(z)
                 losses = []
                 for peer_id, target_values in sorted(peers.items()):
-                    queue = (
-                        _queue(p, f"cross_recv_{peer_id}", variant.queue_capacity)
-                        if is_moco else None
-                    )
+                    queue = _queue(p, f"cross_recv_{peer_id}") if is_moco else None
                     losses.append(ssl_loss(variant, pred, T.Tensor(target_values), queue))
                 loss = _mean_loss(losses)
                 loss.backward()
@@ -135,7 +132,7 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
             totals[p.party_id].append(loss.item())
             if is_moco:
                 for peer_id, target_values in peers.items():
-                    _queue(p, f"cross_recv_{peer_id}", variant.queue_capacity).enqueue(target_values)
+                    _queue(p, f"cross_recv_{peer_id}").enqueue(target_values)
 
     return {pid: float(np.mean(vals)) if vals else float("nan") for pid, vals in totals.items()}
 
@@ -147,7 +144,7 @@ def guided_local_ssl_epoch(party, ids, variant, gamma, policy, optimizer,
     Only the local tower (f_lb, f_lt, projector_l, h_l and its EMA
     target) is updated; the cross encoder provides frozen anchors.
     """
-    stack = party.stack
+    model = party.model
     is_moco = variant.kind == "moco"
     block = party.dataset.parties[party.party_id - 1]
     losses = []
@@ -157,39 +154,39 @@ def guided_local_ssl_epoch(party, ids, variant, gamma, policy, optimizer,
         v1 = augment(cont, cats, block.cat_cardinalities, policy, aug_rng, block.cont_std)
         v2 = augment(cont, cats, block.cat_cardinalities, policy, aug_rng, block.cont_std)
 
-        z1 = stack.local.forward(*v1)
-        z2 = stack.local.forward(*v2)
-        p1 = stack.h_l.forward(z1)
-        p2 = stack.h_l.forward(z2)
+        z1 = model.local.forward(*v1)
+        z2 = model.local.forward(*v2)
+        p1 = model.h_l.forward(z1)
+        p2 = model.h_l.forward(z2)
         # SimSiam's target is the online tower under stop-gradient; BYOL
         # and MoCo run the same views through the EMA copy.
-        if stack.target is None:
+        if model.target is None:
             t1, t2 = T.Tensor(z1.values), T.Tensor(z2.values)
         else:
-            t1 = T.Tensor(stack.target.forward(*v1).values)
-            t2 = T.Tensor(stack.target.forward(*v2).values)
+            t1 = T.Tensor(model.target.forward(*v1).values)
+            t2 = T.Tensor(model.target.forward(*v2).values)
 
-        q_a = _queue(party, "local_a", variant.queue_capacity) if is_moco else None
-        q_b = _queue(party, "local_b", variant.queue_capacity) if is_moco else None
+        q_a = _queue(party, "local_a") if is_moco else None
+        q_b = _queue(party, "local_b") if is_moco else None
         sym = T.affine(
             T.add(ssl_loss(variant, p1, t2, q_a), ssl_loss(variant, p2, t1, q_b)), 0.5
         )
         loss = sym
         if gamma > 0:
-            zc1 = T.Tensor(stack.cross.encode(*v1).values)
-            zc2 = T.Tensor(stack.cross.encode(*v2).values)
+            zc1 = T.Tensor(model.cross.encode(*v1).values)
+            zc2 = T.Tensor(model.cross.encode(*v2).values)
             if zc1.cols != p1.cols:
                 raise ConfigError(
                     f"guidance dims disagree: predictor {p1.cols} vs cross encoder {zc1.cols}"
                 )
-            q_ga = _queue(party, "guide_a", variant.queue_capacity) if is_moco else None
-            q_gb = _queue(party, "guide_b", variant.queue_capacity) if is_moco else None
+            q_ga = _queue(party, "guide_a") if is_moco else None
+            q_gb = _queue(party, "guide_b") if is_moco else None
             guide = T.add(ssl_loss(variant, p1, zc1, q_ga), ssl_loss(variant, p2, zc2, q_gb))
             loss = T.add(sym, T.affine(guide, gamma))
         loss.backward()
         optimizer.step()
-        if stack.ema is not None:
-            stack.ema.update()
+        if model.ema is not None:
+            model.ema.update()
         if is_moco:
             q_a.enqueue(t2.values)
             q_b.enqueue(t1.values)
@@ -241,14 +238,14 @@ def partial_model_aggregation(parties, network, lambda_p=0.0, noise_rng=None):
     parties = sorted(parties, key=lambda p: p.party_id)
     rnd = network.next_round()
     for p in parties:
-        blob = _flatten_pma(p.stack)
+        blob = _flatten_pma(p.model)
         if p.party_id == 1:
             blob = iso_perturb(blob, lambda_p, noise_rng).reshape(-1)
         network.send(p.party_id, SERVER_ID, WireMessage(MSG_MODEL_BLOB, rnd, p.party_id, blob))
     _server_round(network, rnd, len(parties))
     for p in parties:
         msg = network.recv(p.party_id, SERVER_ID)
-        _unflatten_pma(p.stack, msg.payload.reshape(-1))
+        _unflatten_pma(p.model, msg.payload.reshape(-1))
 
 
 def pretrain(dataset, parties, network, config: PipelineConfig, seed=0):
@@ -258,11 +255,11 @@ def pretrain(dataset, parties, network, config: PipelineConfig, seed=0):
     noise_rng = np.random.default_rng((seed, 9999))
 
     opt_cross = {
-        p.party_id: T.SgdOptimizer(p.stack.params_cross(), config.cross_lr)
+        p.party_id: T.SgdOptimizer(p.model.params_cross(), config.cross_lr)
         for p in parties
     }
     opt_local = {
-        p.party_id: T.SgdOptimizer(p.stack.params_local(), config.local_lr)
+        p.party_id: T.SgdOptimizer(p.model.params_local(), config.local_lr)
         for p in parties
     }
     steps = METHODS[config.method]

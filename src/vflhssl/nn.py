@@ -21,6 +21,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
+from .data import atomic_write
 from .errors import ConfigError, FingerprintError, FormatError, VersionError
 
 CHECKPOINT_MAGIC = b"VFLH"
@@ -224,9 +225,12 @@ class ModelConfig:
 
 
 class EncoderStack:
-    """One party's full model: local tower, cross tower, optional EMA target."""
+    """One party's full model: local tower, cross tower, optional EMA
+    target and, on the active party, the top classifier."""
 
-    def __init__(self, cfg: ModelConfig, variant: str, rng):
+    def __init__(self, cfg: ModelConfig, variant: str, rng, active=False):
+        if variant not in ("simsiam", "byol", "moco"):
+            raise ConfigError(f"unknown SSL variant {variant!r}")
         self.cfg = cfg
         in_dim = cfg.encoded_input_dim()
         proj_out = cfg.moco_projector_out if variant == "moco" else cfg.projector_dims[-1]
@@ -269,6 +273,7 @@ class EncoderStack:
                 p.requires_grad = False
             momentum = 0.995 if variant == "byol" else 0.99
             self.ema = EmaTracker(momentum, zip(self.local.params(), self.target.params()))
+        self.top_model = DenseLayer(cfg.top_input_dim(), cfg.num_classes, rng=rng) if active else None
 
     def named_params(self):
         out = self.local.named_params() + self.h_l.named_params("h_l")
@@ -276,6 +281,8 @@ class EncoderStack:
         if self.target is not None:
             # Checkpoint version 1 stores the target in name order.
             out += sorted(self.target.named_params("target"), key=lambda item: item[0])
+        if self.top_model is not None:
+            out += self.top_model.named_params("top_model")
         return out
 
     def params_cross(self):
@@ -289,12 +296,15 @@ class EncoderStack:
         return self.local.backbone["f_lt"].named_params("f_lt") + self.h_l.named_params("h_l")
 
     def params_finetune(self):
+        """The encoder parameters fine-tuning trains, then the top model's."""
         mode = self.cfg.finetune_encoders
         ps = []
         if mode in ("local", "concat"):
             ps += self.local.backbone_params()
         if mode in ("cross", "concat"):
             ps += self.cross.backbone_params()
+        if self.top_model is not None:
+            ps += self.top_model.params()
         return ps
 
     def finetune_repr(self, cont, cats):
@@ -304,32 +314,6 @@ class EncoderStack:
         if mode == "cross":
             return self.cross.encode(cont, cats)
         return T.concat_cols([self.local.encode(cont, cats), self.cross.encode(cont, cats)])
-
-
-class PartyModel:
-    """EncoderStack plus the active party's top classifier."""
-
-    def __init__(self, stack: EncoderStack, top_model=None):
-        self.stack = stack
-        self.top_model = top_model
-
-    def named_params(self):
-        out = list(self.stack.named_params())
-        if self.top_model is not None:
-            out += self.top_model.named_params("top_model")
-        return out
-
-
-def build_party_model(cfg: ModelConfig, role, variant, rng) -> PartyModel:
-    if role not in ("active", "passive"):
-        raise ConfigError(f"unknown role {role!r}")
-    if variant not in ("simsiam", "byol", "moco"):
-        raise ConfigError(f"unknown SSL variant {variant!r}")
-    stack = EncoderStack(cfg, variant, rng)
-    top = None
-    if role == "active":
-        top = DenseLayer(cfg.top_input_dim(), cfg.num_classes, rng=rng)
-    return PartyModel(stack, top)
 
 
 # -- checkpoints -------------------------------------------------------
@@ -376,14 +360,11 @@ def save_checkpoint(path, models, config, seeds=()):
         ],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        for m in models:
-            for _, p in m.named_params():
-                fh.write(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<HI", CHECKPOINT_VERSION, len(header_bytes)),
+              header_bytes]
+    chunks += [np.ascontiguousarray(p.values, dtype="<f8").tobytes()
+               for m in models for _, p in m.named_params()]
+    atomic_write(path, b"".join(chunks))
 
 
 def _is_dim(value):

@@ -3,14 +3,13 @@ metrics and the CAP privacy-utility trade-off score."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .data import batches
+from .data import atomic_write, batches, csv_text
 from .errors import ConfigError, ValidationError
 from .nn import MLP
 
@@ -44,12 +43,14 @@ def metric_top1(predictions, labels):
 
 # -- model-completion attack ---------------------------------------------
 
+ATTACK_LR = 0.05
+ATTACK_BATCH = 64
+
+
 @dataclass
 class McAttackConfig:
     head_hidden_dim: int = 32
     epochs: int = 100
-    learning_rate: float = 0.05
-    batch_size: int = 64
 
 
 def mc_attack(adversary, cfg: McAttackConfig, aux_ids, eval_ids, num_classes, rng):
@@ -72,9 +73,9 @@ def mc_attack(adversary, cfg: McAttackConfig, aux_ids, eval_ids, num_classes, rn
     y_eval = adversary.dataset.label_array(eval_ids)
 
     head = MLP([x_aux.shape[1], cfg.head_hidden_dim, num_classes], rng)
-    opt = T.SgdOptimizer(head.params(), cfg.learning_rate, momentum=0.9)
+    opt = T.SgdOptimizer(head.params(), ATTACK_LR, momentum=0.9)
     for _ in range(cfg.epochs):
-        for sel in batches(np.arange(len(aux_ids)), cfg.batch_size, rng=rng):
+        for sel in batches(np.arange(len(aux_ids)), ATTACK_BATCH, rng=rng):
             loss = T.softmax_cross_entropy(head.forward(T.Tensor(x_aux[sel])), y_aux[sel])
             loss.backward()
             opt.step()
@@ -109,9 +110,7 @@ def cap(curve: TradeoffCurve) -> float:
 
 
 def export_tradeoff_csv(path, curves, lambda_p=0.0):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "dataset", "lambda_f", "lambda_p", "main_metric", "recovery_acc"])
-        for curve in curves:
-            for lam, utility, recovery in curve.points:
-                writer.writerow([curve.method, curve.dataset, lam, lambda_p, utility, recovery])
+    rows = [["method", "dataset", "lambda_f", "lambda_p", "main_metric", "recovery_acc"]]
+    rows += [[curve.method, curve.dataset, lam, lambda_p, utility, recovery]
+             for curve in curves for lam, utility, recovery in curve.points]
+    atomic_write(path, csv_text(rows))

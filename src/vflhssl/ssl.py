@@ -14,20 +14,17 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 
+MOCO_TEMPERATURE = 0.5
+QUEUE_CAPACITY = 256  # negatives each MoCo queue holds
+
 
 @dataclass
 class SslVariant:
     kind: str  # simsiam | byol | moco
-    temperature: float = 0.5
-    queue_capacity: int = 256
 
     def __post_init__(self):
         if self.kind not in ("simsiam", "byol", "moco"):
             raise ConfigError(f"unknown SSL variant {self.kind!r}")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
-        if self.queue_capacity < 0:
-            raise ConfigError("queue_capacity must be non-negative")
 
 
 class NegativeQueue:
@@ -111,4 +108,4 @@ def ssl_loss(variant: SslVariant, p: T.Tensor, z_target: T.Tensor, queue=None) -
         return loss_byol(p, z_target)
     if queue is None:
         raise ConfigError("moco requires a negative queue")
-    return loss_moco(p, z_target, queue, variant.temperature)
+    return loss_moco(p, z_target, queue, MOCO_TEMPERATURE)

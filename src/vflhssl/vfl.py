@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ProtocolError, ShapeError
-from .nn import build_party_model
+from .nn import EncoderStack
 from .privacy import iso_perturb
 
 WIRE_MAGIC = b"VFLM"
@@ -118,39 +118,26 @@ class Network:
         self._last_round[key] = msg.round
         return msg
 
-    def reset_counts(self):
-        self.counts = Counter()
-        self.bytes = Counter()
-
 
 class PartyNode:
     """One party's worker state: model, dataset view and MoCo queues."""
 
-    def __init__(self, party_id, role, model, dataset):
-        if role not in ("active", "passive"):
-            raise ConfigError(f"unknown role {role!r}")
-        if role == "active" and party_id != 1:
-            raise ConfigError("the active party must have id 1")
+    def __init__(self, party_id, model: EncoderStack, dataset):
         self.party_id = party_id
-        self.role = role
         self.model = model
         self.dataset = dataset
         self.queues = {}  # name -> NegativeQueue, created on demand (moco)
-
-    @property
-    def stack(self):
-        return self.model.stack
 
     def features(self, ids):
         return self.dataset.rows(self.party_id - 1, ids)
 
     def finetune_forward(self, ids):
         cont, cats = self.features(ids)
-        return self.stack.finetune_repr(cont, cats)
+        return self.model.finetune_repr(cont, cats)
 
 
 def make_parties(dataset, cfg, variant, seed):
-    """Build one PartyNode per dataset party; party 1 is active."""
+    """Build one PartyNode per dataset party; party 1 is active and owns the top model."""
     parties = []
     for i in range(dataset.num_parties):
         pid = i + 1
@@ -158,9 +145,8 @@ def make_parties(dataset, cfg, variant, seed):
         party_cfg = replace(
             cfg, input_dim=block.cont.shape[1], cat_cardinalities=tuple(block.cat_cardinalities)
         )
-        role = "active" if pid == 1 else "passive"
-        model = build_party_model(party_cfg, role, variant, np.random.default_rng((seed, pid)))
-        parties.append(PartyNode(pid, role, model, dataset))
+        model = EncoderStack(party_cfg, variant, np.random.default_rng((seed, pid)), active=pid == 1)
+        parties.append(PartyNode(pid, model, dataset))
     return parties
 
 
@@ -183,27 +169,21 @@ class SplitTrainer:
     ``lambda_f`` is the ISO strength on the gradients sent to passive
     parties, drawn from ``noise_rng``; 0 sends them exact. The active
     party's ``ModelConfig.aggregator`` joins the party representations.
+    Each party steps its ``params_finetune()`` by SGD with momentum 0.9.
     """
 
-    def __init__(self, parties, network, learning_rate, lambda_f=0.0, noise_rng=None,
-                 momentum=0.9):
+    def __init__(self, parties, network, learning_rate, lambda_f=0.0, noise_rng=None):
         self.parties = sorted(parties, key=lambda p: p.party_id)
-        if self.parties[0].role != "active":
-            raise ConfigError("party 1 must be active")
-        if self.parties[0].model.top_model is None:
-            raise ConfigError("active party has no top model")
+        if self.parties[0].party_id != 1 or self.parties[0].model.top_model is None:
+            raise ConfigError("party 1 must be active: it owns the top model")
         if lambda_f < 0:
             raise ConfigError("lambda_f must be non-negative")
         self.network = network
-        self.aggregator = self.parties[0].stack.cfg.aggregator
+        self.aggregator = self.parties[0].model.cfg.aggregator
         self.lambda_f = lambda_f
         self.noise_rng = noise_rng
-        self.optimizers = []
-        for p in self.parties:
-            params = list(p.stack.params_finetune())
-            if p.model.top_model is not None:
-                params += p.model.top_model.params()
-            self.optimizers.append(T.SgdOptimizer(params, learning_rate, momentum=momentum))
+        self.optimizers = [T.SgdOptimizer(p.model.params_finetune(), learning_rate)
+                           for p in self.parties]
 
     def train_step(self, ids):
         """One synchronized forward/backward/update over a labeled batch."""

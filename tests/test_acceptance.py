@@ -59,10 +59,9 @@ def pretrained_parties(ds, method, seed, global_iterations=10):
     return nodes
 
 
-def finetune_and_score(ds, nodes, seed, restart, epochs=10, lr=0.01,
-                       momentum=0.9, lambda_f=0.0):
+def finetune_and_score(ds, nodes, seed, restart, epochs=10, lr=0.01, lambda_f=0.0):
     trainer = vfl.SplitTrainer(
-        nodes, hssl.make_network(2), lr, momentum=momentum,
+        nodes, hssl.make_network(2), lr,
         lambda_f=lambda_f, noise_rng=np.random.default_rng((seed, 5)),
     )
     rng = np.random.default_rng((seed, 100, restart))
@@ -162,12 +161,8 @@ def test_criterion_2_split_training_matches_monolithic_oracle():
     trainer = vfl.SplitTrainer(split_nodes, hssl.make_network(2), 0.05)
 
     mono_nodes = vfl.make_parties(ds, cfg, "simsiam", 3)
-    mono_opts = []
-    for p in mono_nodes:
-        params = list(p.stack.params_finetune())
-        if p.model.top_model is not None:
-            params += p.model.top_model.params()
-        mono_opts.append(T.SgdOptimizer(params, 0.05, momentum=0.9))
+    mono_opts = [T.SgdOptimizer(p.model.params_finetune(), 0.05, momentum=0.9)
+                 for p in mono_nodes]
 
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -238,14 +233,14 @@ def test_criterion_4_stop_gradient_and_step_isolation():
         }
 
     before = snapshot_params(nodes)
-    opts = {p.party_id: T.SgdOptimizer(p.stack.params_cross(), 0.05) for p in nodes}
+    opts = {p.party_id: T.SgdOptimizer(p.model.params_cross(), 0.05) for p in nodes}
     hssl.cross_party_ssl_epoch(nodes, net, ds.aligned_ids, SslVariant("simsiam"),
                                opts, batch_size=64)
     step1 = [changed(n, b) for n, b in zip(nodes, before)]
 
     before = snapshot_params(nodes)
     for node in nodes:
-        opt = T.SgdOptimizer(node.stack.params_local(), 0.05)
+        opt = T.SgdOptimizer(node.model.params_local(), 0.05)
         hssl.guided_local_ssl_epoch(
             node, ds.local_ids(node.party_id - 1), SslVariant("simsiam"), 0.5,
             data.AugmentationPolicy(0.3), opt, batch_size=64,
@@ -257,7 +252,7 @@ def test_criterion_4_stop_gradient_and_step_isolation():
     hssl.partial_model_aggregation(nodes, net)
     step3 = [changed(n, b) for n, b in zip(nodes, before)]
 
-    pma_names = {n for n, _ in nodes[0].stack.named_pma_params()}
+    pma_names = {n for n, _ in nodes[0].model.named_pma_params()}
     for s1, s2, s3 in zip(step1, step2, step3):
         assert s1 and s2 and s3
         assert not s1 & s2 and not s1 & s3
@@ -271,17 +266,17 @@ def test_criterion_5_pma_mean_and_broadcast():
     ds = bench_dataset()
     nodes = vfl.make_parties(ds, bench_model_config("concat"), "simsiam", 2)
     originals = [
-        {n: p.values.copy() for n, p in node.stack.named_pma_params()}
+        {n: p.values.copy() for n, p in node.model.named_pma_params()}
         for node in nodes
     ]
     hssl.partial_model_aggregation(nodes, hssl.make_network(2))
     for node in nodes:
-        for name, p in node.stack.named_pma_params():
+        for name, p in node.model.named_pma_params():
             expected = (originals[0][name] + originals[1][name]) / 2.0
             np.testing.assert_allclose(p.values, expected, atol=1e-15)
     # post-broadcast cross-party max difference is exactly zero
-    for (na, pa), (nb, pb) in zip(nodes[0].stack.named_pma_params(),
-                                  nodes[1].stack.named_pma_params()):
+    for (na, pa), (nb, pb) in zip(nodes[0].model.named_pma_params(),
+                                  nodes[1].model.named_pma_params()):
         assert np.abs(pa.values - pb.values).max() == 0.0
 
 
@@ -404,7 +399,7 @@ def test_criterion_10_message_counts_closed_form():
         nodes = vfl.make_parties(ds, bench_model_config("concat"), "simsiam", 0)
         net = hssl.make_network(2)
         opts = {
-            p.party_id: CountingOptimizer(p.stack.params_cross(), 0.03)
+            p.party_id: CountingOptimizer(p.model.params_cross(), 0.03)
             for p in nodes
         }
         hssl.cross_party_ssl_epoch(

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,30 @@ class TestBatches:
             list(data.batches(np.arange(4), 0))
 
 
+class TestAtomicWrite:
+    def test_bytes_and_text_written_exactly(self, tmp_path):
+        data.atomic_write(tmp_path / "a.bin", b"\x00\xff")
+        data.atomic_write(tmp_path / "sub" / "b.csv", "x\r\ny\n")
+        assert (tmp_path / "a.bin").read_bytes() == b"\x00\xff"
+        assert (tmp_path / "sub" / "b.csv").read_bytes() == b"x\r\ny\n"
+        umask = os.umask(0o022)
+        os.umask(umask)
+        assert (tmp_path / "a.bin").stat().st_mode & 0o777 == 0o666 & ~umask  # as open() makes it
+
+    def test_failed_replace_keeps_previous_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"good")
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(data.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            data.atomic_write(path, b"new")
+        assert path.read_bytes() == b"good"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+
 class TestCsv:
     def roundtrip(self, tmp_path, spec=None, **load_kw):
         ds = data.generate_synthetic(spec or small_spec())
@@ -241,6 +267,25 @@ class TestCsv:
         kw = dict(standardize=False, test_fraction=0.2, seed=0)
         kw.update(load_kw)
         return ds, data.load_csv(paths, **kw)
+
+    def test_interrupted_export_keeps_previous_files(self, tmp_path):
+        ds = data.generate_synthetic(small_spec())
+        paths = [tmp_path / "p1.csv", tmp_path / "p2.csv"]
+        data.export_csv(ds, paths)
+        before = [p.read_bytes() for p in paths]
+        lookups = iter(range(5))
+
+        class LabelsInterruptedAtSixthRow(dict):
+            def get(self, key, default=None):
+                if next(lookups, None) is None:
+                    raise RuntimeError("interrupted")
+                return super().get(key, default)
+
+        ds.labels = LabelsInterruptedAtSixthRow(ds.labels)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            data.export_csv(ds, paths)
+        assert [p.read_bytes() for p in paths] == before
+        assert sorted(os.listdir(tmp_path)) == ["p1.csv", "p2.csv"]
 
     def test_features_round_trip_exactly(self, tmp_path):
         ds, loaded = self.roundtrip(tmp_path)

@@ -52,7 +52,7 @@ class TestStepIsolation:
     def test_cross_step_touches_only_cross_tower(self):
         ds, nodes, net = setup()
         variant = SslVariant("simsiam")
-        opts = {p.party_id: T.SgdOptimizer(p.stack.params_cross(), 0.05) for p in nodes}
+        opts = {p.party_id: T.SgdOptimizer(p.model.params_cross(), 0.05) for p in nodes}
         before = [snapshot(p) for p in nodes]
         hssl.cross_party_ssl_epoch(nodes, net, ds.aligned_ids, variant, opts, batch_size=16)
         for node, snap in zip(nodes, before):
@@ -63,7 +63,7 @@ class TestStepIsolation:
     def test_local_step_touches_only_local_tower(self):
         ds, nodes, net = setup()
         node = nodes[0]
-        opt = T.SgdOptimizer(node.stack.params_local(), 0.05)
+        opt = T.SgdOptimizer(node.model.params_local(), 0.05)
         before = snapshot(node)
         hssl.guided_local_ssl_epoch(
             node, ds.local_ids(0), SslVariant("simsiam"), 0.5,
@@ -77,7 +77,7 @@ class TestStepIsolation:
     def test_local_step_updates_ema_targets_only_for_byol(self):
         ds, nodes, net = setup(variant="byol")
         node = nodes[0]
-        opt = T.SgdOptimizer(node.stack.params_local(), 0.05)
+        opt = T.SgdOptimizer(node.model.params_local(), 0.05)
         before = snapshot(node)
         hssl.guided_local_ssl_epoch(
             node, ds.local_ids(0), SslVariant("byol"), 0.5,
@@ -102,21 +102,21 @@ class TestPma:
     def test_parameters_become_uniform_mean(self):
         ds, nodes, net = setup(parties=3)
         originals = [
-            {name: p.values.copy() for name, p in node.stack.named_pma_params()}
+            {name: p.values.copy() for name, p in node.model.named_pma_params()}
             for node in nodes
         ]
         hssl.partial_model_aggregation(nodes, net)
         for node in nodes:
-            for name, p in node.stack.named_pma_params():
+            for name, p in node.model.named_pma_params():
                 expected = np.mean([o[name] for o in originals], axis=0)
                 np.testing.assert_allclose(p.values, expected, atol=1e-15)
 
     def test_all_parties_identical_after(self):
         ds, nodes, net = setup(parties=3)
         hssl.partial_model_aggregation(nodes, net)
-        ref = dict(nodes[0].stack.named_pma_params())
+        ref = dict(nodes[0].model.named_pma_params())
         for node in nodes[1:]:
-            for name, p in node.stack.named_pma_params():
+            for name, p in node.model.named_pma_params():
                 np.testing.assert_array_equal(p.values, ref[name].values)
 
     def test_fixed_point_when_already_equal(self):
@@ -130,7 +130,6 @@ class TestPma:
 
     def test_message_counts(self):
         ds, nodes, net = setup(parties=3)
-        net.reset_counts()
         hssl.partial_model_aggregation(nodes, net)
         assert net.counts["ModelBlob"] == 6  # 3 uploads + 3 broadcasts
 
@@ -156,16 +155,16 @@ def test_writers_write_through_packed_views():
     nn.Checkpoint(1, "fp", [0], [blob]).restore_into([node.model])
     assert_written_through(blob)
 
-    hssl._unflatten_pma(node.stack, 2.0 * hssl._flatten_pma(node.stack))
+    hssl._unflatten_pma(node.model, 2.0 * hssl._flatten_pma(node.model))
     expected = snapshot(node)
-    for name, _ in node.stack.named_pma_params():
+    for name, _ in node.model.named_pma_params():
         np.testing.assert_array_equal(expected[name], 2.0 * blob[name])
     assert_written_through(expected)
 
     target_names = {id(p): name for name, p in target}
-    node.stack.ema.update()
-    m = node.stack.ema.momentum
-    for on, tgt in node.stack.ema.pairs:
+    node.model.ema.update()
+    m = node.model.ema.momentum
+    for on, tgt in node.model.ema.pairs:
         name = target_names[id(tgt)]
         expected[name] = m * expected[name] + (1.0 - m) * on.values
     assert_written_through(expected)
@@ -197,8 +196,8 @@ class TestPretrainNoise:
     def test_only_party_1_cross_repr_is_noisy(self, monkeypatch):
         ds, nodes, net = setup(parties=3)
         ids = ds.aligned_ids
-        own = {p.party_id: p.stack.cross.forward(*p.features(ids)).values for p in nodes}
-        opts = {p.party_id: T.SgdOptimizer(p.stack.params_cross(), 0.05) for p in nodes}
+        own = {p.party_id: p.model.cross.forward(*p.features(ids)).values for p in nodes}
+        opts = {p.party_id: T.SgdOptimizer(p.model.params_cross(), 0.05) for p in nodes}
         frames = self.spy_sends(monkeypatch)
         hssl.cross_party_ssl_epoch(
             nodes, net, ids, SslVariant("simsiam"), opts, batch_size=len(ids),
@@ -212,7 +211,7 @@ class TestPretrainNoise:
 
     def test_only_party_1_pma_blob_is_noisy(self, monkeypatch):
         ds, nodes, net = setup(parties=3)
-        own = {p.party_id: hssl._flatten_pma(p.stack) for p in nodes}
+        own = {p.party_id: hssl._flatten_pma(p.model) for p in nodes}
         frames = self.spy_sends(monkeypatch)
         hssl.partial_model_aggregation(nodes, net, self.LAM, np.random.default_rng(7))
         noisy = privacy.iso_perturb(own[1], self.LAM, np.random.default_rng(7)).reshape(-1)
@@ -260,8 +259,7 @@ class TestMessageBudget:
 
     def test_guided_local_sends_nothing(self):
         ds, nodes, net = setup()
-        opt = T.SgdOptimizer(nodes[0].stack.params_local(), 0.05)
-        net.reset_counts()
+        opt = T.SgdOptimizer(nodes[0].model.params_local(), 0.05)
         hssl.guided_local_ssl_epoch(
             nodes[0], ds.local_ids(0), SslVariant("simsiam"), 0.5,
             data.AugmentationPolicy(0.3), opt, batch_size=16,
@@ -276,12 +274,12 @@ class TestGuidedLocal:
         # encoder weights must take identical local updates when gamma=0.
         ds, nodes_a, _ = setup(seed=3)
         _, nodes_b, _ = setup(seed=3)
-        for p in nodes_b[0].stack.params_cross():
+        for p in nodes_b[0].model.params_cross():
             p.values += 1.0
         results = []
         for nodes in (nodes_a, nodes_b):
             node = nodes[0]
-            opt = T.SgdOptimizer(node.stack.params_local(), 0.05)
+            opt = T.SgdOptimizer(node.model.params_local(), 0.05)
             hssl.guided_local_ssl_epoch(
                 node, ds.local_ids(0), SslVariant("simsiam"), 0.0,
                 data.AugmentationPolicy(0.3), opt, batch_size=16,
@@ -295,12 +293,12 @@ class TestGuidedLocal:
     def test_gamma_positive_uses_cross_tower(self):
         ds, nodes_a, _ = setup(seed=3)
         _, nodes_b, _ = setup(seed=3)
-        for p in nodes_b[0].stack.params_cross():
+        for p in nodes_b[0].model.params_cross():
             p.values += 1.0
         results = []
         for nodes in (nodes_a, nodes_b):
             node = nodes[0]
-            opt = T.SgdOptimizer(node.stack.params_local(), 0.05)
+            opt = T.SgdOptimizer(node.model.params_local(), 0.05)
             hssl.guided_local_ssl_epoch(
                 node, ds.local_ids(0), SslVariant("simsiam"), 0.5,
                 data.AugmentationPolicy(0.3), opt, batch_size=16,

@@ -1,4 +1,6 @@
 import json
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,41 +34,66 @@ class TestInitWeights:
 
 
 class TestBuildPartyModel:
+    """A party's model is one EncoderStack; party 1's also owns the top model."""
+
     def test_shared_config_gives_identical_pma_shapes(self):
         cfg = desk_cfg()
-        m1 = nn.build_party_model(cfg, "active", "simsiam", np.random.default_rng(0))
-        m2 = nn.build_party_model(desk_cfg(input_dim=25), "passive", "simsiam", np.random.default_rng(1))
-        shapes1 = [p.shape for _, p in m1.stack.named_pma_params()]
-        shapes2 = [p.shape for _, p in m2.stack.named_pma_params()]
+        m1 = nn.EncoderStack(cfg, "simsiam", np.random.default_rng(0), active=True)
+        m2 = nn.EncoderStack(desk_cfg(input_dim=25), "simsiam", np.random.default_rng(1))
+        shapes1 = [p.shape for _, p in m1.named_pma_params()]
+        shapes2 = [p.shape for _, p in m2.named_pma_params()]
         assert shapes1 == shapes2
 
     def test_passive_has_no_top_model(self):
-        m = nn.build_party_model(desk_cfg(), "passive", "simsiam", np.random.default_rng(0))
+        m = nn.EncoderStack(desk_cfg(), "simsiam", np.random.default_rng(0))
         assert m.top_model is None
 
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ConfigError, match="swav"):
+            nn.EncoderStack(desk_cfg(), "swav", np.random.default_rng(0))
+
+    @pytest.mark.parametrize("variant", ["simsiam", "byol", "moco"])
+    def test_finetune_params_end_with_active_top_model(self, variant):
+        active = nn.EncoderStack(desk_cfg(), variant, np.random.default_rng(0), active=True)
+        named = dict(active.named_params())
+        assert [id(p) for p in active.params_finetune()[-2:]] == [
+            id(named["top_model.weight"]), id(named["top_model.bias"])
+        ]
+        passive = nn.EncoderStack(desk_cfg(), variant, np.random.default_rng(0))
+        assert not any(name.startswith("top_model") for name, _ in passive.named_params())
+        passive_ids = {id(p) for p in passive.params_finetune()}
+        assert passive_ids <= {id(p) for _, p in passive.named_params()}
+        assert len(active.params_finetune()) == len(passive.params_finetune()) + 2
+
+    def test_top_model_is_drawn_last(self):
+        passive = nn.EncoderStack(desk_cfg(), "byol", np.random.default_rng(0))
+        active = nn.EncoderStack(desk_cfg(), "byol", np.random.default_rng(0), active=True)
+        for (name, p), (_, q) in zip(passive.named_params(), active.named_params()):
+            assert p.values.tobytes() == q.values.tobytes(), name
+
     def test_moco_predictors_are_identity(self):
-        m = nn.build_party_model(desk_cfg(), "active", "moco", np.random.default_rng(0))
-        assert isinstance(m.stack.h_c, nn.Identity)
-        assert isinstance(m.stack.h_l, nn.Identity)
-        assert m.stack.h_l.params() == []
+        m = nn.EncoderStack(desk_cfg(), "moco", np.random.default_rng(0), active=True)
+        assert isinstance(m.h_c, nn.Identity)
+        assert isinstance(m.h_l, nn.Identity)
+        assert m.h_l.params() == []
 
     def test_inconsistent_dims_rejected(self):
         with pytest.raises(ConfigError, match="predictor"):
             desk_cfg(predictor_dims=(16, 32))
 
     def test_simsiam_has_no_target_state(self):
-        m = nn.build_party_model(desk_cfg(), "active", "simsiam", np.random.default_rng(0))
-        assert m.stack.target is None
+        m = nn.EncoderStack(desk_cfg(), "simsiam", np.random.default_rng(0), active=True)
+        assert m.target is None
 
     def test_forward_shapes(self):
         cfg = desk_cfg()
-        m = nn.build_party_model(cfg, "active", "byol", np.random.default_rng(0))
+        m = nn.EncoderStack(cfg, "byol", np.random.default_rng(0), active=True)
         cont = np.random.default_rng(1).normal(size=(6, 10))
         cats = np.zeros((6, 0), dtype=np.int64)
-        assert m.stack.local.encode(cont, cats).shape == (6, cfg.repr_dim)
-        predicted = m.stack.h_l.forward(m.stack.local.forward(cont, cats))
+        assert m.local.encode(cont, cats).shape == (6, cfg.repr_dim)
+        predicted = m.h_l.forward(m.local.forward(cont, cats))
         assert predicted.shape == (6, cfg.projector_dims[-1])
-        assert m.stack.finetune_repr(cont, cats).shape == (6, 2 * cfg.repr_dim)
+        assert m.finetune_repr(cont, cats).shape == (6, 2 * cfg.repr_dim)
 
 
 def small_cfg():
@@ -103,28 +130,28 @@ class TestEmaTracker:
         assert target.values[0, 0] == pytest.approx(0.0199, abs=1e-12)
 
     def test_targets_never_require_grad(self):
-        m = nn.build_party_model(desk_cfg(), "active", "byol", np.random.default_rng(0))
+        m = nn.EncoderStack(desk_cfg(), "byol", np.random.default_rng(0), active=True)
         for _ in range(3):
-            m.stack.ema.update()
-        for p in m.stack.target.params():
+            m.ema.update()
+        for p in m.target.params():
             assert not p.requires_grad
             assert p.grad is None
 
     @pytest.mark.parametrize("variant", ["byol", "moco"])
     def test_fresh_target_forward_equals_online(self, variant):
-        m = nn.build_party_model(small_cfg(), "active", variant, np.random.default_rng(0))
+        m = nn.EncoderStack(small_cfg(), variant, np.random.default_rng(0), active=True)
         cont, cats = small_batch()
-        online = m.stack.local.forward(cont, cats).values
-        target = m.stack.target.forward(cont, cats).values
+        online = m.local.forward(cont, cats).values
+        target = m.target.forward(cont, cats).values
         assert target.tobytes() == online.tobytes()
 
     @pytest.mark.parametrize("variant", ["byol", "moco"])
     def test_update_touches_exactly_the_target(self, variant):
-        m = nn.build_party_model(small_cfg(), "active", variant, np.random.default_rng(0))
-        for p in m.stack.local.params():
+        m = nn.EncoderStack(small_cfg(), variant, np.random.default_rng(0), active=True)
+        for p in m.local.params():
             p.values += 1.0
         before = {name: p.values.copy() for name, p in m.named_params()}
-        m.stack.ema.update()
+        m.ema.update()
         changed = {
             name for name, p in m.named_params() if not np.array_equal(p.values, before[name])
         }
@@ -191,18 +218,41 @@ class TestCheckpoint:
     def make_models(self, seed=0):
         cfg = desk_cfg()
         return cfg, [
-            nn.build_party_model(cfg, "active", "byol", np.random.default_rng(seed)),
-            nn.build_party_model(cfg, "passive", "byol", np.random.default_rng(seed + 1)),
+            nn.EncoderStack(cfg, "byol", np.random.default_rng(seed), active=True),
+            nn.EncoderStack(cfg, "byol", np.random.default_rng(seed + 1)),
         ]
 
     @pytest.mark.parametrize("variant, layout", [("byol", BYOL_LAYOUT), ("moco", MOCO_LAYOUT)])
     def test_parameter_layout_pinned(self, tmp_path, variant, layout):
-        m = nn.build_party_model(small_cfg(), "active", variant, np.random.default_rng(0))
+        m = nn.EncoderStack(small_cfg(), variant, np.random.default_rng(0), active=True)
         assert [(name, p.shape) for name, p in m.named_params()] == layout
         path = tmp_path / "ckpt.bin"
         nn.save_checkpoint(path, [m], small_cfg())
         blob = nn.load_checkpoint(path).party_params[0]
         assert [(name, a.shape) for name, a in blob.items()] == layout
+
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path):
+        cfg, models = self.make_models()
+        path = tmp_path / "ckpt.bin"
+        nn.save_checkpoint(path, models, cfg)
+        good = path.read_bytes()
+
+        class Unreadable:
+            rows = cols = 1
+
+            @property
+            def values(self):
+                raise RuntimeError("interrupted")
+
+        named = models[0].named_params()
+        interrupted_at_fifth = SimpleNamespace(
+            named_params=lambda: named[:4] + [("unreadable", Unreadable())] + named[4:]
+        )
+        with pytest.raises(RuntimeError, match="interrupted"):
+            nn.save_checkpoint(path, [interrupted_at_fifth, models[1]], cfg)
+        assert path.read_bytes() == good
+        assert os.listdir(tmp_path) == ["ckpt.bin"]
+        nn.load_checkpoint(path).restore_into(models)
 
     def saved_with_header(self, tmp_path, edit):
         """A saved checkpoint whose JSON header ``edit`` changed in place."""

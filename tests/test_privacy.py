@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,24 @@ class TestCap:
         assert lines[0].startswith("method,dataset,lambda_f")
         assert len(lines) == 3
         assert "fedhssl-simsiam" in lines[1]
+
+    def test_interrupted_csv_export_keeps_previous_file(self, tmp_path):
+        curve = privacy.TradeoffCurve(method="m", dataset="d")
+        curve.add_point(1.0, 0.9, 0.6)
+        path = tmp_path / "curve.csv"
+        privacy.export_tradeoff_csv(path, [curve])
+        good = path.read_bytes()
+        assert good.count(b"\r\n") == 2  # the csv module's line ends
+
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("interrupted")
+
+        curve.points.append((5.0, Unprintable(), 0.5))
+        with pytest.raises(RuntimeError, match="interrupted"):
+            privacy.export_tradeoff_csv(path, [curve])
+        assert path.read_bytes() == good
+        assert os.listdir(tmp_path) == ["curve.csv"]
 
 
 def adversary_dataset(classes=2, seed=0, sep=4.0, noise=0.0):

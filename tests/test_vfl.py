@@ -183,8 +183,6 @@ class TestChannel:
         net.send(2, 1, vfl.WireMessage(vfl.MSG_GRAD, 1, 2, np.zeros((1, 1))))
         assert net.counts["Repr"] == 1 and net.counts["Grad"] == 1
         assert net.bytes["Repr"] == net.bytes["Grad"] == 14 + 4 * 2 + 8
-        net.reset_counts()
-        assert not net.counts and not net.bytes
 
     def test_send_returns_frame_length(self):
         msg = vfl.WireMessage(vfl.MSG_MODEL_BLOB, 1, 1, np.zeros(5))
@@ -209,12 +207,10 @@ class MonolithicMirror:
 
     def __init__(self, dataset, cfg, variant, seed, learning_rate):
         self.parties = vfl.make_parties(dataset, cfg, variant, seed)
-        self.optimizers = []
-        for p in self.parties:
-            params = list(p.stack.params_finetune())
-            if p.model.top_model is not None:
-                params += p.model.top_model.params()
-            self.optimizers.append(T.SgdOptimizer(params, learning_rate, momentum=0.9))
+        self.optimizers = [
+            T.SgdOptimizer(p.model.params_finetune(), learning_rate, momentum=0.9)
+            for p in self.parties
+        ]
 
     def train_step(self, ids):
         labels = self.parties[0].dataset.label_array(ids)
@@ -303,10 +299,24 @@ class TestSplitTraining:
 
         monkeypatch.setattr(vfl.Network, "send", spy)
         trainer.train_step(ids)
-        repr_dim = nodes[0].stack.cfg.finetune_repr_dim()
+        repr_dim = nodes[0].model.cfg.finetune_repr_dim()
         for payload in seen:
             assert payload.shape == (len(ids), repr_dim)
             assert not np.array_equal(payload.ravel()[: len(labels)], labels)
+
+    def test_party_one_without_top_model_rejected(self):
+        ds = desk_dataset()
+        cfg = desk_cfg()
+        nodes = [
+            vfl.PartyNode(pid, nn.EncoderStack(cfg, "simsiam", np.random.default_rng(pid)), ds)
+            for pid in (1, 2)
+        ]
+        with pytest.raises(ConfigError, match="top model"):
+            vfl.SplitTrainer(nodes, vfl.Network([0, 1, 2]), learning_rate=0.05)
+
+    def test_only_party_one_owns_a_top_model(self):
+        _, nodes, _, _ = make_trainer(parties=3)
+        assert [p.model.top_model is not None for p in nodes] == [True, False, False]
 
     def test_predictions_deterministic(self):
         ds, _, _, t1 = make_trainer(seed=9)
