@@ -12,7 +12,6 @@ import numpy as np
 
 from vflhssl import cli, data, hssl, vfl
 from vflhssl.nn import ModelConfig
-from vflhssl.ssl import SslVariant
 
 SPEC = data.SyntheticSpec(
     latent_dim=10, classes=10, parties=2, feature_dims=(24, 24),
@@ -35,7 +34,7 @@ def run_method(ds, method, seed):
     parties = vfl.make_parties(ds, cfg, "simsiam", seed)
     network = hssl.make_network(2)
     pipeline = hssl.PipelineConfig(
-        method=method, variant=SslVariant("simsiam"), global_iterations=10, batch_size=128
+        preset=method, variant="simsiam", global_iterations=10, batch_size=128
     )
     hssl.pretrain(ds, parties, network, pipeline, seed=seed)
     messages = dict(network.counts)

@@ -11,7 +11,6 @@ import numpy as np
 
 from vflhssl import data, hssl, privacy, vfl
 from vflhssl.nn import ModelConfig
-from vflhssl.ssl import SslVariant
 
 SPEC = data.SyntheticSpec(
     latent_dim=10, classes=10, parties=2, feature_dims=(24, 24),
@@ -31,7 +30,7 @@ def main():
     )
     parties = vfl.make_parties(ds, cfg, "simsiam", SEED)
     pipeline = hssl.PipelineConfig(
-        method="FedHSSL", variant=SslVariant("simsiam"),
+        preset="FedHSSL", variant="simsiam",
         global_iterations=10, batch_size=128,
     )
     hssl.pretrain(ds, parties, hssl.make_network(2), pipeline, seed=SEED)
@@ -56,10 +55,9 @@ def main():
                 trainer.train_step(batch)
         utility = trainer.accuracy(ds.test_ids)
 
-        attack = privacy.McAttackConfig(epochs=60)
         recovery = privacy.mc_attack(
-            trainer.parties[-1], attack, ds.labeled_ids[:80], ds.test_ids,
-            ds.num_classes, np.random.default_rng((SEED, 7)),
+            trainer.parties[-1], ds.labeled_ids[:80], ds.test_ids, ds.num_classes,
+            np.random.default_rng((SEED, 7)), head_hidden_dim=32, epochs=60,
         )
         print(f"{lam:8.1f} {utility:8.4f} {recovery:9.4f}")
         if lam > 0:

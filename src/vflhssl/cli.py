@@ -15,15 +15,16 @@ import argparse
 import copy
 import inspect
 import json
+import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import data, hssl, nn, privacy, vfl
 from .errors import ConfigError, DataError, VflError
-from .ssl import SslVariant
 
 CLI_PRESETS = {
     # name -> (hssl.METHODS key or None for plain split training, SSL
@@ -41,29 +42,20 @@ CLI_PRESETS = {
 
 SWEEP_KEYS = {"gamma": ("pipeline", "gamma"), "aligned": ("pipeline", "aligned_fraction")}
 
+# nn.ModelConfig fields that the dataset sets rather than the model section
+DATASET_FIELDS = ("input_dim", "num_classes", "num_parties", "cat_cardinalities")
+
+
+def _defaults(cls, skip=()):
+    """A dataclass's field defaults as a config section, tuples as lists."""
+    return json.loads(json.dumps({f.name: f.default for f in fields(cls) if f.name not in skip}))
+
+
 DEFAULT_CONFIG = {
-    "data": {
-        "synthetic": {
-            "latent_dim": 8, "classes": 4, "parties": 2,
-            "feature_dims": [16, 16], "noise_scales": [1.0, 1.0],
-            "cat_cardinalities": [[], []], "class_sep": 1.5,
-            "aligned": 400, "unaligned": [600, 600],
-            "labeled": 200, "test": 300, "seed": 0,
-        },
-    },
-    "model": {
-        "hidden_dim": 32, "repr_dim": 16, "embed_dim": 8,
-        "projector_dims": [16, 16, 16], "predictor_dims": [8, 16],
-        "moco_projector_out": 16, "aggregator": "concat",
-        "finetune_encoders": "concat",
-    },
-    "pipeline": {
-        "preset": "FedHSSL", "variant": "simsiam", "gamma": 0.5,
-        "global_iterations": 5, "cross_epochs": 1, "local_epochs": 1,
-        "local_updates": 1, "batch_size": 128, "cross_lr": 0.03,
-        "local_lr": 0.03, "aligned_fraction": 1.0,
-        "corruption_fraction": 0.3, "lambda_p": 0.0, "pretrain": True,
-    },
+    # Each of these three sections is the fields of the object it builds.
+    "data": {"synthetic": _defaults(data.SyntheticSpec)},
+    "model": _defaults(nn.ModelConfig, skip=DATASET_FIELDS),
+    "pipeline": _defaults(hssl.PipelineConfig),
     "finetune": {
         "labeled_counts": [200], "lr_candidates": [0.005, 0.01, 0.03],
         "epochs": 30, "batch_size": 64,
@@ -80,11 +72,16 @@ DEFAULT_CONFIG = {
 
 # -- config handling ------------------------------------------------------
 
-def _check_keys(section, given, allowed):
-    unknown = set(given) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
+# data.csv's keys are load_csv's keyword arguments, each with a value of its shape.
+CSV_SHAPES = {
+    **{k: p.default for k, p in inspect.signature(data.load_csv).parameters.items()},
+    "paths": ["party1.csv"], "cat_cols": [], "cat_levels": [], "labeled_count": 0,
+}
 
+# Config values that may also be null: the preset of plain split training,
+# and the data.csv arguments whose load_csv default is None.
+NULLABLE = {"pipeline.preset", "data.csv.cat_cols", "data.csv.cat_levels",
+            "data.csv.labeled_count"}
 
 JSON_TYPES = ((type(None), "null"), (bool, "boolean"), ((int, float), "number"),
               (str, "string"), (list, "array"), (dict, "object"))
@@ -95,13 +92,14 @@ def _json_type(value):
 
 
 def _conforms(value, default):
-    """``value`` has the JSON type of ``default``. Under an integer
-    default it is an integer (a count); under a non-empty list it is a
-    non-empty list whose items conform to the default's first item."""
+    """``value`` has the JSON type of ``default``. A number is finite and
+    non-negative, and under an integer default an integer (a count or a
+    seed); under a non-empty list it is a non-empty list whose items
+    conform to the default's first item."""
     if _json_type(value) != _json_type(default):
         return False
-    if isinstance(default, int):
-        return isinstance(value, int)
+    if _json_type(default) == "number":
+        return 0 <= value < math.inf and (isinstance(value, int) or isinstance(default, float))
     if isinstance(default, list) and default:
         return bool(value) and all(_conforms(item, default[0]) for item in value)
     return True
@@ -109,20 +107,25 @@ def _conforms(value, default):
 
 def _check_section(section, given, defaults):
     """Reject unknown keys and values that do not conform to the
-    default's type; ``pipeline.preset`` may also be null."""
+    default's type; the values named in NULLABLE may also be null."""
     if _json_type(given) != "object":
         raise ConfigError(f"{section!r} must be an object")
-    _check_keys(section, given, defaults)
+    unknown = set(given) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
     for key, value in given.items():
-        null_preset = (section, key, value) == ("pipeline", "preset", None)
-        if not (_conforms(value, defaults[key]) or null_preset):
+        if not (_conforms(value, defaults[key]) or
+                (value is None and f"{section}.{key}" in NULLABLE)):
             raise ConfigError(f"{section}.{key} must be a JSON {_json_type(defaults[key])} shaped "
-                              f"like its default (counts integer, lists non-empty), got {value!r}")
+                              f"like its default (numbers finite and >= 0, counts integer, "
+                              f"lists non-empty), got {value!r}")
 
 
 def load_config(path=None, preset=None):
-    """Merge the default config, an optional JSON file and a CLI preset."""
+    """Merge the default config, an optional JSON file and a CLI preset.
+    Every value is checked here, whatever the command runs."""
     config = copy.deepcopy(DEFAULT_CONFIG)
+    user = {}
     if path is not None:
         try:
             with open(path) as fh:
@@ -131,32 +134,38 @@ def load_config(path=None, preset=None):
             raise ConfigError(f"config file not found: {path}") from exc
         except ValueError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        _check_section("config", user, DEFAULT_CONFIG)
-        for section, value in user.items():
-            if section == "data":
-                _check_section("data", value, {"synthetic": {}, "csv": {}})
-                if "synthetic" in value:
-                    defaults = DEFAULT_CONFIG["data"]["synthetic"]
-                    _check_section("data.synthetic", value["synthetic"], defaults)
-                    value = {"synthetic": {**defaults, **value["synthetic"]}}
-                config["data"] = value
-            elif isinstance(value, dict):
-                _check_section(section, value, DEFAULT_CONFIG[section])
-                config[section].update(value)
-            else:
-                config[section] = value
+    _check_section("config", user, DEFAULT_CONFIG)
+    for section, value in user.items():
+        if section == "data":
+            _check_section("data", value, {"synthetic": {}, "csv": {}})
+            if "synthetic" in value:
+                defaults = DEFAULT_CONFIG["data"]["synthetic"]
+                _check_section("data.synthetic", value["synthetic"], defaults)
+                value = {"synthetic": {**defaults, **value["synthetic"]}}
+            elif "csv" in value:
+                _check_section("data.csv", value["csv"], CSV_SHAPES)
+                if "paths" not in value["csv"]:
+                    raise ConfigError("data.csv needs 'paths'")
+            config["data"] = value
+        elif isinstance(value, dict):
+            _check_section(section, value, DEFAULT_CONFIG[section])
+            config[section].update(value)
+        else:
+            config[section] = value
     pipeline = config["pipeline"]
     if preset is not None:
         if preset not in CLI_PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(CLI_PRESETS)}")
         method, pipeline["variant"], config["model"]["finetune_encoders"] = CLI_PRESETS[preset]
         pipeline.update(preset=method, pretrain=method is not None)
-    method = pipeline["preset"]
-    if method not in (None, *hssl.METHODS) or pipeline["pretrain"] != (method is not None):
-        raise ConfigError(
-            f"pipeline.preset must be one of {sorted(hssl.METHODS)} with pretrain true, or "
-            f"null with pretrain false; got {method!r} with pretrain {pipeline['pretrain']!r}"
-        )
+    hssl.PipelineConfig(**pipeline)
+    if min(config["finetune"]["lr_candidates"]) <= 0:
+        raise ConfigError("finetune.lr_candidates must be positive")
+    if config["privacy"]["encoder_source"] != "finetuned_local":
+        # The attack reads the representation the adversary sends in the
+        # split network; the key stays accepted for existing configs.
+        raise ConfigError(f"privacy.encoder_source must be 'finetuned_local', "
+                          f"got {config['privacy']['encoder_source']!r}")
     return config
 
 
@@ -168,61 +177,16 @@ def config_fingerprint(config):
 def build_dataset(config):
     section = config["data"]
     if "synthetic" in section:
-        raw = dict(section["synthetic"])
-        for key in ("feature_dims", "noise_scales", "unaligned"):
-            raw[key] = tuple(raw[key])
-        raw["cat_cardinalities"] = tuple(tuple(c) for c in raw["cat_cardinalities"])
-        return data.generate_synthetic(data.SyntheticSpec(**raw))
+        return data.generate_synthetic(data.SyntheticSpec(**section["synthetic"]))
     if "csv" in section:
-        raw = dict(section["csv"])
-        _check_keys("data.csv", raw, inspect.signature(data.load_csv).parameters)
-        if "paths" not in raw:
-            raise ConfigError("data.csv needs 'paths'")
-        paths = raw.pop("paths")
-        if "cat_levels" in raw and raw["cat_levels"] is not None:
-            raw["cat_levels"] = [
-                tuple(tuple(col) for col in party) for party in raw["cat_levels"]
-            ]
-        if "cat_cols" in raw and raw["cat_cols"] is not None:
-            raw["cat_cols"] = [tuple(c) for c in raw["cat_cols"]]
-        return data.load_csv(paths, **raw)
+        return data.load_csv(**section["csv"])
     raise ConfigError("data section needs a 'synthetic' or 'csv' entry")
 
 
 def build_model_config(config, dataset):
-    m = config["model"]
-    return nn.ModelConfig(
-        input_dim=1,  # replaced per party from its feature block
-        num_classes=dataset.num_classes,
-        num_parties=dataset.num_parties,
-        embed_dim=m["embed_dim"],
-        hidden_dim=m["hidden_dim"],
-        repr_dim=m["repr_dim"],
-        projector_dims=tuple(m["projector_dims"]),
-        predictor_dims=tuple(m["predictor_dims"]),
-        moco_projector_out=m["moco_projector_out"],
-        finetune_encoders=m["finetune_encoders"],
-        aggregator=m["aggregator"],
-    )
-
-
-def build_pipeline_config(config):
-    p = config["pipeline"]
-    return hssl.PipelineConfig(
-        method=p["preset"],
-        variant=SslVariant(p["variant"]),
-        gamma=p["gamma"],
-        global_iterations=p["global_iterations"],
-        cross_epochs=p["cross_epochs"],
-        local_epochs=p["local_epochs"],
-        local_updates=p["local_updates"],
-        batch_size=p["batch_size"],
-        cross_lr=p["cross_lr"],
-        local_lr=p["local_lr"],
-        aligned_fraction=p["aligned_fraction"],
-        augmentation=data.AugmentationPolicy(p["corruption_fraction"]),
-        lambda_p=p["lambda_p"],
-    )
+    # input_dim is replaced per party from its feature block
+    return nn.ModelConfig(input_dim=1, num_classes=dataset.num_classes,
+                          num_parties=dataset.num_parties, **config["model"])
 
 
 def atomic_write_json(path, obj):
@@ -254,13 +218,12 @@ def cmd_gen_data(config, out_dir):
 
 
 def _pretrained_parties(config, dataset, seed):
-    cfg = build_model_config(config, dataset)
-    variant = config["pipeline"]["variant"]
-    nodes = vfl.make_parties(dataset, cfg, variant, seed)
+    nodes = _restore_parties(config, dataset, seed, None)
     net = hssl.make_network(dataset.num_parties)
     trace = []
     if config["pipeline"]["pretrain"]:
-        trace = hssl.pretrain(dataset, nodes, net, build_pipeline_config(config), seed=seed)
+        trace = hssl.pretrain(dataset, nodes, net, hssl.PipelineConfig(**config["pipeline"]),
+                              seed=seed)
     return nodes, net, trace
 
 
@@ -292,6 +255,7 @@ def _load_checkpoint(config, path):
 
 
 def _restore_parties(config, dataset, seed, checkpoint):
+    """Fresh parties of ``seed``, holding ``checkpoint``'s values if one is given."""
     cfg = build_model_config(config, dataset)
     variant = config["pipeline"]["variant"]
     nodes = vfl.make_parties(dataset, cfg, variant, seed)
@@ -397,16 +361,6 @@ def _summary_line(s):
 
 def cmd_attack(config, out_dir, checkpoint_path):
     priv = config["privacy"]
-    # The attack reads the representation the adversary sends in the
-    # split network; the key stays accepted for existing configs.
-    if priv["encoder_source"] != "finetuned_local":
-        raise ConfigError(
-            f"privacy.encoder_source must be 'finetuned_local', got {priv['encoder_source']!r}"
-        )
-    lambdas = priv["lambda_f"]
-    if not lambdas or not all(_json_type(lam) == "number" and lam >= 0 for lam in lambdas):
-        raise ConfigError(f"privacy.lambda_f must be a non-empty list of numbers >= 0, "
-                          f"got {lambdas!r}")
     dataset = build_dataset(config)
     checkpoint = _load_checkpoint(config, checkpoint_path)
     labeled_count = config["finetune"]["labeled_counts"][0]
@@ -414,10 +368,8 @@ def cmd_attack(config, out_dir, checkpoint_path):
         method=config["pipeline"]["preset"] or "FedSplitNN",
         dataset="synthetic" if "synthetic" in config["data"] else "csv",
     )
-    attack_cfg = privacy.McAttackConfig(head_hidden_dim=priv["head_hidden_dim"],
-                                        epochs=priv["attack_epochs"])
     per_seed = []
-    for lam in lambdas:
+    for lam in priv["lambda_f"]:
         utilities, recoveries = [], []
         for seed in config["seeds"]:
             trainer, _, _ = _select_lr(
@@ -425,8 +377,9 @@ def cmd_attack(config, out_dir, checkpoint_path):
             )
             aux_ids = dataset.labeled_ids[: priv["aux_labeled_count"]]
             recovery = privacy.mc_attack(
-                trainer.parties[-1], attack_cfg, aux_ids, dataset.test_ids,
-                dataset.num_classes, np.random.default_rng((seed, 7)),
+                trainer.parties[-1], aux_ids, dataset.test_ids, dataset.num_classes,
+                np.random.default_rng((seed, 7)),
+                head_hidden_dim=priv["head_hidden_dim"], epochs=priv["attack_epochs"],
             )
             utilities.append(trainer.accuracy(dataset.test_ids))
             recoveries.append(recovery)
@@ -453,15 +406,18 @@ def cmd_report(out_dir):
     path = Path(out_dir) / "report.json"
     if not path.exists():
         raise DataError(f"no report.json in {out_dir}")
-    report = json.loads(path.read_text())
-    for s in report["summary"]:
-        accs = [
-            r["test_top1"] for r in report["per_run"]
-            if r["labeled_count"] == s["labeled_count"]
-        ]
-        if abs(float(np.mean(accs)) - s["mean_test_top1"]) > 1e-12:
-            raise DataError("report summary disagrees with per-run entries")
-        print(_summary_line(s))
+    try:
+        report = json.loads(path.read_text())
+        for s in report["summary"]:
+            accs = [
+                r["test_top1"] for r in report["per_run"]
+                if r["labeled_count"] == s["labeled_count"]
+            ]
+            if not accs or abs(float(np.mean(accs)) - s["mean_test_top1"]) > 1e-12:
+                raise DataError("report summary disagrees with per-run entries")
+            print(_summary_line(s))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"malformed report.json in {out_dir}: {exc!r}") from exc
     return 0
 
 
@@ -518,11 +474,15 @@ def main(argv=None):
     try:
         config = load_config(args.config, preset=args.preset)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be non-negative, got {args.seed}")
             config["seeds"] = [args.seed]
         out_dir = args.out or config["output_dir"]
         if args.sweep:
             key, values = parse_sweep(args.sweep)
             section, field = SWEEP_KEYS[key]
+            for value in values:  # every swept pipeline is checked before any runs
+                hssl.PipelineConfig(**{**config[section], field: value})
             code = 0
             for value in values:
                 swept = copy.deepcopy(config)

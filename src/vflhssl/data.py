@@ -102,24 +102,26 @@ class VerticalDataset:
 @dataclass
 class SyntheticSpec:
     """Shared-latent synthetic generator: every party observes a random
-    projection of the same class-conditional latent plus private noise."""
+    projection of the same class-conditional latent plus private noise.
+    The fields and defaults are the CLI's ``data.synthetic`` section."""
 
-    latent_dim: int = 16
-    classes: int = 10
+    latent_dim: int = 8
+    classes: int = 4
     parties: int = 2
-    feature_dims: tuple = (64, 64)
+    feature_dims: tuple = (16, 16)
     noise_scales: tuple = (1.0, 1.0)
     cat_cardinalities: tuple = ((), ())
-    class_sep: float = 1.0
-    aligned: int = 1600
-    unaligned: tuple = (2400, 2400)
+    class_sep: float = 1.5
+    aligned: int = 400
+    unaligned: tuple = (600, 600)
     labeled: int = 200
-    test: int = 1000
+    test: int = 300
     seed: int = 0
 
     def __post_init__(self):
-        if self.parties < 1:
-            raise ConfigError("need at least one party")
+        for name in ("latent_dim", "classes", "parties"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         for name in ("feature_dims", "noise_scales", "unaligned", "cat_cardinalities"):
             if len(getattr(self, name)) != self.parties:
                 raise ConfigError(f"{name} must have one entry per party")
@@ -203,22 +205,14 @@ def _quantize(column, levels):
 
 # -- augmentation -------------------------------------------------------
 
-@dataclass
-class AugmentationPolicy:
-    corruption_fraction: float = 0.3
-
-    def __post_init__(self):
-        if not 0.0 <= self.corruption_fraction <= 1.0:
-            raise ConfigError("corruption_fraction must be in [0, 1]")
-
-
 SCALAR_DONOR_DRAWS = 3  # up to 3 scalar integers() calls cost less than one sized call
 
 
-def augment(cont, cats, cat_cardinalities, policy: AugmentationPolicy, rng, cont_std=None):
+def augment(cont, cats, cat_cardinalities, corruption_fraction, rng, cont_std=None):
     """Corrupted view of a batch; the inputs are never mutated.
 
-    Per sample exactly ceil(fraction*m) positions are corrupted, chosen
+    Per sample exactly ceil(corruption_fraction*m) positions, a fraction
+    in [0, 1], are corrupted, chosen
     uniformly without replacement over all feature positions.
     Continuous cells are resampled from the same column of another
     batch row (empirical marginal); categorical cells map to the
@@ -234,7 +228,7 @@ def augment(cont, cats, cat_cardinalities, policy: AugmentationPolicy, rng, cont
     n = cont.shape[0]
     m_cont, m_cat = cont.shape[1], cats.shape[1]
     m = m_cont + m_cat
-    k = math.ceil(policy.corruption_fraction * m)
+    k = math.ceil(corruption_fraction * m)
     out_cont, out_cats = cont.copy(), cats.copy()
     if k == 0 or m == 0:
         return out_cont, out_cats
@@ -354,16 +348,19 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
     warning counter; otherwise levels are coded in order of appearance.
     """
     cat_cols = cat_cols or [() for _ in paths]
-    if len(cat_cols) != len(paths):
-        raise ConfigError("cat_cols must have one entry per party")
+    if len(cat_cols) != len(paths) or len(cat_levels or paths) != len(paths):
+        raise ConfigError("cat_cols and cat_levels must have one entry per party")
     tables = []
     for p, path in enumerate(paths):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            rows = list(reader)
+        try:
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                rows = list(reader)
+        except (OSError, UnicodeError, csv.Error) as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
+        if header is None:
+            raise DataError(f"{path}: empty file")
         if id_col not in header:
             raise DataError(f"{path}: missing id column {id_col!r}")
         tables.append((header, rows))
@@ -401,6 +398,9 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
             if label_at is not None and row[label_at] != "":
                 labels[sid] = _int_cell(row[label_at], "label", p, low=0)
         pinned = cat_levels[p] if cat_levels is not None else None
+        if pinned is not None and len(pinned) != len(cat_cols_p):
+            raise ConfigError(f"cat_levels needs one level list per categorical column "
+                              f"of party {p + 1}")
         if pinned is not None:
             levels = [{str(lvl): k for k, lvl in enumerate(col)} for col in pinned]
         else:

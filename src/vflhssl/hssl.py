@@ -18,16 +18,16 @@ local tower (plus EMA targets), step 3 only f_lt and h_l.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from . import tensor as T
-from .data import AugmentationPolicy, augment, batches
+from .data import augment, batches
 from .errors import ConfigError, ProtocolError
 from .privacy import iso_perturb
-from .ssl import QUEUE_CAPACITY, NegativeQueue, SslVariant, ssl_loss
+from .ssl import QUEUE_CAPACITY, VARIANTS, NegativeQueue, ssl_loss
 from .vfl import MSG_MODEL_BLOB, MSG_REPR, Network, WireMessage
 
 SERVER_ID = 0
@@ -43,31 +43,39 @@ METHODS = {
 
 @dataclass
 class PipelineConfig:
-    method: str = "FedHSSL"  # a key of METHODS
-    variant: SslVariant = field(default_factory=lambda: SslVariant("simsiam"))
+    """The ``pipeline`` config section: which method pretrains, and how."""
+
+    preset: str | None = "FedHSSL"  # a key of METHODS, or None for no pretraining
+    variant: str = "simsiam"  # a name in ssl.VARIANTS
     gamma: float = 0.5  # step 2's guidance weight; a method without the cross step ignores it
-    global_iterations: int = 10
+    global_iterations: int = 5
     cross_epochs: int = 1
     local_epochs: int = 1
     local_updates: int = 1  # optimizer steps per cross-party exchange
-    aligned_fraction: float = 1.0  # share of the dataset's aligned pool used in step 1
-    batch_size: int = 256
+    batch_size: int = 128
     cross_lr: float = 0.03
     local_lr: float = 0.03
-    augmentation: AugmentationPolicy = field(default_factory=AugmentationPolicy)
+    aligned_fraction: float = 1.0  # share of the dataset's aligned pool used in step 1
+    corruption_fraction: float = 0.3  # share of each row's cells step 2's views corrupt
     lambda_p: float = 0.0  # ISO strength on party 1's cross Repr and PMA blob
+    pretrain: bool = True  # true exactly when preset names a method
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}; choose from {sorted(METHODS)}")
-        if self.lambda_p < 0:
-            raise ConfigError("lambda_p must be non-negative")
-        if self.gamma < 0:
-            raise ConfigError("gamma must be non-negative")
-        if self.local_updates < 1:
-            raise ConfigError("local_updates must be >= 1")
+        if self.preset not in (None, *METHODS) or self.pretrain != (self.preset is not None):
+            raise ConfigError(
+                f"pipeline.preset must be one of {sorted(METHODS)} with pretrain true, or null "
+                f"with pretrain false; got {self.preset!r} with pretrain {self.pretrain!r}"
+            )
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown SSL variant {self.variant!r}; choose from {VARIANTS}")
+        if min(self.gamma, self.lambda_p) < 0 or min(self.cross_lr, self.local_lr) <= 0:
+            raise ConfigError("gamma and lambda_p must be >= 0 and the learning rates > 0")
+        if min(self.local_updates, self.batch_size) < 1:
+            raise ConfigError("local_updates and batch_size must be >= 1")
         if not 0.0 < self.aligned_fraction <= 1.0:
             raise ConfigError("aligned_fraction must be in (0, 1]")
+        if not 0.0 <= self.corruption_fraction <= 1.0:
+            raise ConfigError("corruption_fraction must be in [0, 1]")
 
 
 def step1_aligned_ids(dataset, fraction):
@@ -87,7 +95,7 @@ def _queue(party, name):
 
 
 def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
-                          batch_size=256, local_updates=1, lambda_p=0.0,
+                          batch_size, local_updates=1, lambda_p=0.0,
                           noise_rng=None, shuffle_rng=None):
     """One epoch of step 1. Returns per-party mean loss.
 
@@ -98,7 +106,7 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
     if len(parties) < 2:
         raise ConfigError("cross-party SSL requires at least two parties")
     parties = sorted(parties, key=lambda p: p.party_id)
-    is_moco = variant.kind == "moco"
+    is_moco = variant == "moco"
     totals = {p.party_id: [] for p in parties}
 
     for batch_ids in batches(aligned_ids, batch_size, rng=shuffle_rng):
@@ -137,22 +145,22 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
     return {pid: float(np.mean(vals)) if vals else float("nan") for pid, vals in totals.items()}
 
 
-def guided_local_ssl_epoch(party, ids, variant, gamma, policy, optimizer,
-                           batch_size=256, aug_rng=None, shuffle_rng=None):
+def guided_local_ssl_epoch(party, ids, variant, gamma, corruption_fraction, optimizer,
+                           batch_size, aug_rng=None, shuffle_rng=None):
     """One epoch of step 2 for a single party. Returns mean loss.
 
     Only the local tower (f_lb, f_lt, projector_l, h_l and its EMA
     target) is updated; the cross encoder provides frozen anchors.
     """
     model = party.model
-    is_moco = variant.kind == "moco"
+    is_moco = variant == "moco"
     block = party.dataset.parties[party.party_id - 1]
     losses = []
 
     for batch_ids in batches(ids, batch_size, rng=shuffle_rng):
         cont, cats = block.rows(batch_ids)
-        v1 = augment(cont, cats, block.cat_cardinalities, policy, aug_rng, block.cont_std)
-        v2 = augment(cont, cats, block.cat_cardinalities, policy, aug_rng, block.cont_std)
+        v1, v2 = (augment(cont, cats, block.cat_cardinalities, corruption_fraction, aug_rng,
+                          block.cont_std) for _ in range(2))
 
         z1 = model.local.forward(*v1)
         z2 = model.local.forward(*v2)
@@ -262,7 +270,7 @@ def pretrain(dataset, parties, network, config: PipelineConfig, seed=0):
         p.party_id: T.SgdOptimizer(p.model.params_local(), config.local_lr)
         for p in parties
     }
-    steps = METHODS[config.method]
+    steps = METHODS[config.preset]
     gamma = config.gamma if "cross" in steps else 0.0
     trace = []
 
@@ -289,7 +297,7 @@ def pretrain(dataset, parties, network, config: PipelineConfig, seed=0):
                     shuffle_rng = np.random.default_rng((seed, 3, p.party_id, it, epoch))
                     loss = guided_local_ssl_epoch(
                         p, dataset.local_ids(p.party_id - 1), config.variant,
-                        gamma, config.augmentation, opt_local[p.party_id],
+                        gamma, config.corruption_fraction, opt_local[p.party_id],
                         batch_size=config.batch_size,
                         aug_rng=aug_rng, shuffle_rng=shuffle_rng,
                     )

@@ -23,6 +23,7 @@ import numpy as np
 from . import tensor as T
 from .data import atomic_write
 from .errors import ConfigError, FingerprintError, FormatError, VersionError
+from .ssl import VARIANTS
 
 CHECKPOINT_MAGIC = b"VFLH"
 CHECKPOINT_VERSION = 1
@@ -184,7 +185,9 @@ class ModelConfig:
     ``input_dim`` is the continuous feature count; categorical columns
     are described by ``cat_cardinalities`` and enter through embeddings.
     ``finetune_encoders`` picks the fine-tune representation: local
-    backbone only, cross backbone only, or their concatenation.
+    backbone only, cross backbone only, or their concatenation. The
+    fields from ``embed_dim`` on, with their defaults, are the CLI's
+    ``model`` section; the dataset sets the first four.
     """
 
     input_dim: int
@@ -192,13 +195,13 @@ class ModelConfig:
     num_parties: int = 2
     cat_cardinalities: tuple = ()
     embed_dim: int = 8
-    hidden_dim: int = 64
-    repr_dim: int = 64
-    projector_dims: tuple = (64, 64, 64)
-    predictor_dims: tuple = (16, 64)
-    moco_projector_out: int = 64
+    hidden_dim: int = 32
+    repr_dim: int = 16
+    projector_dims: tuple = (16, 16, 16)  # two hidden widths, then the output
+    predictor_dims: tuple = (8, 16)  # the bottleneck, then the output
+    moco_projector_out: int = 16
     finetune_encoders: str = "concat"  # local | cross | concat
-    aggregator: str = "concat"
+    aggregator: str = "concat"  # concat | mean | max
 
     def __post_init__(self):
         for name in ("num_classes", "num_parties", "hidden_dim", "repr_dim"):
@@ -208,6 +211,13 @@ class ModelConfig:
             raise ConfigError("party must have at least one feature after encoding")
         if self.finetune_encoders not in ("local", "cross", "concat"):
             raise ConfigError(f"unknown finetune_encoders {self.finetune_encoders!r}")
+        if self.aggregator not in ("concat", "mean", "max"):
+            raise ConfigError(f"unknown aggregator {self.aggregator!r}")
+        if (len(self.projector_dims), len(self.predictor_dims)) != (3, 2):
+            raise ConfigError(
+                f"projector_dims needs 3 entries and predictor_dims 2, got "
+                f"{list(self.projector_dims)} and {list(self.predictor_dims)}"
+            )
         if self.predictor_dims[-1] != self.projector_dims[-1]:
             raise ConfigError(
                 f"predictor output dim {self.predictor_dims[-1]} must equal "
@@ -229,7 +239,7 @@ class EncoderStack:
     target and, on the active party, the top classifier."""
 
     def __init__(self, cfg: ModelConfig, variant: str, rng, active=False):
-        if variant not in ("simsiam", "byol", "moco"):
+        if variant not in VARIANTS:
             raise ConfigError(f"unknown SSL variant {variant!r}")
         self.cfg = cfg
         in_dim = cfg.encoded_input_dim()
@@ -385,8 +395,11 @@ def _party_entries(header):
 
 
 def load_checkpoint(path, expect_fingerprint=None) -> Checkpoint:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
     if len(raw) < 10 or raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint magic")
     (version,) = struct.unpack_from("<H", raw, 4)

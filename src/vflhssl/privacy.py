@@ -47,17 +47,11 @@ ATTACK_LR = 0.05
 ATTACK_BATCH = 64
 
 
-@dataclass
-class McAttackConfig:
-    head_hidden_dim: int = 32
-    epochs: int = 100
-
-
-def mc_attack(adversary, cfg: McAttackConfig, aux_ids, eval_ids, num_classes, rng):
-    """Freeze the adversary's encoder, fit a small inference head on the
-    auxiliary labeled samples, and report label recovery accuracy on the
-    evaluation ids. The head reads ``adversary.finetune_forward``: the
-    representation the adversary sends in the split network."""
+def mc_attack(adversary, aux_ids, eval_ids, num_classes, rng, *, head_hidden_dim, epochs):
+    """Freeze the adversary's encoder, fit a one-hidden-layer head for
+    ``epochs`` on the auxiliary labeled samples, and report label recovery
+    accuracy on the evaluation ids. The head reads ``adversary.finetune_forward``:
+    the representation the adversary sends in the split network."""
     aux_ids = np.asarray(aux_ids)
     eval_ids = np.asarray(eval_ids)
     if set(map(int, aux_ids)) & set(map(int, eval_ids)):
@@ -72,9 +66,9 @@ def mc_attack(adversary, cfg: McAttackConfig, aux_ids, eval_ids, num_classes, rn
     x_eval = adversary.finetune_forward(eval_ids).values
     y_eval = adversary.dataset.label_array(eval_ids)
 
-    head = MLP([x_aux.shape[1], cfg.head_hidden_dim, num_classes], rng)
+    head = MLP([x_aux.shape[1], head_hidden_dim, num_classes], rng)
     opt = T.SgdOptimizer(head.params(), ATTACK_LR, momentum=0.9)
-    for _ in range(cfg.epochs):
+    for _ in range(epochs):
         for sel in batches(np.arange(len(aux_ids)), ATTACK_BATCH, rng=rng):
             loss = T.softmax_cross_entropy(head.forward(T.Tensor(x_aux[sel])), y_aux[sel])
             loss.backward()

@@ -7,8 +7,6 @@ never reach the target's producers regardless of caller discipline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -16,15 +14,7 @@ from .errors import ConfigError, ShapeError
 
 MOCO_TEMPERATURE = 0.5
 QUEUE_CAPACITY = 256  # negatives each MoCo queue holds
-
-
-@dataclass
-class SslVariant:
-    kind: str  # simsiam | byol | moco
-
-    def __post_init__(self):
-        if self.kind not in ("simsiam", "byol", "moco"):
-            raise ConfigError(f"unknown SSL variant {self.kind!r}")
+VARIANTS = ("simsiam", "byol", "moco")
 
 
 class NegativeQueue:
@@ -101,10 +91,11 @@ def loss_moco(z1: T.Tensor, z2_target: T.Tensor, queue: NegativeQueue, temperatu
     return T.softmax_cross_entropy(logits, labels)
 
 
-def ssl_loss(variant: SslVariant, p: T.Tensor, z_target: T.Tensor, queue=None) -> T.Tensor:
-    if variant.kind == "simsiam":
+def ssl_loss(variant: str, p: T.Tensor, z_target: T.Tensor, queue=None) -> T.Tensor:
+    """The loss of ``variant``, a name in ``VARIANTS``."""
+    if variant == "simsiam":
         return loss_simsiam(p, z_target)
-    if variant.kind == "byol":
+    if variant == "byol":
         return loss_byol(p, z_target)
     if queue is None:
         raise ConfigError("moco requires a negative queue")

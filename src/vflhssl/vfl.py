@@ -151,6 +151,7 @@ def make_parties(dataset, cfg, variant, seed):
 
 
 def _aggregate(tensors, kind):
+    """Join party representations by ``kind``: concat, mean or max."""
     if kind == "concat":
         return T.concat_cols(tensors)
     dims = {t.cols for t in tensors}
@@ -158,9 +159,7 @@ def _aggregate(tensors, kind):
         raise ShapeError(f"{kind} aggregator requires equal per-party dims, got {sorted(dims)}")
     if kind == "mean":
         return T.affine(reduce(T.add, tensors), 1.0 / len(tensors))
-    if kind == "max":
-        return reduce(T.maximum, tensors)
-    raise ConfigError(f"unknown aggregator {kind!r}")
+    return reduce(T.maximum, tensors)
 
 
 class SplitTrainer:

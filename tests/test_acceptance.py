@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from vflhssl import cli, data, hssl, nn, privacy, ssl, tensor as T, vfl
-from vflhssl.ssl import SslVariant
 
 from conftest import finite_diff_grad, rel_err
 
@@ -52,7 +51,7 @@ def pretrained_parties(ds, method, seed, global_iterations=10):
     nodes = vfl.make_parties(ds, bench_model_config(FINETUNE_ENCODERS[method]), "simsiam", seed)
     if method is not None:
         cfg = hssl.PipelineConfig(
-            method=method, variant=SslVariant("simsiam"),
+            preset=method, variant="simsiam",
             global_iterations=global_iterations, batch_size=128,
         )
         hssl.pretrain(ds, nodes, hssl.make_network(2), cfg, seed=seed)
@@ -127,7 +126,6 @@ def test_criterion_1_gradients_match_finite_differences():
 
     queue_rows = rand(5, 6)
     for kind in ("simsiam", "byol", "moco"):
-        variant = SslVariant(kind)
         for _ in range(4):
             p_vals, z_vals = rand(4, 6), rand(4, 6)
 
@@ -140,11 +138,11 @@ def test_criterion_1_gradients_match_finite_differences():
 
             def value():
                 return ssl.ssl_loss(
-                    variant, T.Tensor(p_vals), T.Tensor(z_vals), queue=make_queue()
+                    kind, T.Tensor(p_vals), T.Tensor(z_vals), queue=make_queue()
                 ).item()
 
             p = T.Tensor(p_vals, requires_grad=True)
-            ssl.ssl_loss(variant, p, T.Tensor(z_vals), queue=make_queue()).backward()
+            ssl.ssl_loss(kind, p, T.Tensor(z_vals), queue=make_queue()).backward()
             assert rel_err(p.grad, finite_diff_grad(value, p_vals)) < 1e-4
             cases += 1
 
@@ -218,7 +216,7 @@ def test_criterion_4_stop_gradient_and_step_isolation():
         if kind == "moco":
             queue = ssl.NegativeQueue(8)
             queue.enqueue(rng.normal(size=(3, 6)))
-        ssl.ssl_loss(SslVariant(kind), p, z, queue=queue).backward()
+        ssl.ssl_loss(kind, p, z, queue=queue).backward()
         assert w.grad is None
 
     # the three pipeline steps mutate disjoint parameter sets
@@ -234,7 +232,7 @@ def test_criterion_4_stop_gradient_and_step_isolation():
 
     before = snapshot_params(nodes)
     opts = {p.party_id: T.SgdOptimizer(p.model.params_cross(), 0.05) for p in nodes}
-    hssl.cross_party_ssl_epoch(nodes, net, ds.aligned_ids, SslVariant("simsiam"),
+    hssl.cross_party_ssl_epoch(nodes, net, ds.aligned_ids, "simsiam",
                                opts, batch_size=64)
     step1 = [changed(n, b) for n, b in zip(nodes, before)]
 
@@ -242,8 +240,7 @@ def test_criterion_4_stop_gradient_and_step_isolation():
     for node in nodes:
         opt = T.SgdOptimizer(node.model.params_local(), 0.05)
         hssl.guided_local_ssl_epoch(
-            node, ds.local_ids(node.party_id - 1), SslVariant("simsiam"), 0.5,
-            data.AugmentationPolicy(0.3), opt, batch_size=64,
+            node, ds.local_ids(node.party_id - 1), "simsiam", 0.5, 0.3, opt, batch_size=64,
             aug_rng=np.random.default_rng(0), shuffle_rng=np.random.default_rng(1),
         )
     step2 = [changed(n, b) for n, b in zip(nodes, before)]
@@ -365,10 +362,9 @@ def test_criterion_9_recovery_and_utility_non_increasing_in_lambda():
             restore_params(nodes, snap)
             trainer, _ = finetune_and_score(ds, nodes, seed, 0, lr=0.003, lambda_f=lam)
             utility = trainer.accuracy(ds.test_ids)
-            attack_cfg = privacy.McAttackConfig(epochs=60)
             recovery = privacy.mc_attack(
-                trainer.parties[-1], attack_cfg, ds.labeled_ids[:80],
-                ds.test_ids, 10, np.random.default_rng((seed, 7)),
+                trainer.parties[-1], ds.labeled_ids[:80], ds.test_ids, 10,
+                np.random.default_rng((seed, 7)), head_hidden_dim=32, epochs=60,
             )
             per_lambda[lam].append((utility, recovery))
     for lam in lambdas:
@@ -403,7 +399,7 @@ def test_criterion_10_message_counts_closed_form():
             for p in nodes
         }
         hssl.cross_party_ssl_epoch(
-            nodes, net, ds.aligned_ids, SslVariant("simsiam"), opts,
+            nodes, net, ds.aligned_ids, "simsiam", opts,
             batch_size=batch_size, local_updates=local_updates,
         )
         assert net.counts["Repr"] == 2 * (2 - 1) * n_batches  # invariant in e
@@ -424,7 +420,7 @@ def test_criterion_11_bit_identical_determinism(tmp_path):
     def run(name):
         nodes = vfl.make_parties(ds, bench_model_config("concat"), "byol", 4)
         cfg = hssl.PipelineConfig(
-            variant=SslVariant("byol"), global_iterations=2, batch_size=64,
+            variant="byol", global_iterations=2, batch_size=64,
         )
         hssl.pretrain(ds, nodes, hssl.make_network(2), cfg, seed=4)
         path = tmp_path / f"{name}.bin"

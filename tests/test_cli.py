@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vflhssl import cli, nn, privacy, vfl
+from vflhssl import cli, hssl, nn, privacy, vfl
 from vflhssl.errors import ConfigError
 
 from conftest import PerParameterSgd
@@ -67,6 +67,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cli.load_config(preset="fedmagic")
 
+    def test_default_fingerprints_pinned(self):
+        # The defaults live on the dataclasses; these are the fingerprints
+        # of the hand-written defaults they replaced.
+        pinned = {
+            None: "8126012e7e59190616607b44a34af9822fe45b3938bbb5da3c81ee4d986fce50",
+            "fedcssl": "afdbb2a262ae0e00b8b30e6f36dec77fff59242bbf498e0c195429d2a802978e",
+            "fedgssl": "82f9f27a895519908a40e26aaf277f99656fe03a6dbea2346c72edb28ee48ab7",
+            "fedhssl-byol": "10ced66cdc37b4d3775b3ad26936f58c9ee48224f2b95d295da746740b4efd07",
+            "fedhssl-moco": "0d4d94a8510a18fb222b0e088fcfb6758863b8e36eb60f9dd8514e933390665e",
+            "fedhssl-simsiam": "8126012e7e59190616607b44a34af9822fe45b3938bbb5da3c81ee4d986fce50",
+            "fedlocal-byol": "874a97c7867227a039f452383cbdcffd0140a9940011cca183b392e206506683",
+            "fedlocal-moco": "bcf4c87868267465d3eabeb207c8a6627f08352364a88eead5cf533b3ae17a2f",
+            "fedlocal-simsiam": "a207409beaa6dcdea898c5d2405984b743296a45a2a010a12b8ae36dc484dcb6",
+            "fedsplitnn": "b5e75b1411be371ff253ba1737d725c0051cbc799d0e918f9eae010db7fbddad",
+        }
+        assert set(pinned) == {None, *cli.CLI_PRESETS}
+        for preset, fingerprint in pinned.items():
+            assert cli.config_fingerprint(cli.load_config(preset=preset)) == fingerprint, preset
+
     def test_parse_sweep(self):
         assert cli.parse_sweep("gamma=0,0.5,1.0") == ("gamma", [0.0, 0.5, 1.0])
         assert cli.parse_sweep("aligned=0.2,0.4") == ("aligned", [0.2, 0.4])
@@ -103,18 +122,49 @@ class TestExitCodes:
         ("attack", "finetune", {"labeled_counts": []}),
         ("finetune", "finetune", {"labeled_counts": [32.0]}),
         ("finetune", "finetune", {"lr_candidates": []}),
+        ("pretrain", "data", {"csv": {"paths": "p1.csv"}}),
+        ("pretrain", "data", {"csv": {"paths": ["p1.csv", "p2.csv"], "cat_levels": 5}}),
+        ("pretrain", "data", {"csv": {"paths": ["p1.csv", "p2.csv"], "test_fraction": "x"}}),
+        ("pretrain", "seeds", [-1]),
+        ("pretrain", "data", {"synthetic": {"classes": 0}}),
+        ("pretrain", "model", {"projector_dims": [16]}),
+        ("pretrain", "model", {"projector_dims": [16, 16, 16, 16]}),
+        ("pretrain", "model", {"aggregator": "sum"}),
+        ("finetune", "finetune", {"lr_candidates": [0.0]}),
+        ("pretrain", "pipeline", {"gamma": float("inf")}),
     ], ids=["csv-unknown-key", "csv-no-paths", "negative-lambda-p", "negative-lambda-f",
             "encoder-source", "csv-not-object", "string-lambda-p", "scalar-lambda-f",
             "star-preset", "null-preset-with-pretrain", "method-without-pretrain",
             "empty-seeds-pretrain", "empty-seeds-attack", "float-seed",
             "float-global-iterations", "empty-labeled-counts", "float-labeled-count",
-            "empty-lr-candidates"])
+            "empty-lr-candidates", "csv-string-paths", "csv-scalar-cat-levels",
+            "csv-string-test-fraction", "negative-seed", "zero-classes", "short-projector",
+            "long-projector", "unknown-aggregator", "zero-lr-candidate", "infinite-gamma"])
     def test_malformed_section_is_2(self, tmp_path, capsys, command, section, value):
         cfg = json.loads(json.dumps(TINY))
         merge = isinstance(value, dict) and section != "data"
-        cfg[section] = {**cfg[section], **value} if merge else value
+        cfg[section] = {**cfg.get(section, {}), **value} if merge else value
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_negative_cli_seed_is_2(self, tmp_path, capsys):
+        assert cli.main(["pretrain", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,pipeline", [
+        ("finetune", {"gamma": -1}),
+        ("gen-data", {"variant": "swav"}),
+        ("attack", {"corruption_fraction": 1.5}),
+        ("report", {"preset": "FedMagic"}),
+    ])
+    def test_bad_pipeline_value_is_2_under_every_command(self, tmp_path, capsys, command,
+                                                          pipeline):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"pipeline": pipeline}))
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
@@ -142,6 +192,31 @@ class TestExitCodes:
         path.write_text(json.dumps({"data": {"csv": {"paths": [str(p1), str(p2)]}}}))
         assert cli.main(["pretrain", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_missing_csv_is_3(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        missing = [str(tmp_path / "p1.csv"), str(tmp_path / "p2.csv")]
+        path.write_text(json.dumps({"data": {"csv": {"paths": missing}}}))
+        assert cli.main(["pretrain", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["{nope", '{"per_run": []}', "[]",
+                                      '{"summary": [{"labeled_count": 1}], "per_run": []}'])
+    def test_malformed_report_is_3(self, tmp_path, capsys, text):
+        (tmp_path / "report.json").write_text(text)
+        assert cli.main(["report", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_missing_checkpoint_is_4(self, cfg_path, tmp_path, capsys):
+        code = cli.main([
+            "finetune", "--config", cfg_path, "--out", str(tmp_path / "o"),
+            "--checkpoint", str(tmp_path / "nonexistent.bin"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "cannot read checkpoint" in err and "Traceback" not in err
 
     def test_runtime_error_is_4(self, cfg_path, tmp_path):
         # checkpoint path that is not a checkpoint
@@ -406,6 +481,14 @@ class TestSweep:
         plain = (tmp_path / "plain" / "checkpoint.bin").read_bytes()
         assert (tmp_path / "swept" / "sweep_gamma_0.5" / "checkpoint.bin").read_bytes() == plain
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_bad_swept_value_is_2_before_any_run(self, cfg_path, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg_path, "--out", str(out),
+                         "--sweep", "aligned=0.5,0"]) == 2
+        assert "aligned_fraction" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pipeline_gamma_overrides_preset(self, tmp_path):
         # A preset picks the method, variant and fine-tune encoders; the
         # config's gamma holds under every preset.
@@ -413,7 +496,7 @@ class TestSweep:
         path.write_text(json.dumps({"pipeline": {"gamma": 0.25}}))
         for preset in (None, "fedhssl-simsiam", "fedlocal-byol", "fedcssl"):
             config = cli.load_config(str(path), preset=preset)
-            assert cli.build_pipeline_config(config).gamma == 0.25
+            assert hssl.PipelineConfig(**config["pipeline"]).gamma == 0.25
 
     def test_local_method_ignores_gamma(self, cfg_path, tmp_path):
         out = tmp_path / "out"

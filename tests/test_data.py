@@ -93,29 +93,27 @@ class TestAugmentation:
     def test_exact_corruption_count_continuous(self, rng):
         cont = rng.normal(size=(10, 7))
         cats = np.zeros((10, 0), dtype=np.int64)
-        policy = data.AugmentationPolicy(0.3)
-        out_cont, _ = data.augment(cont, cats, (), policy, rng)
+        out_cont, _ = data.augment(cont, cats, (), 0.3, rng)
         changed = (out_cont != cont).sum(axis=1)
         assert (changed == int(np.ceil(0.3 * 7))).all()
 
     def test_exact_corruption_count_mixed(self, rng):
         cont = rng.normal(size=(8, 4))
         cats = rng.integers(0, 3, size=(8, 3))
-        policy = data.AugmentationPolicy(0.5)
-        out_cont, out_cats = data.augment(cont, cats, (3, 3, 3), policy, rng)
+        out_cont, out_cats = data.augment(cont, cats, (3, 3, 3), 0.5, rng)
         changed = (out_cont != cont).sum(axis=1) + (out_cats != cats).sum(axis=1)
         assert (changed == int(np.ceil(0.5 * 7))).all()
 
     def test_categorical_goes_to_corruption_index(self, rng):
         cont = np.zeros((6, 0))
         cats = rng.integers(0, 4, size=(6, 2))
-        out_cont, out_cats = data.augment(cont, cats, (4, 4), data.AugmentationPolicy(1.0), rng)
+        out_cont, out_cats = data.augment(cont, cats, (4, 4), 1.0, rng)
         assert (out_cats == 4).all()
 
     def test_fraction_zero_is_identity(self, rng):
         cont = rng.normal(size=(5, 6))
         cats = rng.integers(0, 2, size=(5, 1))
-        out_cont, out_cats = data.augment(cont, cats, (2,), data.AugmentationPolicy(0.0), rng)
+        out_cont, out_cats = data.augment(cont, cats, (2,), 0.0, rng)
         np.testing.assert_array_equal(out_cont, cont)
         np.testing.assert_array_equal(out_cats, cats)
 
@@ -123,21 +121,21 @@ class TestAugmentation:
         cont = rng.normal(size=(5, 6))
         cats = rng.integers(0, 2, size=(5, 2))
         cont_copy, cats_copy = cont.copy(), cats.copy()
-        data.augment(cont, cats, (2, 2), data.AugmentationPolicy(1.0), rng)
+        data.augment(cont, cats, (2, 2), 1.0, rng)
         np.testing.assert_array_equal(cont, cont_copy)
         np.testing.assert_array_equal(cats, cats_copy)
 
     def test_continuous_values_come_from_batch(self, rng):
         cont = rng.normal(size=(9, 5))
         out_cont, _ = data.augment(cont, np.zeros((9, 0), dtype=np.int64), (),
-                                   data.AugmentationPolicy(1.0), rng)
+                                   1.0, rng)
         for j in range(5):
             assert set(out_cont[:, j]) <= set(cont[:, j])
 
     def test_single_row_jitter_fallback(self, rng):
         cont = np.ones((1, 4))
         out_cont, _ = data.augment(cont, np.zeros((1, 0), dtype=np.int64), (),
-                                   data.AugmentationPolicy(1.0), rng,
+                                   1.0, rng,
                                    cont_std=np.full(4, 0.1))
         assert (out_cont != cont).all()
         assert np.abs(out_cont - cont).max() < 1.0  # jitter scaled by std
@@ -145,23 +143,23 @@ class TestAugmentation:
     def test_deterministic_given_rng_seed(self):
         cont = np.random.default_rng(0).normal(size=(6, 5))
         cats = np.zeros((6, 0), dtype=np.int64)
-        a = data.augment(cont, cats, (), data.AugmentationPolicy(0.4), np.random.default_rng(3))
-        b = data.augment(cont, cats, (), data.AugmentationPolicy(0.4), np.random.default_rng(3))
+        a = data.augment(cont, cats, (), 0.4, np.random.default_rng(3))
+        b = data.augment(cont, cats, (), 0.4, np.random.default_rng(3))
         np.testing.assert_array_equal(a[0], b[0])
 
     def test_empty_batch_rejected(self, rng):
         with pytest.raises(DataError):
             data.augment(np.zeros((0, 3)), np.zeros((0, 0), dtype=np.int64), (),
-                         data.AugmentationPolicy(0.3), rng)
+                         0.3, rng)
 
 
-def per_cell_augment(cont, cats, cat_cardinalities, policy, rng, cont_std=None):
+def per_cell_augment(cont, cats, cat_cardinalities, corruption_fraction, rng, cont_std=None):
     """The per-cell corruption loop that fixed augment's draw order; kept
     as the oracle of its outputs and of the rng state it leaves."""
     n = cont.shape[0]
     m_cont, m_cat = cont.shape[1], cats.shape[1]
     m = m_cont + m_cat
-    k = int(np.ceil(policy.corruption_fraction * m))
+    k = int(np.ceil(corruption_fraction * m))
     out_cont = cont.copy()
     out_cats = cats.copy()
     if k == 0 or m == 0:
@@ -206,10 +204,9 @@ def test_augment_matches_per_cell_reference():
         cats = np.array([[make.integers(c) for c in cards] for _ in range(n)],
                         dtype=np.int64).reshape(n, m_cat)
         cont_std = make.random(m_cont) + 0.1 if with_std else None
-        policy = data.AugmentationPolicy(fraction)
         ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        got = data.augment(cont, cats, cards, policy, ours, cont_std)
-        want = per_cell_augment(cont, cats, cards, policy, theirs, cont_std)
+        got = data.augment(cont, cats, cards, fraction, ours, cont_std)
+        want = per_cell_augment(cont, cats, cards, fraction, theirs, cont_std)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         assert got[1].dtype == want[1].dtype
@@ -341,6 +338,14 @@ class TestCsv:
         assert loaded.warnings[data.CORRUPTION_WARNING_KEY] == 1
         _, cats = loaded.rows(0, [3])
         assert cats[0, 0] == 2  # corruption index == pinned vocabulary size
+
+    @pytest.mark.parametrize("cat_levels", [[(("red",),)], [(), ()], [(("red",), ("x",)), ()]])
+    def test_cat_levels_need_one_list_per_party_and_column(self, tmp_path, cat_levels):
+        p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        p1.write_text("id,x0,c0,label\n1,0.1,red,0\n2,0.2,blue,1\n")
+        p2.write_text("id,x0\n1,1.0\n2,2.0\n")
+        with pytest.raises(ConfigError, match="cat_levels"):
+            data.load_csv([p1, p2], cat_cols=[("c0",), ()], cat_levels=cat_levels)
 
     @pytest.mark.parametrize("party1, match", [
         ("id,x0,label\n1,0.1,0\nx2,0.2,1\n", "non-integer id"),

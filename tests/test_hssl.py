@@ -3,7 +3,6 @@ import pytest
 
 from vflhssl import cli, data, hssl, nn, privacy, tensor as T, vfl
 from vflhssl.errors import ConfigError
-from vflhssl.ssl import SslVariant
 
 
 def desk_cfg(**kw):
@@ -51,7 +50,7 @@ LOCAL_PREFIXES = ("embed_l", "f_lb", "f_lt", "projector_l", "h_l")
 class TestStepIsolation:
     def test_cross_step_touches_only_cross_tower(self):
         ds, nodes, net = setup()
-        variant = SslVariant("simsiam")
+        variant = "simsiam"
         opts = {p.party_id: T.SgdOptimizer(p.model.params_cross(), 0.05) for p in nodes}
         before = [snapshot(p) for p in nodes]
         hssl.cross_party_ssl_epoch(nodes, net, ds.aligned_ids, variant, opts, batch_size=16)
@@ -66,8 +65,7 @@ class TestStepIsolation:
         opt = T.SgdOptimizer(node.model.params_local(), 0.05)
         before = snapshot(node)
         hssl.guided_local_ssl_epoch(
-            node, ds.local_ids(0), SslVariant("simsiam"), 0.5,
-            data.AugmentationPolicy(0.3), opt, batch_size=16,
+            node, ds.local_ids(0), "simsiam", 0.5, 0.3, opt, batch_size=16,
             aug_rng=np.random.default_rng(0), shuffle_rng=np.random.default_rng(1),
         )
         names = changed_names(node, before)
@@ -80,8 +78,7 @@ class TestStepIsolation:
         opt = T.SgdOptimizer(node.model.params_local(), 0.05)
         before = snapshot(node)
         hssl.guided_local_ssl_epoch(
-            node, ds.local_ids(0), SslVariant("byol"), 0.5,
-            data.AugmentationPolicy(0.3), opt, batch_size=16,
+            node, ds.local_ids(0), "byol", 0.5, 0.3, opt, batch_size=16,
             aug_rng=np.random.default_rng(0), shuffle_rng=np.random.default_rng(1),
         )
         names = changed_names(node, before)
@@ -200,7 +197,7 @@ class TestPretrainNoise:
         opts = {p.party_id: T.SgdOptimizer(p.model.params_cross(), 0.05) for p in nodes}
         frames = self.spy_sends(monkeypatch)
         hssl.cross_party_ssl_epoch(
-            nodes, net, ids, SslVariant("simsiam"), opts, batch_size=len(ids),
+            nodes, net, ids, "simsiam", opts, batch_size=len(ids),
             lambda_p=self.LAM, noise_rng=np.random.default_rng(7),
         )
         noisy = privacy.iso_perturb(own[1], self.LAM, np.random.default_rng(7))
@@ -239,7 +236,7 @@ class TestMessageBudget:
     def test_cross_step_repr_count(self, parties, aligned, batch):
         ds, nodes, net = setup(parties=parties, aligned=aligned)
         cfg = hssl.PipelineConfig(
-            method="FedCSSL", variant=SslVariant("simsiam"), global_iterations=2,
+            preset="FedCSSL", variant="simsiam", global_iterations=2,
             batch_size=batch,
         )
         hssl.pretrain(ds, nodes, net, cfg, seed=0)
@@ -251,7 +248,7 @@ class TestMessageBudget:
     def test_invariant_in_local_updates(self, local_updates):
         ds, nodes, net = setup()
         cfg = hssl.PipelineConfig(
-            method="FedCSSL", variant=SslVariant("simsiam"), global_iterations=1,
+            preset="FedCSSL", variant="simsiam", global_iterations=1,
             batch_size=16, local_updates=local_updates,
         )
         hssl.pretrain(ds, nodes, net, cfg, seed=0)
@@ -261,8 +258,7 @@ class TestMessageBudget:
         ds, nodes, net = setup()
         opt = T.SgdOptimizer(nodes[0].model.params_local(), 0.05)
         hssl.guided_local_ssl_epoch(
-            nodes[0], ds.local_ids(0), SslVariant("simsiam"), 0.5,
-            data.AugmentationPolicy(0.3), opt, batch_size=16,
+            nodes[0], ds.local_ids(0), "simsiam", 0.5, 0.3, opt, batch_size=16,
             aug_rng=np.random.default_rng(0), shuffle_rng=np.random.default_rng(1),
         )
         assert sum(net.counts.values()) == 0
@@ -281,8 +277,7 @@ class TestGuidedLocal:
             node = nodes[0]
             opt = T.SgdOptimizer(node.model.params_local(), 0.05)
             hssl.guided_local_ssl_epoch(
-                node, ds.local_ids(0), SslVariant("simsiam"), 0.0,
-                data.AugmentationPolicy(0.3), opt, batch_size=16,
+                node, ds.local_ids(0), "simsiam", 0.0, 0.3, opt, batch_size=16,
                 aug_rng=np.random.default_rng(0), shuffle_rng=np.random.default_rng(1),
             )
             results.append(snapshot(node))
@@ -300,8 +295,7 @@ class TestGuidedLocal:
             node = nodes[0]
             opt = T.SgdOptimizer(node.model.params_local(), 0.05)
             hssl.guided_local_ssl_epoch(
-                node, ds.local_ids(0), SslVariant("simsiam"), 0.5,
-                data.AugmentationPolicy(0.3), opt, batch_size=16,
+                node, ds.local_ids(0), "simsiam", 0.5, 0.3, opt, batch_size=16,
                 aug_rng=np.random.default_rng(0), shuffle_rng=np.random.default_rng(1),
             )
             results.append(snapshot(node))
@@ -322,7 +316,7 @@ class TestPresets:
         assert set(hssl.METHODS) == set(cases)
         for name, steps in cases.items():
             ds, nodes, net = setup()
-            cfg = hssl.PipelineConfig(method=name, global_iterations=1, batch_size=16)
+            cfg = hssl.PipelineConfig(preset=name, global_iterations=1, batch_size=16)
             trace = hssl.pretrain(ds, nodes, net, cfg, seed=0)
             assert {r["step"] for r in trace} == steps
 
@@ -336,8 +330,8 @@ class TestPresets:
 
     def test_unknown_preset(self):
         for name in ("FedMagic", None):
-            with pytest.raises(ConfigError, match="unknown method"):
-                hssl.PipelineConfig(method=name)
+            with pytest.raises(ConfigError, match="pipeline.preset must be one of"):
+                hssl.PipelineConfig(preset=name)
 
     def test_invalid_combinations(self):
         with pytest.raises(ConfigError):
@@ -357,7 +351,7 @@ class TestPretrain:
     def test_runs_and_losses_finite(self, variant):
         ds, nodes, net = setup(variant=variant)
         cfg = hssl.PipelineConfig(
-            variant=SslVariant(variant), global_iterations=2, batch_size=16,
+            variant=variant, global_iterations=2, batch_size=16,
         )
         trace = hssl.pretrain(ds, nodes, net, cfg, seed=0)
         steps = {r["step"] for r in trace}
@@ -369,7 +363,7 @@ class TestPretrain:
     def test_cross_loss_improves(self):
         ds, nodes, net = setup()
         cfg = hssl.PipelineConfig(
-            method="FedCSSL", variant=SslVariant("simsiam"), global_iterations=6,
+            preset="FedCSSL", variant="simsiam", global_iterations=6,
             batch_size=48, cross_lr=0.05,
         )
         trace = hssl.pretrain(ds, nodes, net, cfg, seed=0)
@@ -379,7 +373,7 @@ class TestPretrain:
     def test_moco_queues_created(self):
         ds, nodes, net = setup(variant="moco")
         cfg = hssl.PipelineConfig(
-            variant=SslVariant("moco"), global_iterations=1, batch_size=16,
+            variant="moco", global_iterations=1, batch_size=16,
         )
         hssl.pretrain(ds, nodes, net, cfg, seed=0)
         assert any(name.startswith("cross_recv_") for name in nodes[0].queues)

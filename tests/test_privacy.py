@@ -139,10 +139,9 @@ class TestMcAttack:
     def test_separable_oracle_recovers_labels(self):
         ds = adversary_dataset()
         adv = IdentityAdversary(ds)
-        cfg = privacy.McAttackConfig(epochs=60)
         rec = privacy.mc_attack(
-            adv, cfg, ds.labeled_ids[:80], ds.test_ids, ds.num_classes,
-            np.random.default_rng(0),
+            adv, ds.labeled_ids[:80], ds.test_ids, ds.num_classes,
+            np.random.default_rng(0), head_hidden_dim=32, epochs=60,
         )
         assert rec > 0.9
 
@@ -152,9 +151,9 @@ class TestMcAttack:
         keys = list(ds.labels)
         ds.labels = {k: int(shuffler.integers(4)) for k in keys}
         adv = IdentityAdversary(ds)
-        cfg = privacy.McAttackConfig(epochs=60)
         rec = privacy.mc_attack(
-            adv, cfg, ds.labeled_ids[:80], ds.test_ids, 4, np.random.default_rng(0),
+            adv, ds.labeled_ids[:80], ds.test_ids, 4, np.random.default_rng(0),
+            head_hidden_dim=32, epochs=60,
         )
         p = 0.25
         bound = 3 * np.sqrt(p * (1 - p) / len(ds.test_ids))
@@ -170,8 +169,8 @@ class TestMcAttack:
         adv = nodes[1]
         before = {name: p.values.copy() for name, p in adv.model.named_params()}
         privacy.mc_attack(
-            adv, privacy.McAttackConfig(epochs=3),
-            ds.labeled_ids[:40], ds.test_ids, 2, np.random.default_rng(0),
+            adv, ds.labeled_ids[:40], ds.test_ids, 2, np.random.default_rng(0),
+            head_hidden_dim=32, epochs=3,
         )
         for name, p in adv.model.named_params():
             np.testing.assert_array_equal(p.values, before[name], err_msg=name)
@@ -181,15 +180,14 @@ class TestMcAttack:
         adv = IdentityAdversary(ds)
         with pytest.raises(ConfigError, match="disjoint"):
             privacy.mc_attack(
-                adv, privacy.McAttackConfig(), ds.labeled_ids[:10],
-                ds.labeled_ids[5:15], 2, np.random.default_rng(0),
+                adv, ds.labeled_ids[:10], ds.labeled_ids[5:15], 2,
+                np.random.default_rng(0), head_hidden_dim=32, epochs=100,
             )
 
     def test_deterministic(self):
         ds = adversary_dataset()
         adv = IdentityAdversary(ds)
-        cfg = privacy.McAttackConfig(epochs=10)
-        args = (adv, cfg, ds.labeled_ids[:40], ds.test_ids, 2)
-        a = privacy.mc_attack(*args, np.random.default_rng(3))
-        b = privacy.mc_attack(*args, np.random.default_rng(3))
+        args = (adv, ds.labeled_ids[:40], ds.test_ids, 2)
+        a = privacy.mc_attack(*args, np.random.default_rng(3), head_hidden_dim=32, epochs=10)
+        b = privacy.mc_attack(*args, np.random.default_rng(3), head_hidden_dim=32, epochs=10)
         assert a == b

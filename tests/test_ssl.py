@@ -108,22 +108,21 @@ class TestMoco:
 class TestDispatch:
     @pytest.mark.parametrize("kind", ["simsiam", "byol", "moco"])
     def test_covers_all_kinds(self, kind, rng):
-        variant = ssl.SslVariant(kind)
         p = T.Tensor(rng.normal(size=(3, 4)))
         z = T.Tensor(rng.normal(size=(3, 4)))
         queue = ssl.NegativeQueue(8) if kind == "moco" else None
-        loss = ssl.ssl_loss(variant, p, z, queue=queue)
+        loss = ssl.ssl_loss(kind, p, z, queue=queue)
         assert np.isfinite(loss.item())
 
     def test_simsiam_dispatch_equals_direct(self, rng):
         p = T.Tensor(rng.normal(size=(3, 4)))
         z = T.Tensor(rng.normal(size=(3, 4)))
-        assert ssl.ssl_loss(ssl.SslVariant("simsiam"), p, z).item() == ssl.loss_simsiam(p, z).item()
+        assert ssl.ssl_loss("simsiam", p, z).item() == ssl.loss_simsiam(p, z).item()
 
     def test_moco_without_queue(self, rng):
         p = T.Tensor(rng.normal(size=(3, 4)))
         with pytest.raises(ConfigError):
-            ssl.ssl_loss(ssl.SslVariant("moco"), p, p)
+            ssl.ssl_loss("moco", p, p)
 
     @pytest.mark.parametrize("kind", ["simsiam", "byol", "moco"])
     def test_target_producers_get_zero_grad(self, kind, rng):
@@ -132,7 +131,7 @@ class TestDispatch:
         p = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         z = T.matmul(x, w)
         queue = ssl.NegativeQueue(8) if kind == "moco" else None
-        loss = ssl.ssl_loss(ssl.SslVariant(kind), p, z, queue=queue)
+        loss = ssl.ssl_loss(kind, p, z, queue=queue)
         loss.backward()
         assert w.grad is None
         assert p.grad is not None
@@ -140,7 +139,6 @@ class TestDispatch:
 
 @pytest.mark.parametrize("kind", ["simsiam", "byol", "moco"])
 def test_loss_gradients_match_finite_differences(kind, rng):
-    variant = ssl.SslVariant(kind)
     p_values = rng.uniform(-1, 1, size=(4, 6))
     z_values = rng.uniform(-1, 1, size=(4, 6))
     queue_rows = rng.uniform(-1, 1, size=(5, 6))
@@ -153,10 +151,10 @@ def test_loss_gradients_match_finite_differences(kind, rng):
         return q
 
     def value():
-        return ssl.ssl_loss(variant, T.Tensor(p_values), T.Tensor(z_values), queue=make_queue()).item()
+        return ssl.ssl_loss(kind, T.Tensor(p_values), T.Tensor(z_values), queue=make_queue()).item()
 
     p = T.Tensor(p_values, requires_grad=True)
-    loss = ssl.ssl_loss(variant, p, T.Tensor(z_values), queue=make_queue())
+    loss = ssl.ssl_loss(kind, p, T.Tensor(z_values), queue=make_queue())
     loss.backward()
     expected = finite_diff_grad(value, p_values)
     assert rel_err(p.grad, expected) < 1e-4
@@ -164,7 +162,6 @@ def test_loss_gradients_match_finite_differences(kind, rng):
 
 @pytest.mark.parametrize("kind", ["simsiam", "byol", "moco"])
 def test_loss_bounds(kind, rng):
-    variant = ssl.SslVariant(kind)
     for _ in range(20):
         p = T.Tensor(rng.normal(size=(5, 7)))
         z = T.Tensor(rng.normal(size=(5, 7)))
@@ -172,7 +169,7 @@ def test_loss_bounds(kind, rng):
         if kind == "moco":
             queue = ssl.NegativeQueue(16)
             queue.enqueue(rng.normal(size=(6, 7)))
-        v = ssl.ssl_loss(variant, p, z, queue=queue).item()
+        v = ssl.ssl_loss(kind, p, z, queue=queue).item()
         if kind == "simsiam":
             assert -1.0 <= v <= 1.0
         elif kind == "byol":

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,7 @@ class MonolithicMirror:
 
     def __init__(self, dataset, cfg, variant, seed, learning_rate):
         self.parties = vfl.make_parties(dataset, cfg, variant, seed)
+        self.aggregator = cfg.aggregator
         self.optimizers = [
             T.SgdOptimizer(p.model.params_finetune(), learning_rate, momentum=0.9)
             for p in self.parties
@@ -215,7 +218,12 @@ class MonolithicMirror:
     def train_step(self, ids):
         labels = self.parties[0].dataset.label_array(ids)
         reps = [p.finetune_forward(ids) for p in self.parties]
-        joined = T.concat_cols(reps) if len(reps) > 1 else reps[0]
+        if self.aggregator == "mean":
+            joined = T.affine(reduce(T.add, reps), 1.0 / len(reps))
+        elif self.aggregator == "max":
+            joined = reduce(T.maximum, reps)
+        else:
+            joined = T.concat_cols(reps) if len(reps) > 1 else reps[0]
         logits = self.parties[0].model.top_model.forward(joined)
         loss = T.softmax_cross_entropy(logits, labels)
         loss.backward()
@@ -237,6 +245,38 @@ class TestSplitTraining:
         for split_p, mono_p in zip(nodes, mirror.parties):
             for (name, a), (_, b) in zip(split_p.model.named_params(), mono_p.model.named_params()):
                 assert np.abs(a.values - b.values).max() <= 1e-10, name
+
+    def test_matches_monolithic_model_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        datasets = {k: desk_dataset(parties=k) for k in range(1, 5)}
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(
+            num_parties=st.integers(1, 4),
+            aggregator=st.sampled_from(["concat", "mean", "max"]),
+            hidden_dim=st.integers(1, 12),
+            repr_dim=st.integers(1, 8),
+            finetune_encoders=st.sampled_from(["local", "cross", "concat"]),
+        )
+        def check(num_parties, aggregator, hidden_dim, repr_dim, finetune_encoders):
+            ds = datasets[num_parties]
+            cfg = desk_cfg(num_parties=num_parties, aggregator=aggregator, hidden_dim=hidden_dim,
+                           repr_dim=repr_dim, finetune_encoders=finetune_encoders)
+            nodes = vfl.make_parties(ds, cfg, "simsiam", 3)
+            trainer = vfl.SplitTrainer(nodes, vfl.Network(range(num_parties + 1)), 0.05)
+            mirror = MonolithicMirror(ds, cfg, "simsiam", 3, 0.05)
+            ids = ds.labeled_ids[:16]
+            for _ in range(3):
+                l_split = trainer.train_step(ids)
+                l_mono = mirror.train_step(ids)
+                assert abs(l_split - l_mono) <= 1e-10
+            for split_p, mono_p in zip(nodes, mirror.parties):
+                for (name, a), (_, b) in zip(split_p.model.named_params(),
+                                             mono_p.model.named_params()):
+                    assert np.abs(a.values - b.values).max() <= 1e-10, name
+
+        check()
 
     def test_single_party_degenerate(self):
         ds, nodes, net, trainer = make_trainer(parties=1)
@@ -340,9 +380,9 @@ class TestAggregators:
         out = vfl._aggregate([T.Tensor(a), T.Tensor(b)], "max")
         np.testing.assert_allclose(out.values, np.maximum(a, b))
 
-    def test_unknown_kind(self, rng):
-        with pytest.raises(ConfigError):
-            vfl._aggregate([T.Tensor(rng.normal(size=(2, 2)))], "median")
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigError, match="aggregator"):
+            desk_cfg(aggregator="median")
 
     def test_mean_aggregator_trains(self):
         ds = desk_dataset()
