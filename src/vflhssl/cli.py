@@ -138,11 +138,14 @@ def load_config(path=None, preset=None):
     for section, value in user.items():
         if section == "data":
             _check_section("data", value, {"synthetic": {}, "csv": {}})
+            if len(value) != 1:
+                raise ConfigError("data needs exactly one of 'synthetic' and 'csv', "
+                                  f"got {sorted(value)}")
             if "synthetic" in value:
                 defaults = DEFAULT_CONFIG["data"]["synthetic"]
                 _check_section("data.synthetic", value["synthetic"], defaults)
                 value = {"synthetic": {**defaults, **value["synthetic"]}}
-            elif "csv" in value:
+            else:
                 _check_section("data.csv", value["csv"], CSV_SHAPES)
                 if "paths" not in value["csv"]:
                     raise ConfigError("data.csv needs 'paths'")
@@ -159,6 +162,11 @@ def load_config(path=None, preset=None):
         method, pipeline["variant"], config["model"]["finetune_encoders"] = CLI_PRESETS[preset]
         pipeline.update(preset=method, pretrain=method is not None)
     hssl.PipelineConfig(**pipeline)
+    for name, values in (("seeds", config["seeds"]),
+                         ("finetune.labeled_counts", config["finetune"]["labeled_counts"]),
+                         ("privacy.lambda_f", config["privacy"]["lambda_f"])):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{name} repeats an entry: {values}")
     if min(config["finetune"]["lr_candidates"]) <= 0:
         raise ConfigError("finetune.lr_candidates must be positive")
     if config["privacy"]["encoder_source"] != "finetuned_local":
@@ -178,9 +186,15 @@ def build_dataset(config):
     section = config["data"]
     if "synthetic" in section:
         return data.generate_synthetic(data.SyntheticSpec(**section["synthetic"]))
-    if "csv" in section:
-        return data.load_csv(**section["csv"])
-    raise ConfigError("data section needs a 'synthetic' or 'csv' entry")
+    return data.load_csv(**section["csv"])
+
+
+def build_scored_dataset(config):
+    """The dataset of a command that scores on the test split, which must not be empty."""
+    dataset = build_dataset(config)
+    if not len(dataset.test_ids):
+        raise DataError("finetune and attack score on the test split, which is empty")
+    return dataset
 
 
 def build_model_config(config, dataset):
@@ -313,7 +327,7 @@ def _select_lr(config, dataset, seed, labeled_count, checkpoint, lambda_f=0.0):
 
 
 def cmd_finetune(config, out_dir, checkpoint_path):
-    dataset = build_dataset(config)
+    dataset = build_scored_dataset(config)
     started = time.time()
     checkpoint = _load_checkpoint(config, checkpoint_path)
     rows = []
@@ -361,7 +375,7 @@ def _summary_line(s):
 
 def cmd_attack(config, out_dir, checkpoint_path):
     priv = config["privacy"]
-    dataset = build_dataset(config)
+    dataset = build_scored_dataset(config)
     checkpoint = _load_checkpoint(config, checkpoint_path)
     labeled_count = config["finetune"]["labeled_counts"][0]
     curve = privacy.TradeoffCurve(

@@ -125,8 +125,10 @@ class SyntheticSpec:
         for name in ("feature_dims", "noise_scales", "unaligned", "cat_cardinalities"):
             if len(getattr(self, name)) != self.parties:
                 raise ConfigError(f"{name} must have one entry per party")
-        if self.aligned <= 0 or self.test < 0:
+        if self.aligned <= 0:
             raise ConfigError("aligned count must be positive")
+        if self.test < 0:
+            raise ConfigError("test count must be >= 0")
         if self.labeled <= 0 or self.labeled > self.aligned:
             raise ConfigError("labeled count must be in (0, aligned]")
 
@@ -336,6 +338,10 @@ def _int_cell(text, what, p, low=-2**63):
     return value
 
 
+def _list_of(value, item_types):
+    return isinstance(value, (list, tuple)) and all(isinstance(v, item_types) for v in value)
+
+
 def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=None,
              test_fraction=0.2, labeled_count=None, seed=0, standardize=True):
     """Join per-party CSV files on the id column into a VerticalDataset.
@@ -350,6 +356,10 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
     cat_cols = cat_cols or [() for _ in paths]
     if len(cat_cols) != len(paths) or len(cat_levels or paths) != len(paths):
         raise ConfigError("cat_cols and cat_levels must have one entry per party")
+    if not (all(_list_of(cols, str) for cols in cat_cols) and
+            all(_list_of(levels, (list, tuple)) for levels in cat_levels or ())):
+        raise ConfigError("each party's cat_cols must be a list of column names and its "
+                          "cat_levels a list of level lists")
     tables = []
     for p, path in enumerate(paths):
         try:

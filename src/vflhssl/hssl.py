@@ -27,7 +27,7 @@ from . import tensor as T
 from .data import augment, batches
 from .errors import ConfigError, ProtocolError
 from .privacy import iso_perturb
-from .ssl import QUEUE_CAPACITY, VARIANTS, NegativeQueue, ssl_loss
+from .ssl import VARIANTS, ssl_loss
 from .vfl import MSG_MODEL_BLOB, MSG_REPR, Network, WireMessage
 
 SERVER_ID = 0
@@ -88,10 +88,16 @@ def _mean_loss(losses):
     return T.affine(total, 1.0 / len(losses)) if len(losses) > 1 else total
 
 
-def _queue(party, name):
-    if name not in party.queues:
-        party.queues[name] = NegativeQueue(QUEUE_CAPACITY)
-    return party.queues[name]
+def _term(party, variant, name, prediction, target_values, feeds):
+    """The SSL loss of ``prediction`` against the fixed ``target_values``.
+    Under MoCo the party's queue ``name`` (created by its first lookup)
+    supplies the negatives, and ``(queue, target_values)`` joins
+    ``feeds``, which the caller enqueues after its optimizer step."""
+    queue = None
+    if variant == "moco":
+        queue = party.queues[name]
+        feeds.append((queue, target_values))
+    return ssl_loss(variant, prediction, T.Tensor(target_values), queue)
 
 
 def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
@@ -106,7 +112,6 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
     if len(parties) < 2:
         raise ConfigError("cross-party SSL requires at least two parties")
     parties = sorted(parties, key=lambda p: p.party_id)
-    is_moco = variant == "moco"
     totals = {p.party_id: [] for p in parties}
 
     for batch_ids in batches(aligned_ids, batch_size, rng=shuffle_rng):
@@ -125,22 +130,18 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
 
         # Update phase: e steps against the cached peer representations.
         for p in parties:
-            opt = optimizers[p.party_id]
-            peers = received[p.party_id]
             for _ in range(local_updates):
-                z = p.model.cross.forward(*p.features(batch_ids))
-                pred = p.model.h_c.forward(z)
-                losses = []
-                for peer_id, target_values in sorted(peers.items()):
-                    queue = _queue(p, f"cross_recv_{peer_id}") if is_moco else None
-                    losses.append(ssl_loss(variant, pred, T.Tensor(target_values), queue))
-                loss = _mean_loss(losses)
+                pred = p.model.h_c.forward(p.model.cross.forward(*p.features(batch_ids)))
+                feeds = []
+                loss = _mean_loss([
+                    _term(p, variant, f"cross_recv_{peer_id}", pred, target_values, feeds)
+                    for peer_id, target_values in sorted(received[p.party_id].items())
+                ])
                 loss.backward()
-                opt.step()
+                optimizers[p.party_id].step()
             totals[p.party_id].append(loss.item())
-            if is_moco:
-                for peer_id, target_values in peers.items():
-                    _queue(p, f"cross_recv_{peer_id}").enqueue(target_values)
+            for queue, rows in feeds:  # the last update's feeds: one batch per exchange
+                queue.enqueue(rows)
 
     return {pid: float(np.mean(vals)) if vals else float("nan") for pid, vals in totals.items()}
 
@@ -153,7 +154,6 @@ def guided_local_ssl_epoch(party, ids, variant, gamma, corruption_fraction, opti
     target) is updated; the cross encoder provides frozen anchors.
     """
     model = party.model
-    is_moco = variant == "moco"
     block = party.dataset.parties[party.party_id - 1]
     losses = []
 
@@ -169,38 +169,28 @@ def guided_local_ssl_epoch(party, ids, variant, gamma, corruption_fraction, opti
         # SimSiam's target is the online tower under stop-gradient; BYOL
         # and MoCo run the same views through the EMA copy.
         if model.target is None:
-            t1, t2 = T.Tensor(z1.values), T.Tensor(z2.values)
+            t1, t2 = z1.values, z2.values
         else:
-            t1 = T.Tensor(model.target.forward(*v1).values)
-            t2 = T.Tensor(model.target.forward(*v2).values)
+            t1, t2 = model.target.forward(*v1).values, model.target.forward(*v2).values
 
-        q_a = _queue(party, "local_a") if is_moco else None
-        q_b = _queue(party, "local_b") if is_moco else None
-        sym = T.affine(
-            T.add(ssl_loss(variant, p1, t2, q_a), ssl_loss(variant, p2, t1, q_b)), 0.5
-        )
-        loss = sym
+        feeds = []
+        loss = T.affine(T.add(_term(party, variant, "local_a", p1, t2, feeds),
+                              _term(party, variant, "local_b", p2, t1, feeds)), 0.5)
         if gamma > 0:
-            zc1 = T.Tensor(model.cross.encode(*v1).values)
-            zc2 = T.Tensor(model.cross.encode(*v2).values)
-            if zc1.cols != p1.cols:
+            zc1, zc2 = model.cross.encode(*v1).values, model.cross.encode(*v2).values
+            if zc1.shape[1] != p1.cols:
                 raise ConfigError(
-                    f"guidance dims disagree: predictor {p1.cols} vs cross encoder {zc1.cols}"
+                    f"guidance dims disagree: predictor {p1.cols} vs cross encoder {zc1.shape[1]}"
                 )
-            q_ga = _queue(party, "guide_a") if is_moco else None
-            q_gb = _queue(party, "guide_b") if is_moco else None
-            guide = T.add(ssl_loss(variant, p1, zc1, q_ga), ssl_loss(variant, p2, zc2, q_gb))
-            loss = T.add(sym, T.affine(guide, gamma))
+            guide = T.add(_term(party, variant, "guide_a", p1, zc1, feeds),
+                          _term(party, variant, "guide_b", p2, zc2, feeds))
+            loss = T.add(loss, T.affine(guide, gamma))
         loss.backward()
         optimizer.step()
         if model.ema is not None:
             model.ema.update()
-        if is_moco:
-            q_a.enqueue(t2.values)
-            q_b.enqueue(t1.values)
-            if gamma > 0:
-                q_ga.enqueue(zc1.values)
-                q_gb.enqueue(zc2.values)
+        for queue, rows in feeds:
+            queue.enqueue(rows)
         losses.append(loss.item())
 
     return float(np.mean(losses)) if losses else float("nan")

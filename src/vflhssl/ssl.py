@@ -18,38 +18,29 @@ VARIANTS = ("simsiam", "byol", "moco")
 
 
 class NegativeQueue:
-    """FIFO of unit-normalized representation rows, bounded by capacity,
-    held in a ``capacity x d`` ring whose oldest row is at slot ``head``."""
+    """FIFO of unit-normalized representation rows, bounded by capacity.
+    Each enqueue replaces ``rows`` with a new array and never writes into
+    the old one, so a matrix that ``as_matrix`` returned stays as it was."""
 
     def __init__(self, capacity):
         if capacity < 0:
             raise ConfigError("queue capacity must be non-negative")
         self.capacity = capacity
-        self.ring = None  # allocated by the first enqueue, which fixes d
-        self.head = self.length = 0
+        self.rows = None  # the held rows, oldest first; None until the first enqueue
 
     def __len__(self):
-        return self.length
+        return 0 if self.rows is None else len(self.rows)
 
     def enqueue(self, rows):
         rows = np.asarray(rows, dtype=np.float64)
-        norms = np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), T.NORM_EPS)
-        if self.capacity == 0:
-            return
-        unit = (rows / norms)[-self.capacity:]
-        if self.ring is None:
-            self.ring = np.empty((self.capacity, rows.shape[1]))
-        end = self.head + self.length + len(unit)
-        self.ring[np.arange(end - len(unit), end) % self.capacity] = unit
-        self.length = min(self.capacity, self.length + len(unit))
-        self.head = (end - self.length) % self.capacity
+        held = rows / np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), T.NORM_EPS)
+        if self.rows is not None:
+            held = np.concatenate([self.rows, held])
+        self.rows = held[max(0, len(held) - self.capacity):]
 
     def as_matrix(self):
-        """The held rows, oldest first, as a fresh array: a loss graph
-        keeps it until ``backward``, after which the step enqueues."""
-        if not self.length:
-            return None
-        return self.ring[np.arange(self.head, self.head + self.length) % self.capacity]
+        """The held rows, oldest first, or None while the queue is empty."""
+        return self.rows if len(self) else None
 
 
 def _check_pair(p, z):

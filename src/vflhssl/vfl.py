@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ProtocolError, ShapeError
 from .nn import EncoderStack
-from .privacy import iso_perturb
+from .privacy import iso_perturb, metric_top1
+from .ssl import QUEUE_CAPACITY, NegativeQueue
 
 WIRE_MAGIC = b"VFLM"
 WIRE_VERSION = 1
@@ -126,7 +127,7 @@ class PartyNode:
         self.party_id = party_id
         self.model = model
         self.dataset = dataset
-        self.queues = {}  # name -> NegativeQueue, created on demand (moco)
+        self.queues = defaultdict(partial(NegativeQueue, QUEUE_CAPACITY))  # MoCo's, by name
 
     def features(self, ids):
         return self.dataset.rows(self.party_id - 1, ids)
@@ -219,9 +220,6 @@ class SplitTrainer:
         joined = _aggregate(reps, self.aggregator)
         return self.parties[0].model.top_model.forward(joined).values
 
-    def predict(self, ids):
-        return self.logits(ids).argmax(axis=1)
-
     def accuracy(self, ids):
         labels = self.parties[0].dataset.label_array(ids)
-        return float((self.predict(ids) == labels).mean())
+        return metric_top1(self.logits(ids).argmax(axis=1), labels)

@@ -132,6 +132,13 @@ class TestExitCodes:
         ("pretrain", "model", {"aggregator": "sum"}),
         ("finetune", "finetune", {"lr_candidates": [0.0]}),
         ("pretrain", "pipeline", {"gamma": float("inf")}),
+        ("finetune", "seeds", [0, 0]),
+        ("finetune", "finetune", {"labeled_counts": [30, 30]}),
+        ("attack", "privacy", {"lambda_f": [1.0, 1.0]}),
+        ("pretrain", "data", {"synthetic": {}, "csv": {"paths": ["p1.csv", "p2.csv"]}}),
+        ("pretrain", "data", {"csv": {"paths": ["p1.csv", "p2.csv"], "cat_cols": ["c0", []]}}),
+        ("pretrain", "data", {"csv": {"paths": ["p1.csv", "p2.csv"], "cat_cols": [["c0"], []],
+                                      "cat_levels": [[5], []]}}),
     ], ids=["csv-unknown-key", "csv-no-paths", "negative-lambda-p", "negative-lambda-f",
             "encoder-source", "csv-not-object", "string-lambda-p", "scalar-lambda-f",
             "star-preset", "null-preset-with-pretrain", "method-without-pretrain",
@@ -139,7 +146,9 @@ class TestExitCodes:
             "float-global-iterations", "empty-labeled-counts", "float-labeled-count",
             "empty-lr-candidates", "csv-string-paths", "csv-scalar-cat-levels",
             "csv-string-test-fraction", "negative-seed", "zero-classes", "short-projector",
-            "long-projector", "unknown-aggregator", "zero-lr-candidate", "infinite-gamma"])
+            "long-projector", "unknown-aggregator", "zero-lr-candidate", "infinite-gamma",
+            "repeated-seed", "repeated-labeled-count", "repeated-lambda-f",
+            "synthetic-and-csv", "csv-string-cat-cols", "csv-scalar-level-list"])
     def test_malformed_section_is_2(self, tmp_path, capsys, command, section, value):
         cfg = json.loads(json.dumps(TINY))
         merge = isinstance(value, dict) and section != "data"
@@ -178,6 +187,31 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert cli.main(["attack", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "lambda_f" in capsys.readouterr().err
+        assert steps == []
+
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_empty_test_split_is_3_before_any_training(self, tmp_path, capsys, monkeypatch,
+                                                       source):
+        cfg = json.loads(json.dumps(TINY))
+        if source == "synthetic":
+            cfg["data"]["synthetic"]["test"] = 0
+        else:
+            p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+            p1.write_text("id,x0,label\n" + "".join(f"{i},{i / 10},{i % 2}\n" for i in range(12)))
+            p2.write_text("id,x0\n" + "".join(f"{i},{i * 1.5}\n" for i in range(12)))
+            cfg["data"] = {"csv": {"paths": [str(p1), str(p2)], "test_fraction": 0.0}}
+            cfg["finetune"]["labeled_counts"] = [10]
+            cfg["privacy"]["aux_labeled_count"] = 4
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = str(tmp_path / "o")
+        assert cli.main(["pretrain", "--config", str(path), "--out", out]) == 0
+        steps = []
+        monkeypatch.setattr(vfl.SplitTrainer, "train_step", lambda self, ids: steps.append(ids))
+        for command in ("finetune", "attack"):
+            assert cli.main([command, "--config", str(path), "--out", out]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "test split" in err
         assert steps == []
 
     def test_data_error_is_3(self, tmp_path):

@@ -87,6 +87,8 @@ class TestSynthetic:
             small_spec(labeled=0)
         with pytest.raises(ConfigError):
             small_spec(feature_dims=(6,))
+        with pytest.raises(ConfigError, match="test count"):
+            small_spec(test=-1)
 
 
 class TestAugmentation:
@@ -346,6 +348,19 @@ class TestCsv:
         p2.write_text("id,x0\n1,1.0\n2,2.0\n")
         with pytest.raises(ConfigError, match="cat_levels"):
             data.load_csv([p1, p2], cat_cols=[("c0",), ()], cat_levels=cat_levels)
+
+    @pytest.mark.parametrize("cat_cols,cat_levels", [
+        (["c0", ()], None),
+        ([("c0",), (5,)], None),
+        ([("c0",), ()], [(5,), ()]),
+        ([("c0",), ()], [None, ()]),
+    ], ids=["string-cat-cols", "scalar-cat-col", "scalar-levels", "null-levels"])
+    def test_cat_cols_and_levels_items_are_lists(self, tmp_path, cat_cols, cat_levels):
+        p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        p1.write_text("id,x0,c0,label\n1,0.1,red,0\n2,0.2,blue,1\n")
+        p2.write_text("id,x0\n1,1.0\n2,2.0\n")
+        with pytest.raises(ConfigError, match="list of"):
+            data.load_csv([p1, p2], cat_cols=cat_cols, cat_levels=cat_levels)
 
     @pytest.mark.parametrize("party1, match", [
         ("id,x0,label\n1,0.1,0\nx2,0.2,1\n", "non-integer id"),

@@ -370,6 +370,19 @@ class TestPretrain:
         cross = [r["loss"] for r in trace if r["step"] == "cross" and r["party"] == 1]
         assert cross[-1] < cross[0]
 
+    def test_moco_cross_queue_takes_one_batch_per_exchange(self):
+        # local_updates=2 steps twice against one exchange; the peers'
+        # batch still enters each cross_recv queue once.
+        ds, nodes, net = setup(parties=3, variant="moco")
+        opts = {p.party_id: T.SgdOptimizer(p.model.params_cross(), 0.05) for p in nodes}
+        ids = ds.aligned_ids
+        hssl.cross_party_ssl_epoch(nodes, net, ids, "moco", opts, batch_size=len(ids),
+                                   local_updates=2)
+        assert {p.party_id: sorted(p.queues) for p in nodes} == {
+            1: ["cross_recv_2", "cross_recv_3"], 2: ["cross_recv_1"], 3: ["cross_recv_1"],
+        }
+        assert all(len(q) == len(ids) for p in nodes for q in p.queues.values())
+
     def test_moco_queues_created(self):
         ds, nodes, net = setup(variant="moco")
         cfg = hssl.PipelineConfig(

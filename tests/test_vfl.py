@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vflhssl import data, nn, tensor as T, vfl
-from vflhssl.errors import ConfigError, ProtocolError
+from vflhssl.errors import ConfigError, ProtocolError, ValidationError
 
 
 def desk_cfg(**kw):
@@ -283,6 +283,8 @@ class TestSplitTraining:
         trainer.train_step(ds.labeled_ids[:8])
         assert sum(net.counts.values()) == 0
         assert 0.0 <= trainer.accuracy(ds.test_ids) <= 1.0
+        with pytest.raises(ValidationError, match="empty"):
+            trainer.accuracy(ds.test_ids[:0])
 
     def test_message_counts_per_step(self):
         ds, nodes, net, trainer = make_trainer(parties=3)
@@ -365,7 +367,8 @@ class TestSplitTraining:
         for _ in range(3):
             t1.train_step(ids)
             t2.train_step(ids)
-        np.testing.assert_array_equal(t1.predict(ds.test_ids), t2.predict(ds.test_ids))
+        np.testing.assert_array_equal(t1.logits(ds.test_ids).argmax(1),
+                                      t2.logits(ds.test_ids).argmax(1))
         np.testing.assert_array_equal(t1.logits(ds.test_ids), t2.logits(ds.test_ids))
 
 
