@@ -305,8 +305,9 @@ def _finetune_once(config, dataset, nodes, seed, labeled_count, learning_rate,
     for _ in range(ft["epochs"]):
         for batch in data.batches(train_ids, ft["batch_size"], rng=shuffle):
             trainer.train_step(batch)
-    finite = bool(np.isfinite(trainer.logits(val_ids)).all())
-    return trainer, trainer.accuracy(val_ids), finite
+    val_logits = trainer.logits(val_ids)
+    val_acc = privacy.metric_top1(val_logits.argmax(axis=1), dataset.label_array(val_ids))
+    return trainer, val_acc, bool(np.isfinite(val_logits).all())
 
 
 def _select_lr(config, dataset, seed, labeled_count, checkpoint, lambda_f=0.0):

@@ -338,6 +338,14 @@ def _int_cell(text, what, p, low=-2**63):
     return value
 
 
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _list_of(value, item_types):
     return isinstance(value, (list, tuple)) and all(isinstance(v, item_types) for v in value)
 
@@ -403,7 +411,11 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
             try:
                 cont.append([float(row[j]) for j, _ in cont_cols])
             except ValueError as exc:
-                raise DataError(f"non-numeric continuous cell for id {sid}") from exc
+                name, cell = next((name, row[j]) for j, name in cont_cols if not _is_float(row[j]))
+                raise DataError(
+                    f"{paths[p]}: non-numeric cell {cell!r} in column {name!r} for id {sid}; "
+                    f"list a categorical column in data.csv.cat_cols"
+                ) from exc
             cats.append([row[j] for j, _ in cat_cols_p])
             if label_at is not None and row[label_at] != "":
                 labels[sid] = _int_cell(row[label_at], "label", p, low=0)

@@ -112,12 +112,7 @@ class EmbeddingLayer(Module):
         bound = np.sqrt(6.0 / (vocab + 1 + dim))
         values = rng.uniform(-bound, bound, size=(vocab + 1, dim))
         self.table = T.Tensor(values, requires_grad=True)
-        self.vocab = vocab
-        self.dim = dim
         self.corruption_index = vocab
-
-    def forward(self, indices):
-        return T.embedding_lookup(self.table, indices, frozen_rows=(self.corruption_index,))
 
     def named_params(self, prefix=""):
         return [(_join(prefix, "table"), self.table)]
@@ -128,7 +123,8 @@ class Tower(Module):
 
     ``parts`` are named modules in forward order: the backbone layers,
     then the projector. Continuous columns and the categorical
-    embeddings are concatenated into the backbone input.
+    embeddings are concatenated into the backbone input by one
+    ``embed_concat`` node.
     """
 
     def __init__(self, embed_name, embeds, **parts):
@@ -151,9 +147,12 @@ class Tower(Module):
 
     def encode(self, cont, cats):
         """Backbone representation of a batch of raw features."""
-        columns = [T.Tensor(cont)] if cont.shape[1] else []
-        columns += [emb.forward(cats[:, j]) for j, emb in enumerate(self.embeds.values())]
-        x = columns[0] if len(columns) == 1 else T.concat_cols(columns)
+        if self.embeds:
+            embeds = self.embeds.values()
+            x = T.embed_concat(cont, [e.table for e in embeds], cats,
+                               [e.corruption_index for e in embeds])
+        else:
+            x = T.Tensor(cont)
         for module in self.backbone.values():
             x = module.forward(x)
         return x

@@ -330,23 +330,47 @@ def concat_cols(tensors) -> Tensor:
     return _result(out_values, tuple(tensors), backward)
 
 
-def embedding_lookup(table: Tensor, indices, frozen_rows=()) -> Tensor:
-    """Gather rows of ``table``; rows in ``frozen_rows`` never receive gradient."""
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.rows):
-        raise ValidationError(f"embedding index out of range [0, {table.rows})")
-    out_values = table.values[idx]
-    frozen = frozenset(frozen_rows)
+def embed_concat(cont, tables, cats, frozen_rows) -> Tensor:
+    """``[cont | tables[0][cats[:, 0]] | tables[1][cats[:, 1]] | ...]`` as one node.
+
+    ``cont`` is an (n, m) array, ``tables`` one or more equal-width
+    embedding tables and ``cats`` the (n, len(tables)) row indices; row
+    ``frozen_rows[j]`` of table j never receives gradient. Values and
+    gradients equal per-column lookups joined by ``concat_cols`` bit for
+    bit: one ``np.bincount`` scatters every table's gradient, adding the
+    terms of each (row, lane) in batch order from 0.0, as ``np.add.at``
+    would.
+    """
+    cont = np.asarray(cont, dtype=np.float64)
+    cats = np.asarray(cats, dtype=np.int64)
+    n, m_cont = cont.shape
+    if not tables or cats.shape != (n, len(tables)):
+        raise ShapeError(f"embed_concat needs one index column per table: "
+                         f"{len(tables)} tables, indices {cats.shape} for {n} rows")
+    d = tables[0].cols
+    if any(t.cols != d for t in tables):
+        raise ShapeError(f"embedding tables differ in width: {[t.cols for t in tables]}")
+    sizes = [t.rows for t in tables]
+    # Viewed as unsigned, a negative index exceeds every table size.
+    if (cats.view(np.uint64) >= sizes).any():
+        raise ValidationError(f"embedding index out of range of the table sizes {sizes}")
+    out_values = np.empty((n, m_cont + len(tables) * d))
+    out_values[:, :m_cont] = cont
+    for j, t in enumerate(tables):
+        out_values[:, m_cont + j * d : m_cont + (j + 1) * d] = t.values[cats[:, j]]
 
     def backward(g):
-        if table.requires_grad:
-            gt = np.zeros_like(table.values)
-            np.add.at(gt, idx, g)
-            for r in frozen:
-                gt[r] = 0.0
-            table._accumulate(gt, fresh=True)
+        starts = list(accumulate(sizes, initial=0))
+        index = ((cats + starts[:-1])[..., None] * d + np.arange(d)).ravel()
+        grads = np.bincount(index, weights=g[:, m_cont:].ravel(), minlength=starts[-1] * d)
+        grads = grads.reshape(starts[-1], d)
+        for t, lo, hi, frozen in zip(tables, starts[:-1], starts[1:], frozen_rows):
+            if t.requires_grad:
+                gt = grads[lo:hi]
+                gt[frozen] = 0.0
+                t._accumulate(gt, fresh=True)
 
-    return _result(out_values, (table,), backward)
+    return _result(out_values, tuple(tables), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -227,6 +228,17 @@ class TestExitCodes:
         assert cli.main(["pretrain", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_unlisted_categorical_column_is_3_and_named(self, tmp_path, capsys):
+        p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        p1.write_text("id,x0,c0,label\n1,0.1,red,0\n2,0.2,blue,1\n")
+        p2.write_text("id,x0\n1,1.0\n2,2.0\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"data": {"csv": {"paths": [str(p1), str(p2)]}}}))
+        assert cli.main(["pretrain", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {p1}: non-numeric cell 'red' in column 'c0'")
+        assert "data.csv.cat_cols" in err and "Traceback" not in err
+
     def test_missing_csv_is_3(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         missing = [str(tmp_path / "p1.csv"), str(tmp_path / "p2.csv")]
@@ -408,6 +420,36 @@ class TestFinetuneAndAttack:
                          "--out", str(out)]) == 0
         rows = (out / "tradeoff.csv").read_text().strip().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["csv", "csv"]
+
+    def test_categorical_csv_outputs_pinned(self, tmp_path, monkeypatch):
+        # Party 1 has continuous and categorical columns, party 2 only
+        # categorical ones, so every tower's input goes through
+        # embeddings; the hashes were measured with per-column lookups.
+        # Relative paths keep the config fingerprint, which hashes them,
+        # independent of the directory.
+        colours, sizes, shapes = ["red", "green", "blue"], ["s", "m", "l", "xl"], ["o", "x"]
+        p1 = ["id,x0,c0,x1,label"] + [
+            f"{i},{(i * 37 % 101) / 10},{colours[i * 7 % 3]},{(i * 13 % 17) - 8},{i % 3}"
+            for i in range(80)
+        ]
+        p2 = ["id,c0,c1"] + [
+            f"{i},{sizes[(i * 5 + i // 7) % 4]},{shapes[i * i % 5 % 2]}"
+            for i in [*range(60), *range(100, 120)]
+        ]
+        (tmp_path / "p1.csv").write_text("\n".join(p1) + "\n")
+        (tmp_path / "p2.csv").write_text("\n".join(p2) + "\n")
+        cfg = {**TINY, "data": {"csv": {"paths": ["p1.csv", "p2.csv"], "test_fraction": 0.25,
+                                        "cat_cols": [["c0"], ["c0", "c1"]]}}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        monkeypatch.chdir(tmp_path)
+        for command in ("pretrain", "finetune"):
+            assert cli.main([command, "--config", "cfg.json", "--out", "out"]) == 0
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                   for name in ("checkpoint.bin", "report.csv")}
+        assert digests == {
+            "checkpoint.bin": "e2d6a032133e5cc10e644e7b69fceb02e2efad5fa2abb49f86e9c0ad6ac27234",
+            "report.csv": "2b75453da4029e67c25a784a65b5c4f88231d0476d0a022056a0c26a16d91e68",
+        }
 
     def test_checkpoint_loaded_once_outputs_unchanged(self, tmp_path, monkeypatch):
         # Oracle: every lr candidate restores from a fresh read of the file.

@@ -116,7 +116,7 @@ def test_every_op_returns_2d_float64(rng):
         "mean_all": lambda: T.mean_all(a),
         "row_sum": lambda: T.row_sum(a),
         "concat_cols": lambda: T.concat_cols([a, w.values[:1].repeat(4, axis=0)]),
-        "embedding_lookup": lambda: T.embedding_lookup(w, [0, 2, 2]),
+        "embed_concat": lambda: T.embed_concat(a.values, [w], [[0], [2], [2], [1]], [2]),
         "softmax_cross_entropy": lambda: T.softmax_cross_entropy(a, [0, 1, 2, 0]),
     }
     public_ops = {
@@ -207,11 +207,92 @@ class TestMiscOps:
 
     def test_embedding_lookup_scatter(self, rng):
         table = T.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        out = T.embedding_lookup(table, [1, 1, 4], frozen_rows=(4,))
+        out = T.embed_concat(np.zeros((3, 0)), [table], [[1], [1], [4]], [4])
         T.sum_all(out).backward()
         expected = np.zeros((5, 3))
         expected[1] = 2.0  # index 1 gathered twice, frozen row 4 stays zero
         np.testing.assert_array_equal(table.grad, expected)
+
+
+def reference_embed_concat(cont, tables, cats, frozen_rows, g):
+    """Per-column lookups joined by concatenation, each table's gradient
+    scattered by ``np.add.at``: the composition ``embed_concat`` replaces."""
+    values = np.concatenate([cont] + [t[cats[:, j]] for j, t in enumerate(tables)], axis=1)
+    grads, lo = [], cont.shape[1]
+    for j, (t, frozen) in enumerate(zip(tables, frozen_rows)):
+        gt = np.zeros_like(t)
+        np.add.at(gt, cats[:, j], g[:, lo : lo + t.shape[1]])
+        gt[frozen] = 0.0
+        grads.append(gt)
+        lo += t.shape[1]
+    return values, grads
+
+
+class TestEmbedConcat:
+    def test_bit_identical_to_per_column_reference(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.example(batch=64, m_cont=0, width=8, vocabs=[3, 5, 7],
+                            trainable=[True, False, True, True], seed=0)
+        @hypothesis.given(
+            batch=st.integers(1, 130),
+            m_cont=st.integers(0, 3),
+            width=st.integers(1, 8),
+            vocabs=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+            trainable=st.lists(st.booleans(), min_size=4, max_size=4),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(batch, m_cont, width, vocabs, trainable, seed):
+            make = np.random.default_rng(seed)
+            cont = make.standard_normal((batch, m_cont))
+            arrays = [make.standard_normal((v + 1, width)) for v in vocabs]
+            # Small vocabularies repeat indices; index v is the corruption row.
+            cats = np.stack([make.integers(0, v + 1, size=batch) for v in vocabs], axis=1)
+            g = make.standard_normal((batch, m_cont + width * len(vocabs)))
+            g[make.random(g.shape) < 0.2] = -0.0
+            tables = [T.Tensor(a, requires_grad=r) for a, r in zip(arrays, trainable)]
+            out = T.embed_concat(cont, tables, cats, vocabs)
+            out.backward(grad=g)
+            values, grads = reference_embed_concat(cont, arrays, cats, vocabs, g)
+            assert np.array_equal(out.values.view(np.int64), values.view(np.int64))
+            for t, expected in zip(tables, grads):
+                if t.requires_grad:
+                    assert np.array_equal(t.grad.view(np.int64), expected.view(np.int64))
+                else:
+                    assert t.grad is None
+
+        check()
+
+    def test_gradient(self, rng):
+        tables = [T.Tensor(rng.uniform(-1, 1, size=(v, 3)), requires_grad=True) for v in (3, 5)]
+        cont = rng.uniform(-1, 1, size=(6, 2))
+        cats = np.array([[0, 4], [1, 1], [1, 3], [2, 0], [0, 4], [1, 2]])
+        # A non-uniform upstream gradient, so each row's weight differs.
+        weights = T.Tensor(rng.uniform(-1, 1, size=(6, 8)))
+
+        def loss():
+            return T.sum_all(T.mul(T.embed_concat(cont, tables, cats, [2, 4]), weights))
+
+        loss().backward()
+        for t, frozen in zip(tables, (2, 4)):
+            expected = finite_diff_grad(lambda: loss().item(), t.values)
+            expected[frozen] = 0.0
+            assert rel_err(t.grad, expected) < 1e-8
+            assert not t.grad[frozen].any()
+
+    # Index 3 is in range of the second table only.
+    @pytest.mark.parametrize("cats", [[[0, 1], [2, -1]], [[0, 1], [2, 4]], [[0, 1], [3, 3]]])
+    def test_index_out_of_range(self, cats):
+        tables = [T.Tensor(np.zeros((3, 2))), T.Tensor(np.zeros((4, 2)))]
+        with pytest.raises(ValidationError, match="out of range"):
+            T.embed_concat(np.zeros((2, 1)), tables, cats, [2, 3])
+
+    def test_unequal_widths(self):
+        tables = [T.Tensor(np.zeros((3, 2))), T.Tensor(np.zeros((3, 3)))]
+        with pytest.raises(ShapeError, match="width"):
+            T.embed_concat(np.zeros((2, 1)), tables, [[0, 1], [2, 2]], [2, 2])
 
 
 class TestSgdOptimizer:
