@@ -32,14 +32,14 @@ def run_method(ds, method, seed):
         finetune_encoders=FINETUNE_ENCODERS[method],
     )
     parties = vfl.make_parties(ds, cfg, "simsiam", seed)
-    network = hssl.make_network(2)
+    network = vfl.Network()
     pipeline = hssl.PipelineConfig(
         preset=method, variant="simsiam", global_iterations=10, batch_size=128
     )
     hssl.pretrain(ds, parties, network, pipeline, seed=seed)
     messages = dict(network.counts)
 
-    trainer = vfl.SplitTrainer(parties, hssl.make_network(2), 0.01)
+    trainer = vfl.SplitTrainer(parties, vfl.Network(), 0.01)
     rng = np.random.default_rng((seed, 100, 0))
     accs = []
     for epoch in range(10):

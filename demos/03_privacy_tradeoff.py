@@ -33,7 +33,7 @@ def main():
         preset="FedHSSL", variant="simsiam",
         global_iterations=10, batch_size=128,
     )
-    hssl.pretrain(ds, parties, hssl.make_network(2), pipeline, seed=SEED)
+    hssl.pretrain(ds, parties, vfl.Network(), pipeline, seed=SEED)
     snapshot = [
         {name: p.values.copy() for name, p in m.model.named_params()}
         for m in parties
@@ -46,7 +46,7 @@ def main():
             for name, p in party.model.named_params():
                 p.values[:] = blob[name]
         trainer = vfl.SplitTrainer(
-            parties, hssl.make_network(2), 0.003,
+            parties, vfl.Network(), 0.003,
             lambda_f=lam, noise_rng=np.random.default_rng((SEED, 5)),
         )
         rng = np.random.default_rng((SEED, 100, 0))

@@ -233,7 +233,7 @@ def cmd_gen_data(config, out_dir):
 
 def _pretrained_parties(config, dataset, seed):
     nodes = _restore_parties(config, dataset, seed, None)
-    net = hssl.make_network(dataset.num_parties)
+    net = vfl.Network()
     trace = []
     if config["pipeline"]["pretrain"]:
         trace = hssl.pretrain(dataset, nodes, net, hssl.PipelineConfig(**config["pipeline"]),
@@ -298,7 +298,7 @@ def _finetune_once(config, dataset, nodes, seed, labeled_count, learning_rate,
     if len(train_ids) == 0:
         raise DataError("labeled subset too small to split off validation")
 
-    net = hssl.make_network(dataset.num_parties)
+    net = vfl.Network()
     trainer = vfl.SplitTrainer(nodes, net, learning_rate, lambda_f=lambda_f,
                                noise_rng=np.random.default_rng((seed, 5)))
     shuffle = np.random.default_rng((seed, 6))
@@ -450,6 +450,8 @@ def parse_sweep(text):
         raise ConfigError(f"non-numeric sweep value in {values!r}") from exc
     if not parsed:
         raise ConfigError("sweep needs at least one value")
+    if not all(map(math.isfinite, parsed)):
+        raise ConfigError(f"sweep values must be finite, got {values!r}")
     return key, parsed
 
 

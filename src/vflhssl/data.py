@@ -16,14 +16,12 @@ import hashlib
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-
-CORRUPTION_WARNING_KEY = "unknown_categorical_levels"
 
 
 @dataclass
@@ -58,7 +56,6 @@ class VerticalDataset:
     labels: dict                  # id -> class index (party 1 only)
     test_ids: np.ndarray
     num_classes: int
-    warnings: dict = field(default_factory=dict)
 
     def __post_init__(self):
         aligned = set(map(int, self.aligned_ids))
@@ -358,8 +355,8 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
     one file become that party's unaligned set. Continuous columns are
     z-scored with statistics of the aligned training rows. When
     ``cat_levels`` pins the known level vocabulary per categorical
-    column, unknown levels map to the corruption index and bump the
-    warning counter; otherwise levels are coded in order of appearance.
+    column, unknown levels map to the corruption index; otherwise levels
+    are coded in order of appearance.
     """
     cat_cols = cat_cols or [() for _ in paths]
     if len(cat_cols) != len(paths) or len(cat_levels or paths) != len(paths):
@@ -383,7 +380,6 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
             raise DataError(f"{path}: missing id column {id_col!r}")
         tables.append((header, rows))
 
-    warnings = {CORRUPTION_WARNING_KEY: 0}
     parsed = []
     labels = {}
     for p, (header, rows) in enumerate(tables):
@@ -432,7 +428,6 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
             for r, raw in enumerate(c[j] for c in cats):
                 if raw not in levels[j]:
                     if pinned is not None:
-                        warnings[CORRUPTION_WARNING_KEY] += 1
                         coded[r, j] = len(levels[j])  # corruption index
                         continue
                     levels[j][raw] = len(levels[j])
@@ -493,5 +488,4 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
         labels=labels,
         test_ids=test_ids,
         num_classes=classes,
-        warnings=warnings,
     )

@@ -28,7 +28,7 @@ from .data import augment, batches
 from .errors import ConfigError, ProtocolError
 from .privacy import iso_perturb
 from .ssl import VARIANTS, ssl_loss
-from .vfl import MSG_MODEL_BLOB, MSG_REPR, Network, WireMessage
+from .vfl import MSG_MODEL_BLOB, MSG_REPR
 
 SERVER_ID = 0
 
@@ -121,12 +121,10 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
         for p in parties:
             values[p.party_id] = p.model.cross.forward(*p.features(batch_ids)).values
         outgoing_active = iso_perturb(values[1], lambda_p, noise_rng)
+        received = {1: {}}
         for p in parties[1:]:
-            network.send(1, p.party_id, WireMessage(MSG_REPR, rnd, 1, outgoing_active))
-            network.send(p.party_id, 1, WireMessage(MSG_REPR, rnd, p.party_id, values[p.party_id]))
-        received = {1: {p.party_id: network.recv(1, p.party_id).payload for p in parties[1:]}}
-        for p in parties[1:]:
-            received[p.party_id] = {1: network.recv(p.party_id, 1).payload}
+            received[p.party_id] = {1: network.send(1, p.party_id, MSG_REPR, rnd, outgoing_active)}
+            received[1][p.party_id] = network.send(p.party_id, 1, MSG_REPR, rnd, values[p.party_id])
 
         # Update phase: e steps against the cached peer representations.
         for p in parties:
@@ -134,7 +132,7 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
                 pred = p.model.h_c.forward(p.model.cross.forward(*p.features(batch_ids)))
                 feeds = []
                 loss = _mean_loss([
-                    _term(p, variant, f"cross_recv_{peer_id}", pred, target_values, feeds)
+                    _term(p, variant, f"cross_peer_{peer_id}", pred, target_values, feeds)
                     for peer_id, target_values in sorted(received[p.party_id].items())
                 ])
                 loss.backward()
@@ -196,23 +194,6 @@ def guided_local_ssl_epoch(party, ids, variant, gamma, corruption_fraction, opti
     return float(np.mean(losses)) if losses else float("nan")
 
 
-def _server_round(network, rnd, num_parties):
-    """Server side of PMA: receive every party's blob, broadcast the
-    uniform parameter-wise mean (stacked in party order)."""
-    blobs = []
-    for pid in range(1, num_parties + 1):
-        msg = network.recv(SERVER_ID, pid)
-        if msg.msg_type != MSG_MODEL_BLOB:
-            raise ProtocolError(f"server expected ModelBlob, got {msg.msg_type}")
-        blobs.append(msg.payload)
-    shapes = {b.shape for b in blobs}
-    if len(shapes) != 1:
-        raise ProtocolError(f"blob shapes disagree across parties: {shapes}")
-    mean_blob = np.mean(np.stack(blobs), axis=0)
-    for pid in range(1, num_parties + 1):
-        network.send(SERVER_ID, pid, WireMessage(MSG_MODEL_BLOB, rnd, SERVER_ID, mean_blob))
-
-
 def _flatten_pma(stack):
     return np.concatenate([p.values.reshape(-1) for _, p in stack.named_pma_params()])
 
@@ -230,20 +211,26 @@ def _unflatten_pma(stack, flat):
 def partial_model_aggregation(parties, network, lambda_p=0.0, noise_rng=None):
     """Step 3: average f_lt and h_l across parties and broadcast back.
 
-    Party 1's outgoing blob carries ISO noise of strength lambda_p.
-    f_lb and EMA target state are untouched.
+    Every party uploads its blob to the server, which broadcasts the
+    uniform parameter-wise mean (stacked in party order). Party 1's
+    outgoing blob carries ISO noise of strength lambda_p. f_lb and EMA
+    target state are untouched.
     """
     parties = sorted(parties, key=lambda p: p.party_id)
     rnd = network.next_round()
+    blobs = []
     for p in parties:
         blob = _flatten_pma(p.model)
         if p.party_id == 1:
             blob = iso_perturb(blob, lambda_p, noise_rng).reshape(-1)
-        network.send(p.party_id, SERVER_ID, WireMessage(MSG_MODEL_BLOB, rnd, p.party_id, blob))
-    _server_round(network, rnd, len(parties))
+        blobs.append(network.send(p.party_id, SERVER_ID, MSG_MODEL_BLOB, rnd, blob))
+    shapes = {b.shape for b in blobs}
+    if len(shapes) != 1:
+        raise ProtocolError(f"blob shapes disagree across parties: {shapes}")
+    mean_blob = np.mean(np.stack(blobs), axis=0)
     for p in parties:
-        msg = network.recv(p.party_id, SERVER_ID)
-        _unflatten_pma(p.model, msg.payload.reshape(-1))
+        _unflatten_pma(p.model, network.send(SERVER_ID, p.party_id, MSG_MODEL_BLOB, rnd,
+                                             mean_blob).reshape(-1))
 
 
 def pretrain(dataset, parties, network, config: PipelineConfig, seed=0):
@@ -299,7 +286,3 @@ def pretrain(dataset, parties, network, config: PipelineConfig, seed=0):
                 trace.append({"iteration": it, "party": p.party_id, "step": "pma", "loss": None})
 
     return trace
-
-
-def make_network(num_parties):
-    return Network([SERVER_ID] + list(range(1, num_parties + 1)))

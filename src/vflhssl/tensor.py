@@ -402,14 +402,13 @@ class SgdOptimizer:
     """SGD with momentum over a fixed parameter list.
 
     step(): v <- momentum*v + grad; theta -= lr*v;
-    gradients are zeroed afterwards. Parameters without a gradient (or
-    with requires_grad off) are untouched.
+    gradients are zeroed afterwards. Every parameter must hold a
+    gradient when the optimizer steps.
 
     The parameters are packed into one contiguous buffer: each
     ``Tensor.values`` becomes a view of it, so every writer must write in
-    place, and a step with every gradient present updates the whole
-    buffer at once. A later optimizer that packs a parameter takes it
-    over; this one then refuses to step.
+    place, and a step updates the whole buffer at once. A later optimizer
+    that packs a parameter takes it over; this one then refuses to step.
     """
 
     def __init__(self, params, learning_rate, momentum=0.9):
@@ -425,28 +424,18 @@ class SgdOptimizer:
         offsets = np.cumsum([0] + [p.values.size for p in self.params])
         self._values, self._grad = np.empty(offsets[-1]), np.empty(offsets[-1])
         self._velocity = np.zeros(offsets[-1])
-        self._velocities = []
         for p, lo, hi in zip(self.params, offsets[:-1], offsets[1:]):
             self._values[lo:hi] = p.values.reshape(-1)
             p.values = self._values[lo:hi].reshape(p.shape)
-            self._velocities.append(self._velocity[lo:hi].reshape(p.shape))
-
-    def _update(self, theta, v, g):
-        v *= self.momentum
-        v += g
-        theta -= self.learning_rate * v
 
     def step(self):
         if any(p.values.base is not self._values for p in self.params):
             raise ValidationError("a parameter was packed by a later optimizer")
-        grads = [p.grad for p in self.params if p.requires_grad and p.grad is not None]
-        if grads and len(grads) == len(self.params):
-            np.concatenate(grads, axis=None, out=self._grad)
-            self._update(self._values, self._velocity, self._grad)
-            for p in self.params:
-                p.grad = None
-            return
-        for p, v in zip(self.params, self._velocities):
-            if p.requires_grad and p.grad is not None:
-                self._update(p.values, v, p.grad)
-                p.grad = None
+        if any(p.grad is None for p in self.params):
+            raise ValidationError("a parameter has no gradient to step")
+        np.concatenate([p.grad for p in self.params], axis=None, out=self._grad)
+        self._velocity *= self.momentum
+        self._velocity += self._grad
+        self._values -= self.learning_rate * self._velocity
+        for p in self.params:
+            p.grad = None

@@ -1,7 +1,8 @@
 """Party runtime, binary message protocol and the supervised split network.
 
-Every message is encoded to the binary wire format on send and decoded
-on receive, even in-process. The active party (id 1) coordinates:
+Every message crosses the binary wire format, even in-process:
+``Network.send`` encodes the frame, counts it and returns what the
+receiver decodes. The active party (id 1) coordinates:
 passives send representations forward, the active party returns
 per-party gradients, every party steps its own optimizer. The gradients
 sent back to passive parties carry ISO noise of strength lambda_f, added
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 
@@ -78,13 +79,12 @@ def decode_message(raw: bytes) -> WireMessage:
 
 
 class Network:
-    """Full mesh of FIFO frame queues between node ids (0 = server,
-    1..K = parties). Frames are validated per (link, sender, type): a
-    round may not regress. ``counts`` and ``bytes`` tally frames and wire
-    bytes per message type."""
+    """In-process wire between node ids (0 = server, 1..K = parties).
+    Every frame is encoded, tallied and decoded where it is sent. A round
+    may not regress on a (src, dst, type) stream. ``counts`` and ``bytes``
+    tally frames and wire bytes per message type."""
 
-    def __init__(self, node_ids):
-        self._links = {(a, b): deque() for a in node_ids for b in node_ids if a != b}
+    def __init__(self):
         self._last_round = {}
         self.counts = Counter()
         self.bytes = Counter()
@@ -95,29 +95,21 @@ class Network:
         self._round += 1
         return self._round
 
-    def send(self, src, dst, msg: WireMessage):
-        """Queue the encoded frame on the src -> dst link; returns its length in bytes."""
-        raw = encode_message(msg)
-        self._links[(src, dst)].append(raw)
-        self.counts[MSG_NAMES[msg.msg_type]] += 1
-        self.bytes[MSG_NAMES[msg.msg_type]] += len(raw)
-        return len(raw)
-
-    def recv(self, dst, src) -> WireMessage:
-        """Oldest frame on the src -> dst link; an empty link is a protocol error."""
-        link = self._links[(src, dst)]
-        if not link:
-            raise ProtocolError(f"no frame queued from node {src} to node {dst}")
-        msg = decode_message(link.popleft())
-        key = (src, dst, msg.sender, msg.msg_type)
+    def send(self, src, dst, msg_type, rnd, payload):
+        """Deliver one frame from src to dst; returns the payload dst decodes."""
+        raw = encode_message(WireMessage(msg_type, rnd, src, payload))
+        self.counts[MSG_NAMES[msg_type]] += 1
+        self.bytes[MSG_NAMES[msg_type]] += len(raw)
+        msg = decode_message(raw)
+        key = (src, dst, msg.msg_type)
         last = self._last_round.get(key)
         if last is not None and msg.round <= last:
             raise ProtocolError(
-                f"round regression for sender {msg.sender} type {MSG_NAMES[msg.msg_type]}: "
-                f"{msg.round} after {last}"
+                f"round regression from node {src} to node {dst} type "
+                f"{MSG_NAMES[msg.msg_type]}: {msg.round} after {last}"
             )
         self._last_round[key] = msg.round
-        return msg
+        return msg.payload
 
 
 class PartyNode:
@@ -192,11 +184,9 @@ class SplitTrainer:
         rnd = self.network.next_round()
 
         reps = [p.finetune_forward(ids) for p in self.parties]
-        for p, z in zip(self.parties[1:], reps[1:]):
-            self.network.send(p.party_id, 1, WireMessage(MSG_REPR, rnd, p.party_id, z.values))
         received = [
-            T.Tensor(self.network.recv(1, p.party_id).payload, requires_grad=True)
-            for p in self.parties[1:]
+            T.Tensor(self.network.send(p.party_id, 1, MSG_REPR, rnd, z.values), requires_grad=True)
+            for p, z in zip(self.parties[1:], reps[1:])
         ]
 
         joined = _aggregate([reps[0]] + received, self.aggregator)
@@ -204,12 +194,9 @@ class SplitTrainer:
         loss = T.softmax_cross_entropy(logits, labels)
         loss.backward()
 
-        for p, r in zip(self.parties[1:], received):
+        for p, r, z in zip(self.parties[1:], received, reps[1:]):
             g = iso_perturb(r.grad, self.lambda_f, self.noise_rng)
-            self.network.send(1, p.party_id, WireMessage(MSG_GRAD, rnd, 1, g))
-        for p, z in zip(self.parties[1:], reps[1:]):
-            g = self.network.recv(p.party_id, 1).payload
-            z.backward(grad=g)
+            z.backward(grad=self.network.send(1, p.party_id, MSG_GRAD, rnd, g))
 
         for opt in self.optimizers:
             opt.step()

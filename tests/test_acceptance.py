@@ -54,13 +54,13 @@ def pretrained_parties(ds, method, seed, global_iterations=10):
             preset=method, variant="simsiam",
             global_iterations=global_iterations, batch_size=128,
         )
-        hssl.pretrain(ds, nodes, hssl.make_network(2), cfg, seed=seed)
+        hssl.pretrain(ds, nodes, vfl.Network(), cfg, seed=seed)
     return nodes
 
 
 def finetune_and_score(ds, nodes, seed, restart, epochs=10, lr=0.01, lambda_f=0.0):
     trainer = vfl.SplitTrainer(
-        nodes, hssl.make_network(2), lr,
+        nodes, vfl.Network(), lr,
         lambda_f=lambda_f, noise_rng=np.random.default_rng((seed, 5)),
     )
     rng = np.random.default_rng((seed, 100, restart))
@@ -156,7 +156,7 @@ def test_criterion_2_split_training_matches_monolithic_oracle():
     ds = bench_dataset()
     cfg = bench_model_config("concat")
     split_nodes = vfl.make_parties(ds, cfg, "simsiam", 3)
-    trainer = vfl.SplitTrainer(split_nodes, hssl.make_network(2), 0.05)
+    trainer = vfl.SplitTrainer(split_nodes, vfl.Network(), 0.05)
 
     mono_nodes = vfl.make_parties(ds, cfg, "simsiam", 3)
     mono_opts = [T.SgdOptimizer(p.model.params_finetune(), 0.05, momentum=0.9)
@@ -222,7 +222,7 @@ def test_criterion_4_stop_gradient_and_step_isolation():
     # the three pipeline steps mutate disjoint parameter sets
     ds = bench_dataset()
     nodes = vfl.make_parties(ds, bench_model_config("concat"), "simsiam", 1)
-    net = hssl.make_network(2)
+    net = vfl.Network()
 
     def changed(node, before):
         return {
@@ -266,7 +266,7 @@ def test_criterion_5_pma_mean_and_broadcast():
         {n: p.values.copy() for n, p in node.model.named_pma_params()}
         for node in nodes
     ]
-    hssl.partial_model_aggregation(nodes, hssl.make_network(2))
+    hssl.partial_model_aggregation(nodes, vfl.Network())
     for node in nodes:
         for name, p in node.model.named_pma_params():
             expected = (originals[0][name] + originals[1][name]) / 2.0
@@ -393,7 +393,7 @@ def test_criterion_10_message_counts_closed_form():
     n_batches = int(np.ceil(len(ds.aligned_ids) / batch_size))
     for local_updates in (1, 4, 8):
         nodes = vfl.make_parties(ds, bench_model_config("concat"), "simsiam", 0)
-        net = hssl.make_network(2)
+        net = vfl.Network()
         opts = {
             p.party_id: CountingOptimizer(p.model.params_cross(), 0.03)
             for p in nodes
@@ -422,7 +422,7 @@ def test_criterion_11_bit_identical_determinism(tmp_path):
         cfg = hssl.PipelineConfig(
             variant="byol", global_iterations=2, batch_size=64,
         )
-        hssl.pretrain(ds, nodes, hssl.make_network(2), cfg, seed=4)
+        hssl.pretrain(ds, nodes, vfl.Network(), cfg, seed=4)
         path = tmp_path / f"{name}.bin"
         nn.save_checkpoint(path, [p.model for p in nodes], "cfg", seeds=[4])
         return path.read_bytes()

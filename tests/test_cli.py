@@ -97,6 +97,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cli.parse_sweep("gamma=a,b")
 
+    @pytest.mark.parametrize("values", ["inf", "nan", "0.5,-inf", "NaN,0.5"])
+    def test_parse_sweep_rejects_non_finite(self, values):
+        with pytest.raises(ConfigError, match="finite"):
+            cli.parse_sweep(f"gamma={values}")
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
@@ -274,12 +279,13 @@ class TestExitCodes:
         ])
         assert code == 4
 
-    def test_missing_frame_is_4(self, cfg_path, tmp_path, capsys, monkeypatch):
-        # A frame that never arrives fails the receive instead of blocking.
-        monkeypatch.setattr(vfl.Network, "send", lambda self, src, dst, msg: 0)
+    def test_corrupted_frame_is_4(self, cfg_path, tmp_path, capsys, monkeypatch):
+        # A frame cut short on the wire fails its decode where it is sent.
+        encode = vfl.encode_message
+        monkeypatch.setattr(vfl, "encode_message", lambda msg: encode(msg)[:-1])
         assert cli.main(["pretrain", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
-        assert "no frame queued" in err and "Traceback" not in err
+        assert "frame length does not match" in err and "Traceback" not in err
 
     def test_malformed_checkpoint_entry_is_4(self, cfg_path, tmp_path, capsys):
         header = json.dumps({"config_fingerprint": "0", "seeds": [0],
@@ -451,6 +457,40 @@ class TestFinetuneAndAttack:
             "report.csv": "2b75453da4029e67c25a784a65b5c4f88231d0476d0a022056a0c26a16d91e68",
         }
 
+    def test_three_party_moco_outputs_pinned(self, tmp_path):
+        # Two peers per exchange at party 1, two updates per exchange,
+        # ISO noise on party 1's Repr and PMA blob, and a noisy split
+        # network under attack; the hashes were measured when every frame
+        # still waited in a per-link queue for its receive.
+        cfg = {
+            "data": {"synthetic": {
+                "classes": 3, "parties": 3, "aligned": 60, "unaligned": [30, 30, 30],
+                "labeled": 48, "test": 30, "feature_dims": [6, 5, 4],
+                "noise_scales": [0.5, 1.0, 1.5], "cat_cardinalities": [[], [], []],
+                "latent_dim": 4, "class_sep": 2.0,
+            }},
+            "pipeline": {"global_iterations": 2, "batch_size": 32, "local_updates": 2,
+                         "lambda_p": 0.5},
+            "finetune": {"labeled_counts": [32], "lr_candidates": [0.03], "epochs": 3,
+                         "batch_size": 32},
+            "privacy": {"lambda_f": [1.0, 5.0], "aux_labeled_count": 15, "attack_epochs": 5},
+            "seeds": [0],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["pretrain", "--config", str(path), "--preset", "fedhssl-moco",
+                         "--out", str(out)]) == 0
+        assert cli.main(["attack", "--config", str(path), "--preset", "fedhssl-moco",
+                         "--out", str(out), "--checkpoint", str(out / "checkpoint.bin")]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("checkpoint.bin", "trace.json", "attack.json")}
+        assert digests == {
+            "checkpoint.bin": "8d4f638235c00a0c103294653d008e31032a41a19b724f2dda6f6cb299bd51f9",
+            "trace.json": "03577be877dd9270d952c390e92d8f251baec941b79aa8728f7b859f88bee5fc",
+            "attack.json": "a88f0fd1876f90338852e147de4d038f39f823fd05b22803a96451157be493bf",
+        }
+
     def test_checkpoint_loaded_once_outputs_unchanged(self, tmp_path, monkeypatch):
         # Oracle: every lr candidate restores from a fresh read of the file.
         cfg = json.loads(json.dumps(TINY))
@@ -563,6 +603,14 @@ class TestSweep:
         assert cli.main([command, "--config", cfg_path, "--out", str(out),
                          "--sweep", "aligned=0.5,0"]) == 2
         assert "aligned_fraction" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep", ["gamma=inf", "gamma=0.5,nan", "aligned=nan"])
+    def test_non_finite_swept_value_is_2(self, cfg_path, tmp_path, capsys, sweep):
+        out = tmp_path / "out"
+        assert cli.main(["pretrain", "--config", cfg_path, "--out", str(out),
+                         "--sweep", sweep]) == 2
+        assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_pipeline_gamma_overrides_preset(self, tmp_path):

@@ -337,9 +337,8 @@ class TestCsv:
             cat_levels=[(("red", "blue"),), ()],
             test_fraction=0.0, standardize=False,
         )
-        assert loaded.warnings[data.CORRUPTION_WARNING_KEY] == 1
-        _, cats = loaded.rows(0, [3])
-        assert cats[0, 0] == 2  # corruption index == pinned vocabulary size
+        _, cats = loaded.rows(0, [1, 2, 3])
+        assert cats[:, 0].tolist() == [0, 1, 2]  # teal: corruption index == vocabulary size
 
     @pytest.mark.parametrize("cat_levels", [[(("red",),)], [(), ()], [(("red",), ("x",)), ()]])
     def test_cat_levels_need_one_list_per_party_and_column(self, tmp_path, cat_levels):

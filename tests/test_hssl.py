@@ -28,7 +28,7 @@ def desk_dataset(parties=2, aligned=48, seed=5):
 def setup(parties=2, variant="simsiam", seed=3, aligned=48):
     ds = desk_dataset(parties=parties, aligned=aligned)
     nodes = vfl.make_parties(ds, desk_cfg(num_parties=parties), variant, seed)
-    net = hssl.make_network(parties)
+    net = vfl.Network()
     return ds, nodes, net
 
 
@@ -183,9 +183,9 @@ class TestPretrainNoise:
         frames = []
         send = vfl.Network.send
 
-        def spy(net, src, dst, msg):
-            frames.append((src, dst, msg.payload.copy()))
-            return send(net, src, dst, msg)
+        def spy(net, src, dst, msg_type, rnd, payload):
+            frames.append((src, dst, payload.copy()))
+            return send(net, src, dst, msg_type, rnd, payload)
 
         monkeypatch.setattr(vfl.Network, "send", spy)
         return frames
@@ -372,14 +372,14 @@ class TestPretrain:
 
     def test_moco_cross_queue_takes_one_batch_per_exchange(self):
         # local_updates=2 steps twice against one exchange; the peers'
-        # batch still enters each cross_recv queue once.
+        # batch still enters each cross_peer queue once.
         ds, nodes, net = setup(parties=3, variant="moco")
         opts = {p.party_id: T.SgdOptimizer(p.model.params_cross(), 0.05) for p in nodes}
         ids = ds.aligned_ids
         hssl.cross_party_ssl_epoch(nodes, net, ids, "moco", opts, batch_size=len(ids),
                                    local_updates=2)
         assert {p.party_id: sorted(p.queues) for p in nodes} == {
-            1: ["cross_recv_2", "cross_recv_3"], 2: ["cross_recv_1"], 3: ["cross_recv_1"],
+            1: ["cross_peer_2", "cross_peer_3"], 2: ["cross_peer_1"], 3: ["cross_peer_1"],
         }
         assert all(len(q) == len(ids) for p in nodes for q in p.queues.values())
 
@@ -389,6 +389,6 @@ class TestPretrain:
             variant="moco", global_iterations=1, batch_size=16,
         )
         hssl.pretrain(ds, nodes, net, cfg, seed=0)
-        assert any(name.startswith("cross_recv_") for name in nodes[0].queues)
+        assert any(name.startswith("cross_peer_") for name in nodes[0].queues)
         assert "local_a" in nodes[0].queues and "guide_a" in nodes[0].queues
         assert all(len(q) > 0 for q in nodes[0].queues.values())
