@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import hashlib
 import inspect
 import json
 import math
@@ -178,8 +179,9 @@ def load_config(path=None, preset=None):
 
 
 def config_fingerprint(config):
+    """SHA-256 of the data, model and pipeline sections, which fix a checkpoint."""
     core = {k: config[k] for k in ("data", "model", "pipeline")}
-    return nn.config_fingerprint(core)
+    return hashlib.sha256(json.dumps(core, sort_keys=True, default=str).encode()).hexdigest()
 
 
 def build_dataset(config):

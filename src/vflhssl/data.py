@@ -347,6 +347,64 @@ def _list_of(value, item_types):
     return isinstance(value, (list, tuple)) and all(isinstance(v, item_types) for v in value)
 
 
+def _read_party(path, p, id_col, label_col, cat_cols, cat_levels):
+    """Party ``p``'s file in one pass over its rows: the id -> row dict in
+    file order, the continuous block, the coded categorical block, the
+    cardinalities and the labels (none when ``label_col`` is None)."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, UnicodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if id_col not in header:
+        raise DataError(f"{path}: missing id column {id_col!r}")
+    id_at = header.index(id_col)
+    label_at = header.index(label_col) if label_col in header else None
+    features = [(j, name) for j, name in enumerate(header) if j not in (id_at, label_at)]
+    cont_cols = [(j, name) for j, name in features if name not in cat_cols]
+    cat_at = [j for j, name in features if name in cat_cols]
+    if cat_levels is None:  # levels coded in order of appearance
+        levels, code = [{} for _ in cat_at], dict.setdefault
+    elif len(cat_levels) != len(cat_at):
+        raise ConfigError(f"cat_levels needs one level list per categorical column "
+                          f"of party {p + 1}")
+    else:  # an unknown level gets the corruption index, the vocabulary size
+        levels, code = [{str(lvl): k for k, lvl in enumerate(col)} for col in cat_levels], dict.get
+    index, cont, cats, labels = {}, [], [], {}
+    for row in rows:
+        if len(row) < len(header):
+            raise DataError(f"party {p + 1} file: row of {len(row)} cells under "
+                            f"a {len(header)}-column header")
+        sid = _int_cell(row[id_at], "id", p)
+        if sid in index:
+            raise DataError(f"duplicate id {sid} in party {p + 1} file")
+        index[sid] = len(index)
+        try:
+            cont.append([float(row[j]) for j, _ in cont_cols])
+        except ValueError as exc:
+            name, cell = next((name, row[j]) for j, name in cont_cols if not _is_float(row[j]))
+            raise DataError(
+                f"{path}: non-numeric cell {cell!r} in column {name!r} for id {sid}; "
+                f"list a categorical column in data.csv.cat_cols"
+            ) from exc
+        cats.append([code(lv, row[j], len(lv)) for lv, j in zip(levels, cat_at)])
+        if label_at is not None and row[label_at] != "":
+            labels[sid] = _int_cell(row[label_at], "label", p, low=0)
+    cont = np.array(cont, dtype=np.float64).reshape(len(index), len(cont_cols))
+    finite = np.isfinite(cont).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite continuous cell for id {list(index)[int(finite.argmin())]}")
+    if max(labels.values(), default=-1) >= len(labels):
+        raise DataError(f"{path}: label {max(labels.values())} is not below the file's "
+                        f"{len(labels)} labeled rows; labels are the class indices 0..C-1")
+    cats = np.array(cats, dtype=np.int64).reshape(len(index), len(cat_at))
+    return index, cont, cats, tuple(map(len, levels)), labels
+
+
 def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=None,
              test_fraction=0.2, labeled_count=None, seed=0, standardize=True):
     """Join per-party CSV files on the id column into a VerticalDataset.
@@ -356,7 +414,8 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
     z-scored with statistics of the aligned training rows. When
     ``cat_levels`` pins the known level vocabulary per categorical
     column, unknown levels map to the corruption index; otherwise levels
-    are coded in order of appearance.
+    are coded in order of appearance. Party 1's labels are the class
+    indices: the largest must be below the file's labeled row count.
     """
     cat_cols = cat_cols or [() for _ in paths]
     if len(cat_cols) != len(paths) or len(cat_levels or paths) != len(paths):
@@ -365,95 +424,21 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
             all(_list_of(levels, (list, tuple)) for levels in cat_levels or ())):
         raise ConfigError("each party's cat_cols must be a list of column names and its "
                           "cat_levels a list of level lists")
-    tables = []
-    for p, path in enumerate(paths):
-        try:
-            with open(path, newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                rows = list(reader)
-        except (OSError, UnicodeError, csv.Error) as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if id_col not in header:
-            raise DataError(f"{path}: missing id column {id_col!r}")
-        tables.append((header, rows))
-
-    parsed = []
-    labels = {}
-    for p, (header, rows) in enumerate(tables):
-        id_at = header.index(id_col)
-        label_at = header.index(label_col) if (p == 0 and label_col in header) else None
-        feature_cols = [
-            (j, name) for j, name in enumerate(header) if j not in (id_at, label_at)
-        ]
-        cat_names = set(cat_cols[p])
-        cont_cols = [(j, name) for j, name in feature_cols if name not in cat_names]
-        cat_cols_p = [(j, name) for j, name in feature_cols if name in cat_names]
-        ids, cont, cats = [], [], []
-        seen_ids = set()
-        for row in rows:
-            if len(row) < len(header):
-                raise DataError(
-                    f"party {p + 1} file: row of {len(row)} cells under "
-                    f"a {len(header)}-column header"
-                )
-            sid = _int_cell(row[id_at], "id", p)
-            if sid in seen_ids:
-                raise DataError(f"duplicate id {sid} in party {p + 1} file")
-            seen_ids.add(sid)
-            ids.append(sid)
-            try:
-                cont.append([float(row[j]) for j, _ in cont_cols])
-            except ValueError as exc:
-                name, cell = next((name, row[j]) for j, name in cont_cols if not _is_float(row[j]))
-                raise DataError(
-                    f"{paths[p]}: non-numeric cell {cell!r} in column {name!r} for id {sid}; "
-                    f"list a categorical column in data.csv.cat_cols"
-                ) from exc
-            cats.append([row[j] for j, _ in cat_cols_p])
-            if label_at is not None and row[label_at] != "":
-                labels[sid] = _int_cell(row[label_at], "label", p, low=0)
-        pinned = cat_levels[p] if cat_levels is not None else None
-        if pinned is not None and len(pinned) != len(cat_cols_p):
-            raise ConfigError(f"cat_levels needs one level list per categorical column "
-                              f"of party {p + 1}")
-        if pinned is not None:
-            levels = [{str(lvl): k for k, lvl in enumerate(col)} for col in pinned]
-        else:
-            levels = [dict() for _ in cat_cols_p]
-        coded = np.zeros((len(ids), len(cat_cols_p)), dtype=np.int64)
-        for j in range(len(cat_cols_p)):
-            for r, raw in enumerate(c[j] for c in cats):
-                if raw not in levels[j]:
-                    if pinned is not None:
-                        coded[r, j] = len(levels[j])  # corruption index
-                        continue
-                    levels[j][raw] = len(levels[j])
-                coded[r, j] = levels[j][raw]
-        cont = np.array(cont, dtype=np.float64).reshape(len(ids), len(cont_cols))
-        finite = np.isfinite(cont).all(axis=1)
-        if not finite.all():
-            raise DataError(f"non-finite continuous cell for id {ids[int(finite.argmin())]}")
-        parsed.append({
-            "ids": np.array(ids, dtype=np.int64),
-            "cont": cont,
-            "cats": coded,
-            "cards": tuple(len(lv) for lv in levels),
-        })
-
-    id_sets = [set(map(int, t["ids"])) for t in parsed]
-    aligned = sorted(set.intersection(*id_sets))
-    if not aligned:
+    indexes, conts, codes, cards, labels = zip(*(
+        _read_party(path, p, id_col, label_col if p == 0 else None, cat_cols[p],
+                    None if cat_levels is None else cat_levels[p])
+        for p, path in enumerate(paths)
+    ))
+    labels = labels[0]
+    aligned_set = set(indexes[0]).intersection(*indexes[1:])
+    if not aligned_set:
         raise DataError("no aligned ids across parties")
-    aligned = np.array(aligned, dtype=np.int64)
+    aligned = np.array(sorted(aligned_set), dtype=np.int64)
 
     rng = np.random.default_rng(seed)
     labeled_aligned = np.array([i for i in aligned if int(i) in labels], dtype=np.int64)
     n_test = int(round(test_fraction * len(labeled_aligned)))
-    perm = rng.permutation(len(labeled_aligned))
-    test_ids = np.sort(labeled_aligned[perm[:n_test]])
+    test_ids = np.sort(labeled_aligned[rng.permutation(len(labeled_aligned))[:n_test]])
     train_aligned = np.sort(np.setdiff1d(aligned, test_ids))
     train_labeled = np.setdiff1d(labeled_aligned, test_ids)
     if labeled_count is not None:
@@ -461,31 +446,20 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
     if len(train_labeled) == 0:
         raise DataError("no labeled training samples after the test split")
 
-    blocks = []
-    unaligned_ids = []
-    for p, t in enumerate(parsed):
-        others = set.union(*(s for q, s in enumerate(id_sets) if q != p)) if len(id_sets) > 1 else set()
-        una = np.array(sorted(id_sets[p] - set(map(int, aligned)) - others), dtype=np.int64)
-        unaligned_ids.append(una)
-        cont = t["cont"]
+    blocks, unaligned_ids = [], []
+    for p, index in enumerate(indexes):
+        # An id held by some but not all parties is neither aligned nor unaligned.
+        shared = aligned_set.union(*(other for q, other in enumerate(indexes) if q != p))
+        unaligned_ids.append(np.array(sorted(index.keys() - shared), dtype=np.int64))
+        cont = conts[p]
         if standardize and cont.shape[1]:
-            index = {int(i): r for r, i in enumerate(t["ids"])}
-            train_rows = np.array([index[int(i)] for i in train_aligned], dtype=np.int64)
-            mean = cont[train_rows].mean(axis=0)
-            std = cont[train_rows].std(axis=0)
+            train = cont[[index[i] for i in train_aligned.tolist()]]
+            std = train.std(axis=0)
             std[std == 0] = 1.0
-            cont = (cont - mean) / std
-        blocks.append(PartyBlock(
-            ids=t["ids"], cont=cont, cats=t["cats"], cat_cardinalities=t["cards"]
-        ))
+            cont = (cont - train.mean(axis=0)) / std
+        blocks.append(PartyBlock(ids=np.array(list(index), dtype=np.int64), cont=cont,
+                                 cats=codes[p], cat_cardinalities=cards[p]))
 
-    classes = (max(labels.values()) + 1) if labels else 0
-    return VerticalDataset(
-        parties=blocks,
-        aligned_ids=train_aligned,
-        unaligned_ids=unaligned_ids,
-        labeled_ids=np.sort(train_labeled),
-        labels=labels,
-        test_ids=test_ids,
-        num_classes=classes,
-    )
+    return VerticalDataset(parties=blocks, aligned_ids=train_aligned, unaligned_ids=unaligned_ids,
+                           labeled_ids=np.sort(train_labeled), labels=labels, test_ids=test_ids,
+                           num_classes=max(labels.values(), default=-1) + 1)

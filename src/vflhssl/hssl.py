@@ -176,10 +176,6 @@ def guided_local_ssl_epoch(party, ids, variant, gamma, corruption_fraction, opti
                               _term(party, variant, "local_b", p2, t1, feeds)), 0.5)
         if gamma > 0:
             zc1, zc2 = model.cross.encode(*v1).values, model.cross.encode(*v2).values
-            if zc1.shape[1] != p1.cols:
-                raise ConfigError(
-                    f"guidance dims disagree: predictor {p1.cols} vs cross encoder {zc1.shape[1]}"
-                )
             guide = T.add(_term(party, variant, "guide_a", p1, zc1, feeds),
                           _term(party, variant, "guide_b", p2, zc2, feeds))
             loss = T.add(loss, T.affine(guide, gamma))
@@ -249,6 +245,12 @@ def pretrain(dataset, parties, network, config: PipelineConfig, seed=0):
     }
     steps = METHODS[config.preset]
     gamma = config.gamma if "cross" in steps else 0.0
+    if gamma > 0 and "local" in steps:
+        for p in parties:  # h_l keeps the width of the local projector's output
+            predicted = p.model.local.projector.layers[-1].weight.cols
+            if predicted != p.model.cfg.repr_dim:
+                raise ConfigError(f"guidance dims disagree: predictor {predicted} vs cross "
+                                  f"encoder {p.model.cfg.repr_dim}")
     trace = []
 
     for it in range(config.global_iterations):

@@ -13,10 +13,9 @@ top classifier for the supervised split network.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -350,18 +349,11 @@ class Checkpoint:
                 named[name].values[:] = values
 
 
-def config_fingerprint(config) -> str:
-    if isinstance(config, ModelConfig):
-        config = asdict(config)
-    blob = json.dumps(config, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def save_checkpoint(path, models, config, seeds=()):
+def save_checkpoint(path, models, fingerprint, seeds=()):
     header = {
         "version": CHECKPOINT_VERSION,
         "party_count": len(models),
-        "config_fingerprint": config if isinstance(config, str) else config_fingerprint(config),
+        "config_fingerprint": fingerprint,
         "seeds": list(seeds),
         "parties": [
             [{"name": name, "rows": p.rows, "cols": p.cols} for name, p in m.named_params()]

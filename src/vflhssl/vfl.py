@@ -31,8 +31,7 @@ WIRE_VERSION = 1
 MSG_REPR = 0
 MSG_GRAD = 1
 MSG_MODEL_BLOB = 2
-MSG_CONTROL = 3
-MSG_NAMES = {MSG_REPR: "Repr", MSG_GRAD: "Grad", MSG_MODEL_BLOB: "ModelBlob", MSG_CONTROL: "Control"}
+MSG_NAMES = {MSG_REPR: "Repr", MSG_GRAD: "Grad", MSG_MODEL_BLOB: "ModelBlob"}
 
 
 @dataclass

@@ -244,6 +244,33 @@ class TestExitCodes:
         assert err.startswith(f"data error: {p1}: non-numeric cell 'red' in column 'c0'")
         assert "data.csv.cat_cols" in err and "Traceback" not in err
 
+    def test_absurd_label_is_3_before_any_model(self, tmp_path, capsys, monkeypatch):
+        # The largest label once set the class count, and so the top layer's width.
+        built = []
+        monkeypatch.setattr(nn.DenseLayer, "__init__", lambda self, *args, **kw: built.append(args))
+        p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        p1.write_text("id,x0,label\n" + "".join(f"{i},{i / 10},{i % 2}\n" for i in range(11))
+                      + f"11,1.1,{10**18}\n")
+        p2.write_text("id,x0\n" + "".join(f"{i},{i * 1.5}\n" for i in range(12)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"data": {"csv": {"paths": [str(p1), str(p2)]}}}))
+        assert cli.main(["pretrain", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {p1}: label {10**18} is not below the file's 12")
+        assert "Traceback" not in err and built == []
+
+    def test_guidance_dims_checked_before_any_frame(self, tmp_path, capsys, monkeypatch):
+        # Step 2 regresses the 16-wide predictor onto the cross backbone.
+        sent = []
+        monkeypatch.setattr(vfl.Network, "send", lambda self, *args: sent.append(args))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "model": {"repr_dim": 8}}))
+        assert cli.main(["pretrain", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: guidance dims disagree: predictor 16 vs cross "
+                              "encoder 8") and "Traceback" not in err
+        assert sent == []
+
     def test_missing_csv_is_3(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         missing = [str(tmp_path / "p1.csv"), str(tmp_path / "p2.csv")]

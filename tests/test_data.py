@@ -368,6 +368,7 @@ class TestCsv:
         ("id,x0,label\n1,0.1,0\n99999999999999999999,0.2,1\n", "id .* out of range"),
         ("id,x0,label\n1,0.1,0\n2,0.2,-1\n", "label '-1' out of range"),
         ("id,x0,label\n1,0.1,0\n2,inf,1\n", "non-finite continuous cell for id 2"),
+        ("id,x0,label\n1,0.1,0\n2,0.2,2\n", "p1.csv: label 2 is not below the file's 2 labeled"),
     ])
     def test_malformed_cells_raise_data_error(self, tmp_path, party1, match):
         p1 = tmp_path / "p1.csv"
@@ -384,6 +385,42 @@ class TestCsv:
         p2.write_text("id,x0\n2,1.0\n")
         with pytest.raises(DataError, match="aligned"):
             data.load_csv([p1, p2])
+
+    def test_three_party_load_pinned(self, tmp_path):
+        # Party 1 has a continuous and a categorical column and labels,
+        # party 2 a constant column (std 0) and a categorical one whose
+        # "xl" is not among the pinned levels, party 3 continuous columns
+        # only. Ids 100-102, 200-201 and 300-301 are unaligned; id 50 sits
+        # at parties 1 and 3 only, so it is neither aligned nor unaligned.
+        # The digests were measured when load_csv read every file before
+        # parsing any.
+        colours, sizes = ["red", "green", "blue"], ["s", "m", "l", "xl"]
+        p1 = ["id,x0,c0,label"] + [
+            f"{i},{(i * 37 % 101) / 10},{colours[i * 7 % 3]},{'' if i > 99 else i % 3}"
+            for i in [*range(40), 50, 100, 101, 102]
+        ]
+        p2 = ["id,x0,x1,c0"] + [
+            f"{i},{(i * 13 % 17) - 8},1.5,{sizes[(i * 5 + i // 7) % 4]}"
+            for i in [201, *range(39, -1, -1), 200]
+        ]
+        p3 = ["id,x0,x1"] + [f"{i},{i * i % 23},{-i / 7}" for i in [*range(40), 50, 300, 301]]
+        paths = [tmp_path / "p1.csv", tmp_path / "p2.csv", tmp_path / "p3.csv"]
+        for path, lines in zip(paths, (p1, p2, p3)):
+            path.write_text("\n".join(lines) + "\n")
+        kw = dict(cat_cols=[["c0"], ["c0"], []], test_fraction=0.25, labeled_count=12, seed=5)
+        pinned = [[["green", "red", "blue"]], [["s", "m", "l"]], []]
+        digests = {}
+        for coding, cat_levels, cards in (("appearance", None, (4,)), ("pinned", pinned, (3,))):
+            ds = data.load_csv(paths, cat_levels=cat_levels, **kw)
+            assert [u.tolist() for u in ds.unaligned_ids] == [[100, 101, 102], [200, 201],
+                                                              [300, 301]]
+            assert (len(ds.aligned_ids), len(ds.labeled_ids), len(ds.test_ids)) == (30, 12, 10)
+            assert [b.cat_cardinalities for b in ds.parties] == [(3,), cards, ()]
+            digests[coding] = ds.fingerprint()
+        assert digests == {
+            "appearance": "864555868dda1fc83c68838b576c7cbb6085ade95c05bd8e67ea14d89bdb5e78",
+            "pinned": "d2ccda9f42d3f2cfdb64b8d26699ae8f3c1a92baa829e54e133348c48f7349e1",
+        }
 
 
 

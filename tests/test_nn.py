@@ -218,7 +218,7 @@ MOCO_LAYOUT = [
 class TestCheckpoint:
     def make_models(self, seed=0):
         cfg = desk_cfg()
-        return cfg, [
+        return [
             nn.EncoderStack(cfg, "byol", np.random.default_rng(seed), active=True),
             nn.EncoderStack(cfg, "byol", np.random.default_rng(seed + 1)),
         ]
@@ -228,14 +228,14 @@ class TestCheckpoint:
         m = nn.EncoderStack(small_cfg(), variant, np.random.default_rng(0), active=True)
         assert [(name, p.shape) for name, p in m.named_params()] == layout
         path = tmp_path / "ckpt.bin"
-        nn.save_checkpoint(path, [m], small_cfg())
+        nn.save_checkpoint(path, [m], "fp")
         blob = nn.load_checkpoint(path).party_params[0]
         assert [(name, a.shape) for name, a in blob.items()] == layout
 
     def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path):
-        cfg, models = self.make_models()
+        models = self.make_models()
         path = tmp_path / "ckpt.bin"
-        nn.save_checkpoint(path, models, cfg)
+        nn.save_checkpoint(path, models, "fp")
         good = path.read_bytes()
 
         class Unreadable:
@@ -250,16 +250,16 @@ class TestCheckpoint:
             named_params=lambda: named[:4] + [("unreadable", Unreadable())] + named[4:]
         )
         with pytest.raises(RuntimeError, match="interrupted"):
-            nn.save_checkpoint(path, [interrupted_at_fifth, models[1]], cfg)
+            nn.save_checkpoint(path, [interrupted_at_fifth, models[1]], "fp")
         assert path.read_bytes() == good
         assert os.listdir(tmp_path) == ["ckpt.bin"]
         nn.load_checkpoint(path).restore_into(models)
 
     def saved_with_header(self, tmp_path, edit):
         """A saved checkpoint whose JSON header ``edit`` changed in place."""
-        cfg, models = self.make_models()
+        models = self.make_models()
         path = tmp_path / "ckpt.bin"
-        nn.save_checkpoint(path, models, cfg)
+        nn.save_checkpoint(path, models, "fp")
         raw = path.read_bytes()
         hlen = int.from_bytes(raw[6:10], "little")
         header = json.loads(raw[10 : 10 + hlen])
@@ -291,9 +291,9 @@ class TestCheckpoint:
             nn.load_checkpoint(path)
 
     def test_round_trip_bit_exact(self, tmp_path):
-        cfg, models = self.make_models()
+        models = self.make_models()
         path = tmp_path / "ckpt.bin"
-        nn.save_checkpoint(path, models, cfg, seeds=[1, 2])
+        nn.save_checkpoint(path, models, "fp", seeds=[1, 2])
         ckpt = nn.load_checkpoint(path)
         for model, blob in zip(models, ckpt.party_params):
             for name, p in model.named_params():
@@ -301,13 +301,13 @@ class TestCheckpoint:
         assert ckpt.seeds == [1, 2]
 
     def test_save_load_save_byte_identical(self, tmp_path):
-        cfg, models = self.make_models()
+        models = self.make_models()
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        nn.save_checkpoint(p1, models, cfg)
+        nn.save_checkpoint(p1, models, "fp")
         ckpt = nn.load_checkpoint(p1)
-        _, fresh = self.make_models(seed=42)
+        fresh = self.make_models(seed=42)
         ckpt.restore_into(fresh)
-        nn.save_checkpoint(p2, fresh, cfg)
+        nn.save_checkpoint(p2, fresh, "fp")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_corrupt_magic(self, tmp_path):
@@ -317,18 +317,18 @@ class TestCheckpoint:
             nn.load_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path):
-        cfg, models = self.make_models()
+        models = self.make_models()
         path = tmp_path / "ckpt.bin"
-        nn.save_checkpoint(path, models, cfg)
+        nn.save_checkpoint(path, models, "fp")
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 16])
         with pytest.raises(FormatError):
             nn.load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
-        cfg, models = self.make_models()
+        models = self.make_models()
         path = tmp_path / "ckpt.bin"
-        nn.save_checkpoint(path, models, cfg)
+        nn.save_checkpoint(path, models, "fp")
         raw = bytearray(path.read_bytes())
         raw[4:6] = (99).to_bytes(2, "little")
         path.write_bytes(bytes(raw))
@@ -336,9 +336,9 @@ class TestCheckpoint:
             nn.load_checkpoint(path)
 
     def test_fingerprint_mismatch(self, tmp_path):
-        cfg, models = self.make_models()
+        models = self.make_models()
         path = tmp_path / "ckpt.bin"
-        nn.save_checkpoint(path, models, cfg)
+        nn.save_checkpoint(path, models, "fp")
         with pytest.raises(FingerprintError):
             nn.load_checkpoint(path, expect_fingerprint="deadbeef")
 

@@ -56,8 +56,14 @@ class TestWireFormat:
             vfl.decode_message(raw[:-8])
 
     def test_unknown_type(self):
-        with pytest.raises(ProtocolError):
-            vfl.encode_message(vfl.WireMessage(42, 0, 1, np.zeros((1, 1))))
+        # Type 3 was the never-sent Control frame.
+        for msg_type in (3, 42):
+            with pytest.raises(ProtocolError, match="unknown msg_type"):
+                vfl.encode_message(vfl.WireMessage(msg_type, 0, 1, np.zeros((1, 1))))
+            raw = bytearray(vfl.encode_message(vfl.WireMessage(vfl.MSG_REPR, 0, 1, np.zeros(1))))
+            raw[6] = msg_type  # the type byte follows the magic and the version
+            with pytest.raises(ProtocolError, match="unknown msg_type"):
+                vfl.decode_message(bytes(raw))
 
 
 def float_arrays(max_dims):
