@@ -165,6 +165,7 @@ def load_config(path=None, preset=None):
     hssl.PipelineConfig(**pipeline)
     for name, values in (("seeds", config["seeds"]),
                          ("finetune.labeled_counts", config["finetune"]["labeled_counts"]),
+                         ("finetune.lr_candidates", config["finetune"]["lr_candidates"]),
                          ("privacy.lambda_f", config["privacy"]["lambda_f"])):
         if len(set(values)) != len(values):
             raise ConfigError(f"{name} repeats an entry: {values}")
@@ -233,20 +234,15 @@ def cmd_gen_data(config, out_dir):
     return 0
 
 
-def _pretrained_parties(config, dataset, seed):
+def cmd_pretrain(config, out_dir):
+    dataset = build_dataset(config)
+    seed = config["seeds"][0]
     nodes = _restore_parties(config, dataset, seed, None)
     net = vfl.Network()
     trace = []
     if config["pipeline"]["pretrain"]:
         trace = hssl.pretrain(dataset, nodes, net, hssl.PipelineConfig(**config["pipeline"]),
                               seed=seed)
-    return nodes, net, trace
-
-
-def cmd_pretrain(config, out_dir):
-    dataset = build_dataset(config)
-    seed = config["seeds"][0]
-    nodes, net, trace = _pretrained_parties(config, dataset, seed)
     out_dir = Path(out_dir)
     nn.save_checkpoint(
         out_dir / "checkpoint.bin", [p.model for p in nodes], config_fingerprint(config),
@@ -281,49 +277,36 @@ def _restore_parties(config, dataset, seed, checkpoint):
     return nodes
 
 
-def _finetune_once(config, dataset, nodes, seed, labeled_count, learning_rate,
-                   lambda_f=0.0):
-    """Supervised split training on a labeled subset, with ISO noise of
-    strength lambda_f on the passive parties' gradients; returns the
-    trainer, its accuracy on a held-out validation slice of that subset
-    and whether its validation logits are all finite."""
+def _select_lr(config, dataset, seed, labeled_count, checkpoint, lambda_f=0.0):
+    """Fine-tune one split network per lr candidate; returns the
+    (trainer, val_acc, lr) of the best by validation accuracy. The
+    candidates differ in their lr alone: one labeled subset less a 20%
+    validation cut, one batch order and one stream of ISO noise (lambda_f)
+    serve them all. A diverged candidate (non-finite validation logits)
+    ranks last: its argmax predicts class 0, and that share is no score."""
     ft = config["finetune"]
-    rng = np.random.default_rng((seed, 4))
     pool = dataset.labeled_ids
     if labeled_count > len(pool):
-        raise DataError(
-            f"labeled_count {labeled_count} exceeds available {len(pool)} labeled ids"
-        )
-    chosen = pool[rng.permutation(len(pool))][:labeled_count]
+        raise DataError(f"labeled_count {labeled_count} exceeds available {len(pool)} labeled ids")
+    chosen = pool[np.random.default_rng((seed, 4)).permutation(len(pool))][:labeled_count]
     n_val = max(1, int(round(0.2 * len(chosen))))
     val_ids, train_ids = chosen[:n_val], chosen[n_val:]
     if len(train_ids) == 0:
         raise DataError("labeled subset too small to split off validation")
-
-    net = vfl.Network()
-    trainer = vfl.SplitTrainer(nodes, net, learning_rate, lambda_f=lambda_f,
-                               noise_rng=np.random.default_rng((seed, 5)))
+    val_labels = dataset.label_array(val_ids)
     shuffle = np.random.default_rng((seed, 6))
-    for _ in range(ft["epochs"]):
-        for batch in data.batches(train_ids, ft["batch_size"], rng=shuffle):
-            trainer.train_step(batch)
-    val_logits = trainer.logits(val_ids)
-    val_acc = privacy.metric_top1(val_logits.argmax(axis=1), dataset.label_array(val_ids))
-    return trainer, val_acc, bool(np.isfinite(val_logits).all())
-
-
-def _select_lr(config, dataset, seed, labeled_count, checkpoint, lambda_f=0.0):
-    """Train one model per lr candidate and keep the best by validation.
-
-    A diverged candidate (non-finite validation logits) ranks below every
-    finite one: its argmax predicts class 0, and that share is no score.
-    """
+    schedule = [batch for _ in range(ft["epochs"])
+                for batch in data.batches(train_ids, ft["batch_size"], rng=shuffle)]
     best, best_rank = None, None
-    for lr in config["finetune"]["lr_candidates"]:
-        nodes = _restore_parties(config, dataset, seed, checkpoint)
-        trainer, val_acc, finite = _finetune_once(
-            config, dataset, nodes, seed, labeled_count, lr, lambda_f=lambda_f
-        )
+    for lr in ft["lr_candidates"]:
+        trainer = vfl.SplitTrainer(_restore_parties(config, dataset, seed, checkpoint),
+                                   vfl.Network(), lr, lambda_f=lambda_f,
+                                   noise_rng=np.random.default_rng((seed, 5)))
+        for batch in schedule:
+            trainer.train_step(batch)
+        val_logits = trainer.logits(val_ids)
+        finite = bool(np.isfinite(val_logits).all())
+        val_acc = privacy.metric_top1(val_logits.argmax(axis=1), val_labels)
         if best is None or (finite, val_acc) > best_rank:
             best, best_rank = (trainer, val_acc, lr), (finite, val_acc)
     return best
@@ -381,6 +364,7 @@ def cmd_attack(config, out_dir, checkpoint_path):
     dataset = build_scored_dataset(config)
     checkpoint = _load_checkpoint(config, checkpoint_path)
     labeled_count = config["finetune"]["labeled_counts"][0]
+    aux_ids = dataset.labeled_ids[: priv["aux_labeled_count"]]
     curve = privacy.TradeoffCurve(
         method=config["pipeline"]["preset"] or "FedSplitNN",
         dataset="synthetic" if "synthetic" in config["data"] else "csv",
@@ -392,7 +376,6 @@ def cmd_attack(config, out_dir, checkpoint_path):
             trainer, _, _ = _select_lr(
                 config, dataset, seed, labeled_count, checkpoint, lambda_f=float(lam)
             )
-            aux_ids = dataset.labeled_ids[: priv["aux_labeled_count"]]
             recovery = privacy.mc_attack(
                 trainer.parties[-1], aux_ids, dataset.test_ids, dataset.num_classes,
                 np.random.default_rng((seed, 7)),
@@ -409,13 +392,14 @@ def cmd_attack(config, out_dir, checkpoint_path):
     privacy.export_tradeoff_csv(
         out_dir / "tradeoff.csv", [curve], lambda_p=config["pipeline"]["lambda_p"]
     )
+    cap = privacy.cap(curve)
     atomic_write_json(out_dir / "attack.json", {
         "config_fingerprint": config_fingerprint(config),
-        "cap": privacy.cap(curve),
+        "cap": cap,
         "points": curve.points,
         "per_seed": per_seed,
     })
-    print(f"CAP = {privacy.cap(curve):.6f} over {len(curve.points)} lambda_f values")
+    print(f"CAP = {cap:.6f} over {len(curve.points)} lambda_f values")
     return 0
 
 

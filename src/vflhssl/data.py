@@ -16,7 +16,7 @@ import hashlib
 import io
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,20 +28,21 @@ from .errors import ConfigError, DataError
 class PartyBlock:
     """One party's feature matrix plus categorical metadata."""
 
-    ids: np.ndarray          # sample ids, one per row
+    index: dict              # sample id -> row, in row order
     cont: np.ndarray         # n x m_cont float64
     cats: np.ndarray         # n x m_cat int64 (level indices)
     cat_cardinalities: tuple
     cont_std: np.ndarray = None  # per-column training std, jitter fallback
+    ids: np.ndarray = field(init=False)  # sample ids, one per row
 
     def __post_init__(self):
-        self._index = {int(i): r for r, i in enumerate(self.ids)}
+        self.ids = np.array(list(self.index), dtype=np.int64)
         if self.cont_std is None:
             self.cont_std = self.cont.std(axis=0) if len(self.cont) else np.zeros(self.cont.shape[1])
 
     def rows(self, ids):
         try:
-            idx = np.array([self._index[int(i)] for i in ids], dtype=np.int64)
+            idx = np.array([self.index[int(i)] for i in ids], dtype=np.int64)
         except KeyError as exc:
             raise DataError(f"sample id {exc.args[0]} missing at this party") from exc
         return self.cont[idx], self.cats[idx]
@@ -176,7 +177,8 @@ def generate_synthetic(spec: SyntheticSpec) -> VerticalDataset:
             )
         else:
             cats = np.zeros((len(ids), 0), dtype=np.int64)
-        blocks.append(PartyBlock(ids=ids, cont=cont, cats=cats, cat_cardinalities=cards))
+        blocks.append(PartyBlock(index={sid: r for r, sid in enumerate(ids.tolist())},
+                                 cont=cont, cats=cats, cat_cardinalities=cards))
         unaligned_ids.append(ids_un)
 
     # Shuffle aligned ids once, then carve out labeled and test slices.
@@ -457,8 +459,8 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
             std = train.std(axis=0)
             std[std == 0] = 1.0
             cont = (cont - train.mean(axis=0)) / std
-        blocks.append(PartyBlock(ids=np.array(list(index), dtype=np.int64), cont=cont,
-                                 cats=codes[p], cat_cardinalities=cards[p]))
+        blocks.append(PartyBlock(index=index, cont=cont, cats=codes[p],
+                                 cat_cardinalities=cards[p]))
 
     return VerticalDataset(parties=blocks, aligned_ids=train_aligned, unaligned_ids=unaligned_ids,
                            labeled_ids=np.sort(train_labeled), labels=labels, test_ids=test_ids,

@@ -172,8 +172,8 @@ def guided_local_ssl_epoch(party, ids, variant, gamma, corruption_fraction, opti
             t1, t2 = model.target.forward(*v1).values, model.target.forward(*v2).values
 
         feeds = []
-        loss = T.affine(T.add(_term(party, variant, "local_a", p1, t2, feeds),
-                              _term(party, variant, "local_b", p2, t1, feeds)), 0.5)
+        loss = _mean_loss([_term(party, variant, "local_a", p1, t2, feeds),
+                           _term(party, variant, "local_b", p2, t1, feeds)])
         if gamma > 0:
             zc1, zc2 = model.cross.encode(*v1).values, model.cross.encode(*v2).values
             guide = T.add(_term(party, variant, "guide_a", p1, zc1, feeds),

@@ -78,12 +78,12 @@ class Identity(Module):
 
 
 class MLP(Module):
-    def __init__(self, dims, rng, hidden_activation="relu", final_activation="identity"):
+    def __init__(self, dims, rng, final_activation="identity"):
         if len(dims) < 2:
             raise ConfigError("MLP needs at least one layer")
         self.layers = []
         for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-            act = final_activation if i == len(dims) - 2 else hidden_activation
+            act = final_activation if i == len(dims) - 2 else "relu"
             self.layers.append(DenseLayer(a, b, activation=act, rng=rng))
 
     def forward(self, x):
@@ -176,6 +176,10 @@ class EmaTracker:
             target.values += (1.0 - m) * online.values
 
 
+# finetune_encoders -> the towers fine-tuning trains and concatenates, in order
+FINETUNE_TOWERS = {"local": ("local",), "cross": ("cross",), "concat": ("local", "cross")}
+
+
 @dataclass
 class ModelConfig:
     """Per-party model dimensions shared by every party.
@@ -207,7 +211,7 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.input_dim < 0 or self.encoded_input_dim() <= 0:
             raise ConfigError("party must have at least one feature after encoding")
-        if self.finetune_encoders not in ("local", "cross", "concat"):
+        if self.finetune_encoders not in FINETUNE_TOWERS:
             raise ConfigError(f"unknown finetune_encoders {self.finetune_encoders!r}")
         if self.aggregator not in ("concat", "mean", "max"):
             raise ConfigError(f"unknown aggregator {self.aggregator!r}")
@@ -226,7 +230,7 @@ class ModelConfig:
         return self.input_dim + self.embed_dim * len(self.cat_cardinalities)
 
     def finetune_repr_dim(self):
-        return self.repr_dim * (2 if self.finetune_encoders == "concat" else 1)
+        return self.repr_dim * len(FINETUNE_TOWERS[self.finetune_encoders])
 
     def top_input_dim(self):
         return self.finetune_repr_dim() * (self.num_parties if self.aggregator == "concat" else 1)
@@ -270,6 +274,7 @@ class EncoderStack:
             projector_c=projector(),
         )
         self.h_c = predictor()
+        self.finetune_towers = [getattr(self, t) for t in FINETUNE_TOWERS[cfg.finetune_encoders]]
 
         # EMA target of the local tower (BYOL/MoCo only; SimSiam reuses
         # the online tower under stop-gradient).
@@ -305,23 +310,14 @@ class EncoderStack:
 
     def params_finetune(self):
         """The encoder parameters fine-tuning trains, then the top model's."""
-        mode = self.cfg.finetune_encoders
-        ps = []
-        if mode in ("local", "concat"):
-            ps += self.local.backbone_params()
-        if mode in ("cross", "concat"):
-            ps += self.cross.backbone_params()
+        ps = [p for tower in self.finetune_towers for p in tower.backbone_params()]
         if self.top_model is not None:
             ps += self.top_model.params()
         return ps
 
     def finetune_repr(self, cont, cats):
-        mode = self.cfg.finetune_encoders
-        if mode == "local":
-            return self.local.encode(cont, cats)
-        if mode == "cross":
-            return self.cross.encode(cont, cats)
-        return T.concat_cols([self.local.encode(cont, cats), self.cross.encode(cont, cats)])
+        reps = [tower.encode(cont, cats) for tower in self.finetune_towers]
+        return reps[0] if len(reps) == 1 else T.concat_cols(reps)
 
 
 # -- checkpoints -------------------------------------------------------

@@ -141,6 +141,7 @@ class TestExitCodes:
         ("finetune", "seeds", [0, 0]),
         ("finetune", "finetune", {"labeled_counts": [30, 30]}),
         ("attack", "privacy", {"lambda_f": [1.0, 1.0]}),
+        ("finetune", "finetune", {"lr_candidates": [0.01, 0.01]}),
         ("pretrain", "data", {"synthetic": {}, "csv": {"paths": ["p1.csv", "p2.csv"]}}),
         ("pretrain", "data", {"csv": {"paths": ["p1.csv", "p2.csv"], "cat_cols": ["c0", []]}}),
         ("pretrain", "data", {"csv": {"paths": ["p1.csv", "p2.csv"], "cat_cols": [["c0"], []],
@@ -154,7 +155,8 @@ class TestExitCodes:
             "csv-string-test-fraction", "negative-seed", "zero-classes", "short-projector",
             "long-projector", "unknown-aggregator", "zero-lr-candidate", "infinite-gamma",
             "repeated-seed", "repeated-labeled-count", "repeated-lambda-f",
-            "synthetic-and-csv", "csv-string-cat-cols", "csv-scalar-level-list"])
+            "repeated-lr-candidate", "synthetic-and-csv", "csv-string-cat-cols",
+            "csv-scalar-level-list"])
     def test_malformed_section_is_2(self, tmp_path, capsys, command, section, value):
         cfg = json.loads(json.dumps(TINY))
         merge = isinstance(value, dict) and section != "data"
@@ -549,6 +551,39 @@ class TestFinetuneAndAttack:
         for command, expected in once.items():
             assert run(command, tmp_path / f"reread-{command}") == expected
 
+    @pytest.mark.parametrize("preset,expected", [
+        ("fedlocal-simsiam", {
+            "report.json": "6fa4fcaad790d0e2204a2f9737d8f3113fb27f28dfe6c6d095a82300dd1d4cd4",
+            "attack.json": "07366697d5714e5809221f4647f3462c0de6ead775be488aeea39f498568782c",
+        }),
+        ("fedcssl", {
+            "report.json": "dbaee7b14a3d0c42737bf53cacd0eb84a6b61ec96b88debd55fb8c7c2c872678",
+            "attack.json": "a3a8dd6a2048989353c17b2794883205bf97d25b7bff5fc11044174e871337ba",
+        }),
+        ("fedsplitnn", {
+            "report.json": "963f277f27b670db682c86ce9f5e5328c6b0eeb06f43ba2ce667701bb65fc41c",
+            "attack.json": "15771df25725dd6795cd55b82e163917d6f531602bfa2753c5ce0044e3a7a60e",
+        }),
+    ], ids=["local", "cross", "no-pretraining"])
+    def test_finetune_modes_outputs_pinned(self, tmp_path, preset, expected):
+        # The local-only and cross-only fine-tune towers, and untrained
+        # encoders, with two lr candidates over two seeds; the attack
+        # output tells fedlocal-simsiam from fedsplitnn, whose report.csv
+        # bytes agree at this size.
+        cfg = json.loads(json.dumps(TINY))
+        cfg["finetune"]["lr_candidates"] = [0.01, 0.03]
+        cfg["seeds"] = [0, 1]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        args = ["--config", str(path), "--preset", preset, "--out", str(out)]
+        assert cli.main(["pretrain", *args]) == 0
+        for command in ("finetune", "attack"):
+            assert cli.main([command, *args, "--checkpoint", str(out / "checkpoint.bin")]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in expected}
+        assert digests == expected
+
 
 def test_select_lr_ranks_diverged_candidates_last(tmp_path):
     # Default config, lambda_f=20, seed 2: lr 0.01 and 0.03 diverge to NaN
@@ -581,6 +616,32 @@ def test_select_lr_packed_optimizer_equals_per_parameter_loop(cfg_path, monkeypa
     packed = select()
     monkeypatch.setattr(vfl.T, "SgdOptimizer", PerParameterSgd)
     assert select() == packed
+
+
+def test_select_lr_candidates_share_batches_and_validation(cfg_path, monkeypatch):
+    config = cli.load_config(cfg_path)
+    config["finetune"].update(lr_candidates=[0.005, 0.01, 0.03], batch_size=8)
+    dataset = cli.build_dataset(config)
+    seen = {}  # trainer -> {"train": [batch ids...], "val": [scored ids...]}
+
+    def spy(method, key):
+        def wrapped(self, ids):
+            seen.setdefault(self, {"train": [], "val": []})[key].append(np.asarray(ids).tolist())
+            return method(self, ids)
+        return wrapped
+
+    monkeypatch.setattr(vfl.SplitTrainer, "train_step", spy(vfl.SplitTrainer.train_step, "train"))
+    monkeypatch.setattr(vfl.SplitTrainer, "logits", spy(vfl.SplitTrainer.logits, "val"))
+    cli._select_lr(config, dataset, 0, 32, None)
+    assert len(seen) == 3
+    first = next(iter(seen.values()))
+    assert len(first["train"]) == 3 * 4  # 3 epochs of 26 ids in batches of 8
+    assert all(record == first for record in seen.values())
+    [val_ids] = first["val"]
+    train_ids = {i for batch in first["train"] for i in batch}
+    assert len(val_ids) == len(set(val_ids)) == max(1, round(0.2 * 32))
+    assert len(train_ids) == 32 - len(val_ids) and not train_ids & set(val_ids)
+    assert train_ids | set(val_ids) <= set(dataset.labeled_ids.tolist())
 
 class TestSweep:
     def test_gamma_sweep_creates_subdirs(self, cfg_path, tmp_path):
