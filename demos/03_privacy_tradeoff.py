@@ -56,7 +56,7 @@ def main():
         utility = trainer.accuracy(ds.test_ids)
 
         recovery = privacy.mc_attack(
-            trainer.parties[-1], ds.labeled_ids[:80], ds.test_ids, ds.num_classes,
+            trainer.parties[-1], ds.labeled_ids[:80], ds.test_ids, ds.label_array, ds.num_classes,
             np.random.default_rng((SEED, 7)), head_hidden_dim=32, epochs=60,
         )
         print(f"{lam:8.1f} {utility:8.4f} {recovery:9.4f}")

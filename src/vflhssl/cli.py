@@ -377,8 +377,8 @@ def cmd_attack(config, out_dir, checkpoint_path):
                 config, dataset, seed, labeled_count, checkpoint, lambda_f=float(lam)
             )
             recovery = privacy.mc_attack(
-                trainer.parties[-1], aux_ids, dataset.test_ids, dataset.num_classes,
-                np.random.default_rng((seed, 7)),
+                trainer.parties[-1], aux_ids, dataset.test_ids, dataset.label_array,
+                dataset.num_classes, np.random.default_rng((seed, 7)),
                 head_hidden_dim=priv["head_hidden_dim"], epochs=priv["attack_epochs"],
             )
             utilities.append(trainer.accuracy(dataset.test_ids))

@@ -70,9 +70,6 @@ class VerticalDataset:
     def num_parties(self):
         return len(self.parties)
 
-    def rows(self, party_index, ids):
-        return self.parties[party_index].rows(ids)
-
     def label_array(self, ids):
         try:
             return np.array([self.labels[int(i)] for i in ids], dtype=np.int64)

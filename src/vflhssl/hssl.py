@@ -119,7 +119,7 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
         # Exchange phase: each party computes and ships its representation.
         values = {}
         for p in parties:
-            values[p.party_id] = p.model.cross.forward(*p.features(batch_ids)).values
+            values[p.party_id] = p.model.cross.forward(*p.block.rows(batch_ids)).values
         outgoing_active = iso_perturb(values[1], lambda_p, noise_rng)
         received = {1: {}}
         for p in parties[1:]:
@@ -129,7 +129,7 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
         # Update phase: e steps against the cached peer representations.
         for p in parties:
             for _ in range(local_updates):
-                pred = p.model.h_c.forward(p.model.cross.forward(*p.features(batch_ids)))
+                pred = p.model.h_c.forward(p.model.cross.forward(*p.block.rows(batch_ids)))
                 feeds = []
                 loss = _mean_loss([
                     _term(p, variant, f"cross_peer_{peer_id}", pred, target_values, feeds)
@@ -151,8 +151,7 @@ def guided_local_ssl_epoch(party, ids, variant, gamma, corruption_fraction, opti
     Only the local tower (f_lb, f_lt, projector_l, h_l and its EMA
     target) is updated; the cross encoder provides frozen anchors.
     """
-    model = party.model
-    block = party.dataset.parties[party.party_id - 1]
+    model, block = party.model, party.block
     losses = []
 
     for batch_ids in batches(ids, batch_size, rng=shuffle_rng):

@@ -28,14 +28,6 @@ CHECKPOINT_MAGIC = b"VFLH"
 CHECKPOINT_VERSION = 1
 
 
-def init_weights(layer, rng):
-    """Glorot-uniform weights, zero biases."""
-    fan_in, fan_out = layer.weight.shape
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    layer.weight.values[:] = rng.uniform(-bound, bound, size=layer.weight.shape)
-    layer.bias.values[:] = 0.0
-
-
 def _join(prefix, name):
     return f"{prefix}.{name}" if prefix else name
 
@@ -49,19 +41,19 @@ class Module:
 
 
 class DenseLayer(Module):
-    def __init__(self, in_dim, out_dim, activation="identity", rng=None):
+    """``x @ weight + bias``, then ReLU if ``relu``: Glorot-uniform weights
+    drawn from ``rng``, zero biases."""
+
+    def __init__(self, in_dim, out_dim, rng, relu=False):
         if in_dim <= 0 or out_dim <= 0:
             raise ConfigError(f"dense dims must be positive, got {in_dim}x{out_dim}")
-        if activation not in ("relu", "identity"):
-            raise ConfigError(f"unknown activation {activation!r}")
-        self.weight = T.Tensor(np.zeros((in_dim, out_dim)), requires_grad=True)
+        bound = np.sqrt(6.0 / (in_dim + out_dim))
+        self.weight = T.Tensor(rng.uniform(-bound, bound, size=(in_dim, out_dim)), requires_grad=True)
         self.bias = T.Tensor(np.zeros((1, out_dim)), requires_grad=True)
-        self.activation = activation
-        if rng is not None:
-            init_weights(self, rng)
+        self.relu = relu
 
     def forward(self, x):
-        return T.dense(x, self.weight, self.bias, self.activation == "relu")
+        return T.dense(x, self.weight, self.bias, self.relu)
 
     def named_params(self, prefix=""):
         return [(_join(prefix, "weight"), self.weight), (_join(prefix, "bias"), self.bias)]
@@ -78,13 +70,15 @@ class Identity(Module):
 
 
 class MLP(Module):
-    def __init__(self, dims, rng, final_activation="identity"):
+    """Dense layers of widths ``dims``: ReLU after each but the last, which
+    has one only if ``relu_last``."""
+
+    def __init__(self, dims, rng, relu_last=False):
         if len(dims) < 2:
             raise ConfigError("MLP needs at least one layer")
-        self.layers = []
-        for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-            act = final_activation if i == len(dims) - 2 else "relu"
-            self.layers.append(DenseLayer(a, b, activation=act, rng=rng))
+        last = len(dims) - 2
+        self.layers = [DenseLayer(a, b, rng, relu=i < last or relu_last)
+                       for i, (a, b) in enumerate(zip(dims[:-1], dims[1:]))]
 
     def forward(self, x):
         for layer in self.layers:
@@ -262,15 +256,15 @@ class EncoderStack:
         # is the aggregation unit shared through PMA, together with h_l.
         self.local = Tower(
             "embed_l", embeds(),
-            f_lb=MLP([in_dim, cfg.hidden_dim], rng, final_activation="relu"),
-            f_lt=DenseLayer(cfg.hidden_dim, cfg.repr_dim, rng=rng),
+            f_lb=MLP([in_dim, cfg.hidden_dim], rng, relu_last=True),
+            f_lt=DenseLayer(cfg.hidden_dim, cfg.repr_dim, rng),
             projector_l=projector(),
         )
         self.h_l = predictor()
 
         self.cross = Tower(
             "embed_c", embeds(),
-            f_c=MLP([in_dim, cfg.hidden_dim, cfg.repr_dim], rng, final_activation="identity"),
+            f_c=MLP([in_dim, cfg.hidden_dim, cfg.repr_dim], rng),
             projector_c=projector(),
         )
         self.h_c = predictor()
@@ -286,7 +280,7 @@ class EncoderStack:
                 p.requires_grad = False
             momentum = 0.995 if variant == "byol" else 0.99
             self.ema = EmaTracker(momentum, zip(self.local.params(), self.target.params()))
-        self.top_model = DenseLayer(cfg.top_input_dim(), cfg.num_classes, rng=rng) if active else None
+        self.top_model = DenseLayer(cfg.top_input_dim(), cfg.num_classes, rng) if active else None
 
     def named_params(self):
         out = self.local.named_params() + self.h_l.named_params("h_l")

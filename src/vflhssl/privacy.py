@@ -47,11 +47,13 @@ ATTACK_LR = 0.05
 ATTACK_BATCH = 64
 
 
-def mc_attack(adversary, aux_ids, eval_ids, num_classes, rng, *, head_hidden_dim, epochs):
+def mc_attack(adversary, aux_ids, eval_ids, labels, num_classes, rng, *, head_hidden_dim, epochs):
     """Freeze the adversary's encoder, fit a one-hidden-layer head for
     ``epochs`` on the auxiliary labeled samples, and report label recovery
     accuracy on the evaluation ids. The head reads ``adversary.finetune_forward``:
-    the representation the adversary sends in the split network."""
+    the representation the adversary sends in the split network. ``labels``
+    is the id -> class lookup, asked only for the auxiliary and evaluation
+    ids: the adversary itself holds no labels."""
     aux_ids = np.asarray(aux_ids)
     eval_ids = np.asarray(eval_ids)
     if set(map(int, aux_ids)) & set(map(int, eval_ids)):
@@ -62,9 +64,9 @@ def mc_attack(adversary, aux_ids, eval_ids, num_classes, rng, *, head_hidden_dim
     # Encoder outputs are computed once as constants: the encoder is
     # frozen by construction, only the head trains.
     x_aux = adversary.finetune_forward(aux_ids).values
-    y_aux = adversary.dataset.label_array(aux_ids)
+    y_aux = labels(aux_ids)
     x_eval = adversary.finetune_forward(eval_ids).values
-    y_eval = adversary.dataset.label_array(eval_ids)
+    y_eval = labels(eval_ids)
 
     head = MLP([x_aux.shape[1], head_hidden_dim, num_classes], rng)
     opt = T.SgdOptimizer(head.params(), ATTACK_LR, momentum=0.9)

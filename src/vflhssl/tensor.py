@@ -25,11 +25,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad=False):
         v = np.asarray(values, dtype=np.float64)
-        if v.ndim == 0:
-            v = v.reshape(1, 1)
-        elif v.ndim == 1:
-            v = v.reshape(1, -1)
-        elif v.ndim != 2:
+        if v.ndim != 2:
             raise ShapeError(f"tensors are 2-D, got ndim={v.ndim}")
         self.values = v
         self.grad = None
@@ -123,14 +119,9 @@ def _result(values, parents, backward):
     return out
 
 
-def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # -- operations ---------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.cols != b.rows:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
     out_values = a.values @ b.values
@@ -162,7 +153,6 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor, relu: bool) -> Tensor:
     Values and gradients equal the ``matmul -> add -> relu`` composition
     bit for bit; ``bias`` is a (1, m) row.
     """
-    x = as_tensor(x)
     if x.cols != weight.rows or bias.shape != (1, weight.cols):
         raise ShapeError(f"dense shapes disagree: {x.shape} x {weight.shape} + {bias.shape}")
     out_values = x.values @ weight.values
@@ -187,7 +177,6 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor, relu: bool) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; (1,m), (n,1) and (1,1) operands broadcast."""
-    a, b = as_tensor(a), as_tensor(b)
     try:
         out_values = a.values + b.values
     except ValueError as exc:
@@ -203,7 +192,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     try:
         out_values = a.values * b.values
     except ValueError as exc:
@@ -220,7 +208,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def affine(x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     """y = scale*x + shift with python-float coefficients."""
-    x = as_tensor(x)
     out_values = scale * x.values + shift
 
     def backward(g):
@@ -231,7 +218,6 @@ def affine(x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    x = as_tensor(x)
     mask = x.values > 0.0
     out_values = np.where(mask, x.values, 0.0)
 
@@ -243,7 +229,6 @@ def relu(x: Tensor) -> Tensor:
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"maximum shapes differ: {a.shape} vs {b.shape}")
     take_a = a.values >= b.values
@@ -260,7 +245,6 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 
 def row_l2_normalize(x: Tensor) -> Tensor:
     """Divide each row by max(||row||_2, eps)."""
-    x = as_tensor(x)
     norms = np.linalg.norm(x.values, axis=1, keepdims=True)
     denom = np.maximum(norms, NORM_EPS)
     live = norms > NORM_EPS  # rows where the clamp is inactive
@@ -277,11 +261,10 @@ def row_l2_normalize(x: Tensor) -> Tensor:
 
 def stop_gradient(x: Tensor) -> Tensor:
     """Value-identical tensor through which no gradient flows."""
-    return Tensor(as_tensor(x).values.copy())
+    return Tensor(x.values.copy())
 
 
 def sum_all(x: Tensor) -> Tensor:
-    x = as_tensor(x)
     out_values = np.array([[x.values.sum()]])
 
     def backward(g):
@@ -292,7 +275,6 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def mean_all(x: Tensor) -> Tensor:
-    x = as_tensor(x)
     n = x.values.size
     out_values = np.array([[x.values.sum() / n]])
 
@@ -305,7 +287,6 @@ def mean_all(x: Tensor) -> Tensor:
 
 def row_sum(x: Tensor) -> Tensor:
     """(n, m) -> (n, 1), summing each row."""
-    x = as_tensor(x)
     out_values = x.values.sum(axis=1, keepdims=True)
 
     def backward(g):
@@ -316,7 +297,6 @@ def row_sum(x: Tensor) -> Tensor:
 
 
 def concat_cols(tensors) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
     if len({t.rows for t in tensors}) != 1:
         raise ShapeError("concat_cols needs one or more tensors with equal row counts")
     out_values = np.concatenate([t.values for t in tensors], axis=1)
@@ -375,7 +355,6 @@ def embed_concat(cont, tables, cats, frozen_rows) -> Tensor:
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label]."""
-    logits = as_tensor(logits)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     n, c = logits.shape
     if y.shape[0] != n:

@@ -112,33 +112,31 @@ class Network:
 
 
 class PartyNode:
-    """One party's worker state: model, dataset view and MoCo queues."""
+    """What one party holds: its model, its own feature block, its MoCo
+    queues and, on party 1 only, the id -> class ``labels`` lookup."""
 
-    def __init__(self, party_id, model: EncoderStack, dataset):
+    def __init__(self, party_id, model: EncoderStack, block, labels=None):
         self.party_id = party_id
         self.model = model
-        self.dataset = dataset
+        self.block = block
+        self.labels = labels
         self.queues = defaultdict(partial(NegativeQueue, QUEUE_CAPACITY))  # MoCo's, by name
 
-    def features(self, ids):
-        return self.dataset.rows(self.party_id - 1, ids)
-
     def finetune_forward(self, ids):
-        cont, cats = self.features(ids)
-        return self.model.finetune_repr(cont, cats)
+        return self.model.finetune_repr(*self.block.rows(ids))
 
 
 def make_parties(dataset, cfg, variant, seed):
-    """Build one PartyNode per dataset party; party 1 is active and owns the top model."""
+    """Build one PartyNode per dataset party, each holding its own block;
+    party 1 is active, owns the top model and alone holds the labels."""
     parties = []
-    for i in range(dataset.num_parties):
+    for i, block in enumerate(dataset.parties):
         pid = i + 1
-        block = dataset.parties[i]
         party_cfg = replace(
             cfg, input_dim=block.cont.shape[1], cat_cardinalities=tuple(block.cat_cardinalities)
         )
         model = EncoderStack(party_cfg, variant, np.random.default_rng((seed, pid)), active=pid == 1)
-        parties.append(PartyNode(pid, model, dataset))
+        parties.append(PartyNode(pid, model, block, dataset.label_array if pid == 1 else None))
     return parties
 
 
@@ -165,12 +163,13 @@ class SplitTrainer:
 
     def __init__(self, parties, network, learning_rate, lambda_f=0.0, noise_rng=None):
         self.parties = sorted(parties, key=lambda p: p.party_id)
-        if self.parties[0].party_id != 1 or self.parties[0].model.top_model is None:
-            raise ConfigError("party 1 must be active: it owns the top model")
+        active = self.parties[0]
+        if active.party_id != 1 or active.model.top_model is None or active.labels is None:
+            raise ConfigError("party 1 must be active: it owns the top model and the labels")
         if lambda_f < 0:
             raise ConfigError("lambda_f must be non-negative")
         self.network = network
-        self.aggregator = self.parties[0].model.cfg.aggregator
+        self.aggregator = active.model.cfg.aggregator
         self.lambda_f = lambda_f
         self.noise_rng = noise_rng
         self.optimizers = [T.SgdOptimizer(p.model.params_finetune(), learning_rate)
@@ -179,7 +178,7 @@ class SplitTrainer:
     def train_step(self, ids):
         """One synchronized forward/backward/update over a labeled batch."""
         active = self.parties[0]
-        labels = active.dataset.label_array(ids)
+        labels = active.labels(ids)
         rnd = self.network.next_round()
 
         reps = [p.finetune_forward(ids) for p in self.parties]
@@ -207,5 +206,5 @@ class SplitTrainer:
         return self.parties[0].model.top_model.forward(joined).values
 
     def accuracy(self, ids):
-        labels = self.parties[0].dataset.label_array(ids)
+        labels = self.parties[0].labels(ids)
         return metric_top1(self.logits(ids).argmax(axis=1), labels)

@@ -40,8 +40,8 @@ class TestSynthetic:
             assert not set(ds.unaligned_ids[i]) & set(ds.aligned_ids)
         # every id resolvable at its party, test ids at all parties
         for i in range(2):
-            ds.rows(i, ds.test_ids)
-            ds.rows(i, ds.local_ids(i))
+            ds.parties[i].rows(ds.test_ids)
+            ds.parties[i].rows(ds.local_ids(i))
 
     def test_labels_cover_aligned_and_test(self):
         ds = data.generate_synthetic(small_spec())
@@ -52,7 +52,7 @@ class TestSynthetic:
     def test_missing_id_raises(self):
         ds = data.generate_synthetic(small_spec())
         with pytest.raises(DataError):
-            ds.rows(0, [10 ** 9])
+            ds.parties[0].rows([10 ** 9])
 
     def test_categorical_block_shapes(self):
         ds = data.generate_synthetic(small_spec(cat_cardinalities=((4, 3), ())))
@@ -70,7 +70,7 @@ class TestSynthetic:
         ))
 
         def pooled(ids):
-            mats = [ds.rows(i, ids)[0] for i in range(2)]
+            mats = [ds.parties[i].rows(ids)[0] for i in range(2)]
             return np.concatenate(mats, axis=1)
 
         x = pooled(ds.labeled_ids)
@@ -290,8 +290,8 @@ class TestCsv:
         ds, loaded = self.roundtrip(tmp_path)
         for p in range(2):
             ids = ds.parties[p].ids
-            orig_cont, orig_cats = ds.rows(p, ids)
-            new_cont, new_cats = loaded.rows(p, ids)
+            orig_cont, orig_cats = ds.parties[p].rows(ids)
+            new_cont, new_cats = loaded.parties[p].rows(ids)
             np.testing.assert_array_equal(new_cont, orig_cont)
             np.testing.assert_array_equal(new_cats, orig_cats)
 
@@ -310,7 +310,7 @@ class TestCsv:
 
     def test_standardize_uses_train_stats(self, tmp_path):
         _, loaded = self.roundtrip(tmp_path, standardize=True)
-        cont, _ = loaded.rows(0, loaded.aligned_ids)
+        cont, _ = loaded.parties[0].rows(loaded.aligned_ids)
         np.testing.assert_allclose(cont.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(cont.std(axis=0), 1.0, atol=1e-10)
 
@@ -337,7 +337,7 @@ class TestCsv:
             cat_levels=[(("red", "blue"),), ()],
             test_fraction=0.0, standardize=False,
         )
-        _, cats = loaded.rows(0, [1, 2, 3])
+        _, cats = loaded.parties[0].rows([1, 2, 3])
         assert cats[:, 0].tolist() == [0, 1, 2]  # teal: corruption index == vocabulary size
 
     @pytest.mark.parametrize("cat_levels", [[(("red",),)], [(), ()], [(("red",), ("x",)), ()]])

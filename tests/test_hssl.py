@@ -193,7 +193,7 @@ class TestPretrainNoise:
     def test_only_party_1_cross_repr_is_noisy(self, monkeypatch):
         ds, nodes, net = setup(parties=3)
         ids = ds.aligned_ids
-        own = {p.party_id: p.model.cross.forward(*p.features(ids)).values for p in nodes}
+        own = {p.party_id: p.model.cross.forward(*p.block.rows(ids)).values for p in nodes}
         opts = {p.party_id: T.SgdOptimizer(p.model.params_cross(), 0.05) for p in nodes}
         frames = self.spy_sends(monkeypatch)
         hssl.cross_party_ssl_epoch(

@@ -127,11 +127,10 @@ class IdentityAdversary:
     """Oracle party whose split-network representation is its raw features."""
 
     def __init__(self, dataset, party_id=2):
-        self.dataset = dataset
-        self.party_id = party_id
+        self.block = dataset.parties[party_id - 1]
 
     def finetune_forward(self, ids):
-        cont, _ = self.dataset.rows(self.party_id - 1, ids)
+        cont, _ = self.block.rows(ids)
         return T.Tensor(cont)
 
 
@@ -140,7 +139,7 @@ class TestMcAttack:
         ds = adversary_dataset()
         adv = IdentityAdversary(ds)
         rec = privacy.mc_attack(
-            adv, ds.labeled_ids[:80], ds.test_ids, ds.num_classes,
+            adv, ds.labeled_ids[:80], ds.test_ids, ds.label_array, ds.num_classes,
             np.random.default_rng(0), head_hidden_dim=32, epochs=60,
         )
         assert rec > 0.9
@@ -152,7 +151,7 @@ class TestMcAttack:
         ds.labels = {k: int(shuffler.integers(4)) for k in keys}
         adv = IdentityAdversary(ds)
         rec = privacy.mc_attack(
-            adv, ds.labeled_ids[:80], ds.test_ids, 4, np.random.default_rng(0),
+            adv, ds.labeled_ids[:80], ds.test_ids, ds.label_array, 4, np.random.default_rng(0),
             head_hidden_dim=32, epochs=60,
         )
         p = 0.25
@@ -169,25 +168,40 @@ class TestMcAttack:
         adv = nodes[1]
         before = {name: p.values.copy() for name, p in adv.model.named_params()}
         privacy.mc_attack(
-            adv, ds.labeled_ids[:40], ds.test_ids, 2, np.random.default_rng(0),
+            adv, ds.labeled_ids[:40], ds.test_ids, ds.label_array, 2, np.random.default_rng(0),
             head_hidden_dim=32, epochs=3,
         )
         for name, p in adv.model.named_params():
             np.testing.assert_array_equal(p.values, before[name], err_msg=name)
+
+    def test_labels_asked_only_for_aux_and_eval_ids(self):
+        ds = adversary_dataset()
+        aux_ids, eval_ids = ds.labeled_ids[:40], ds.test_ids
+        asked = []
+
+        def spy(ids):
+            asked.append(sorted(map(int, ids)))
+            return ds.label_array(ids)
+
+        privacy.mc_attack(
+            IdentityAdversary(ds), aux_ids, eval_ids, spy, 2, np.random.default_rng(0),
+            head_hidden_dim=8, epochs=1,
+        )
+        assert sorted(asked) == sorted([sorted(map(int, aux_ids)), sorted(map(int, eval_ids))])
 
     def test_overlapping_ids_rejected(self):
         ds = adversary_dataset()
         adv = IdentityAdversary(ds)
         with pytest.raises(ConfigError, match="disjoint"):
             privacy.mc_attack(
-                adv, ds.labeled_ids[:10], ds.labeled_ids[5:15], 2,
+                adv, ds.labeled_ids[:10], ds.labeled_ids[5:15], ds.label_array, 2,
                 np.random.default_rng(0), head_hidden_dim=32, epochs=100,
             )
 
     def test_deterministic(self):
         ds = adversary_dataset()
         adv = IdentityAdversary(ds)
-        args = (adv, ds.labeled_ids[:40], ds.test_ids, 2)
+        args = (adv, ds.labeled_ids[:40], ds.test_ids, ds.label_array, 2)
         a = privacy.mc_attack(*args, np.random.default_rng(3), head_hidden_dim=32, epochs=10)
         b = privacy.mc_attack(*args, np.random.default_rng(3), head_hidden_dim=32, epochs=10)
         assert a == b

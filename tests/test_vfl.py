@@ -208,7 +208,7 @@ class MonolithicMirror:
         ]
 
     def train_step(self, ids):
-        labels = self.parties[0].dataset.label_array(ids)
+        labels = self.parties[0].labels(ids)
         reps = [p.finetune_forward(ids) for p in self.parties]
         if self.aggregator == "mean":
             joined = T.affine(reduce(T.add, reps), 1.0 / len(reps))
@@ -342,7 +342,8 @@ class TestSplitTraining:
         ds = desk_dataset()
         cfg = desk_cfg()
         nodes = [
-            vfl.PartyNode(pid, nn.EncoderStack(cfg, "simsiam", np.random.default_rng(pid)), ds)
+            vfl.PartyNode(pid, nn.EncoderStack(cfg, "simsiam", np.random.default_rng(pid)),
+                          ds.parties[pid - 1], ds.label_array if pid == 1 else None)
             for pid in (1, 2)
         ]
         with pytest.raises(ConfigError, match="top model"):
@@ -351,6 +352,26 @@ class TestSplitTraining:
     def test_only_party_one_owns_a_top_model(self):
         _, nodes, _, _ = make_trainer(parties=3)
         assert [p.model.top_model is not None for p in nodes] == [True, False, False]
+
+    def test_each_party_holds_only_its_own_block(self):
+        ds = desk_dataset(parties=3)
+        nodes = vfl.make_parties(ds, desk_cfg(num_parties=3), "simsiam", 0)
+        assert [p.block is ds.parties[p.party_id - 1] for p in nodes] == [True] * 3
+        assert not any(hasattr(p, "dataset") for p in nodes)
+
+    def test_only_party_one_holds_labels(self):
+        ds = desk_dataset(parties=3)
+        nodes = vfl.make_parties(ds, desk_cfg(num_parties=3), "simsiam", 0)
+        assert [p.labels is not None for p in nodes] == [True, False, False]
+        ids = ds.labeled_ids[:8]
+        np.testing.assert_array_equal(nodes[0].labels(ids), ds.label_array(ids))
+
+    def test_party_one_without_labels_rejected(self):
+        ds = desk_dataset()
+        nodes = vfl.make_parties(ds, desk_cfg(), "simsiam", 0)
+        nodes[0].labels = None
+        with pytest.raises(ConfigError, match="labels"):
+            vfl.SplitTrainer(nodes, vfl.Network(), learning_rate=0.05)
 
     def test_predictions_deterministic(self):
         ds, _, _, t1 = make_trainer(seed=9)
