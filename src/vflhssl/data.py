@@ -42,7 +42,7 @@ class PartyBlock:
 
     def rows(self, ids):
         try:
-            idx = np.array([self.index[int(i)] for i in ids], dtype=np.int64)
+            idx = np.array([self.index[i] for i in np.asarray(ids).tolist()], dtype=np.int64)
         except KeyError as exc:
             raise DataError(f"sample id {exc.args[0]} missing at this party") from exc
         return self.cont[idx], self.cats[idx]
@@ -72,7 +72,7 @@ class VerticalDataset:
 
     def label_array(self, ids):
         try:
-            return np.array([self.labels[int(i)] for i in ids], dtype=np.int64)
+            return np.array([self.labels[i] for i in np.asarray(ids).tolist()], dtype=np.int64)
         except KeyError as exc:
             raise DataError(f"no label for sample id {exc.args[0]}") from exc
 
@@ -203,60 +203,53 @@ def _quantize(column, levels):
 
 # -- augmentation -------------------------------------------------------
 
-SCALAR_DONOR_DRAWS = 3  # up to 3 scalar integers() calls cost less than one sized call
-
-
 def augment(cont, cats, cat_cardinalities, corruption_fraction, rng, cont_std=None):
     """Corrupted view of a batch; the inputs are never mutated.
 
-    Per sample exactly ceil(corruption_fraction*m) positions, a fraction
-    in [0, 1], are corrupted, chosen
-    uniformly without replacement over all feature positions.
-    Continuous cells are resampled from the same column of another
-    batch row (empirical marginal); categorical cells map to the
-    reserved corruption embedding index (== cardinality).
+    Per sample exactly k = ceil(corruption_fraction*m) positions, a
+    fraction in [0, 1], are corrupted, chosen uniformly without
+    replacement over all feature positions. Continuous cells are
+    resampled from the same column of another batch row (empirical
+    marginal); categorical cells map to the reserved corruption
+    embedding index (== cardinality).
 
-    Draw order, which fixes the output for an ``rng`` state: per row one
-    ``choice(m, size=k, replace=False)``, then per continuous position in
-    that order a donor ``integers(n - 1)`` (skipping the row itself) or,
-    in a one-row batch, a ``standard_normal`` jitter times ``cont_std`` (or 1).
+    Draw order, which fixes the output for an ``rng`` state:
+
+    1. ``keys = rng.random((n, m))``. A row's corrupted cells are its k
+       smallest keys, found with
+       ``np.argpartition(keys, k - 1, axis=1)[:, :k]`` and turned into a
+       boolean ``(n, m)`` mask.
+    2. If ``m_cont > 0``, draw one of these:
+       for n > 1, ``donors = rng.integers(n - 1, size=(n, m_cont))``, then
+       ``donors += donors >= np.arange(n)[:, None]``, with the values read
+       by ``np.take_along_axis(cont, donors, axis=0)``;
+       for n = 1, ``rng.standard_normal((1, m_cont))``, a jitter times
+       ``cont_std`` (or times 1).
+    3. The continuous block is ``np.where(mask[:, :m_cont], swapped, cont)``.
+       The categorical block is ``np.where(mask[:, m_cont:], cards, cats)``,
+       with ``cards`` as int64.
     """
     if len(cont) == 0:
         raise DataError("cannot augment an empty batch")
-    n = cont.shape[0]
-    m_cont, m_cat = cont.shape[1], cats.shape[1]
-    m = m_cont + m_cat
+    n, m_cont = cont.shape
+    m = m_cont + cats.shape[1]
     k = math.ceil(corruption_fraction * m)
-    out_cont, out_cats = cont.copy(), cats.copy()
     if k == 0 or m == 0:
-        return out_cont, out_cats
-    integers, bound = rng.integers, n - 1
-    rows, cols, draws, cat_rows, cat_cols = [], [], [], [], []
-    for r in range(n):
-        positions = rng.choice(m, size=k, replace=False).tolist()
-        picked = [pos for pos in positions if pos < m_cont] if m_cat else positions
-        if len(picked) < k:
-            cat_rows += [r] * (k - len(picked))
-            cat_cols += [pos - m_cont for pos in positions if pos >= m_cont]
-        rows += [r] * len(picked)
-        cols += picked
-        if n == 1:
-            draws += rng.standard_normal(len(picked)).tolist()
-        elif len(picked) > SCALAR_DONOR_DRAWS:  # the same stream as scalar calls
-            draws += integers(bound, size=len(picked)).tolist()
-        else:
-            draws += [int(integers(bound)) for _ in picked]
-    # One scatter per block; every read is from the unmodified input.
-    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-    if n == 1:
-        sigma = 1.0 if cont_std is None else cont_std[cols]
-        out_cont[rows, cols] = cont[rows, cols] + sigma * np.array(draws)
-    else:
-        donors = np.array(draws, dtype=np.int64)
-        out_cont[rows, cols] = cont[donors + (donors >= rows), cols]
-    cat_cols = np.array(cat_cols, dtype=np.int64)
-    out_cats[np.array(cat_rows, dtype=np.int64), cat_cols] = np.asarray(cat_cardinalities)[cat_cols]
-    return out_cont, out_cats
+        return cont.copy(), cats.copy()
+    keys = rng.random((n, m))
+    mask = np.zeros((n, m), dtype=bool)
+    np.put_along_axis(mask, np.argpartition(keys, k - 1, axis=1)[:, :k], True, axis=1)
+    swapped = cont
+    if m_cont and n > 1:
+        donors = rng.integers(n - 1, size=(n, m_cont))
+        donors += donors >= np.arange(n)[:, None]
+        swapped = np.take_along_axis(cont, donors, axis=0)
+    elif m_cont:
+        sigma = 1.0 if cont_std is None else cont_std
+        swapped = cont + sigma * rng.standard_normal((1, m_cont))
+    cards = np.asarray(cat_cardinalities, dtype=np.int64)
+    return (np.where(mask[:, :m_cont], swapped, cont),
+            np.where(mask[:, m_cont:], cards, cats))
 
 
 # -- batching -----------------------------------------------------------

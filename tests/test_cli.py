@@ -482,7 +482,7 @@ class TestFinetuneAndAttack:
         digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
                    for name in ("checkpoint.bin", "report.csv")}
         assert digests == {
-            "checkpoint.bin": "e2d6a032133e5cc10e644e7b69fceb02e2efad5fa2abb49f86e9c0ad6ac27234",
+            "checkpoint.bin": "700651387f6f7046c2413371b666bb39f59b3ae46db4c3922169484a69069848",
             "report.csv": "2b75453da4029e67c25a784a65b5c4f88231d0476d0a022056a0c26a16d91e68",
         }
 
@@ -515,9 +515,9 @@ class TestFinetuneAndAttack:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("checkpoint.bin", "trace.json", "attack.json")}
         assert digests == {
-            "checkpoint.bin": "8d4f638235c00a0c103294653d008e31032a41a19b724f2dda6f6cb299bd51f9",
-            "trace.json": "03577be877dd9270d952c390e92d8f251baec941b79aa8728f7b859f88bee5fc",
-            "attack.json": "a88f0fd1876f90338852e147de4d038f39f823fd05b22803a96451157be493bf",
+            "checkpoint.bin": "eadb2bee1c5c7740c668f15e6fe3a612aabb5b11a3a27758747130a815ca95a9",
+            "trace.json": "22bd60e3264842db4414244822740fd8b827653848fb93ff2c5b639202479bbc",
+            "attack.json": "acaa019ccc09e8a3df2783f852ca4ca17a66ddbc70cb19f32f6868d76519fa2d",
         }
 
     def test_checkpoint_loaded_once_outputs_unchanged(self, tmp_path, monkeypatch):
@@ -554,7 +554,7 @@ class TestFinetuneAndAttack:
     @pytest.mark.parametrize("preset,expected", [
         ("fedlocal-simsiam", {
             "report.json": "6fa4fcaad790d0e2204a2f9737d8f3113fb27f28dfe6c6d095a82300dd1d4cd4",
-            "attack.json": "07366697d5714e5809221f4647f3462c0de6ead775be488aeea39f498568782c",
+            "attack.json": "1739bd867e724cffa6505a1a89c491a0588a7ceba7bc259dec02b9087565a1cb",
         }),
         ("fedcssl", {
             "report.json": "dbaee7b14a3d0c42737bf53cacd0eb84a6b61ec96b88debd55fb8c7c2c872678",

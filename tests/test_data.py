@@ -54,6 +54,21 @@ class TestSynthetic:
         with pytest.raises(DataError):
             ds.parties[0].rows([10 ** 9])
 
+    def test_rows_reject_non_integral_id(self):
+        block = data.generate_synthetic(small_spec()).parties[0]
+        i = int(block.ids[3])
+        with pytest.raises(DataError, match="missing"):
+            block.rows(np.array([i + 0.7]))
+        for got, want in zip(block.rows(np.array([float(i)])), block.rows([i])):
+            np.testing.assert_array_equal(got, want)
+
+    def test_label_array_rejects_non_integral_id(self):
+        ds = data.generate_synthetic(small_spec())
+        i = int(ds.labeled_ids[3])
+        with pytest.raises(DataError, match="no label"):
+            ds.label_array(np.array([i + 0.7]))
+        assert ds.label_array(np.array([float(i)])).tolist() == [ds.labels[i]]
+
     def test_categorical_block_shapes(self):
         ds = data.generate_synthetic(small_spec(cat_cardinalities=((4, 3), ())))
         block = ds.parties[0]
@@ -156,8 +171,8 @@ class TestAugmentation:
 
 
 def per_cell_augment(cont, cats, cat_cardinalities, corruption_fraction, rng, cont_std=None):
-    """The per-cell corruption loop that fixed augment's draw order; kept
-    as the oracle of its outputs and of the rng state it leaves."""
+    """A per-cell loop of scalar draws in augment's draw order; kept as the
+    oracle of its outputs and of the rng state it leaves."""
     n = cont.shape[0]
     m_cont, m_cat = cont.shape[1], cats.shape[1]
     m = m_cont + m_cat
@@ -166,18 +181,22 @@ def per_cell_augment(cont, cats, cat_cardinalities, corruption_fraction, rng, co
     out_cats = cats.copy()
     if k == 0 or m == 0:
         return out_cont, out_cats
+    keys = [[rng.random() for _ in range(m)] for _ in range(n)]
+    if n > 1:
+        donors = [[int(rng.integers(n - 1)) for _ in range(m_cont)] for _ in range(n)]
+    else:
+        jitter = [rng.standard_normal() for _ in range(m_cont)]
     for r in range(n):
-        positions = rng.choice(m, size=k, replace=False)
-        for pos in positions:
+        for pos in sorted(range(m), key=keys[r].__getitem__)[:k]:
             if pos < m_cont:
                 if n > 1:
-                    donor = int(rng.integers(n - 1))
+                    donor = donors[r][pos]
                     if donor >= r:
                         donor += 1
                     out_cont[r, pos] = cont[donor, pos]
                 else:
                     sigma = cont_std[pos] if cont_std is not None else 1.0
-                    out_cont[r, pos] = cont[r, pos] + sigma * rng.standard_normal()
+                    out_cont[r, pos] = cont[r, pos] + sigma * jitter[pos]
             else:
                 j = pos - m_cont
                 out_cats[r, j] = cat_cardinalities[j]
@@ -215,6 +234,19 @@ def test_augment_matches_per_cell_reference():
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     check()
+
+
+def test_augment_positions_are_uniform():
+    n, m_cont, m_cat, k = 4000, 6, 4, 3
+    # Distinct values per column, so every corrupted cell differs from its input.
+    cont = np.arange(n * m_cont, dtype=np.float64).reshape(n, m_cont)
+    cats = np.zeros((n, m_cat), dtype=np.int64)
+    p = k / (m_cont + m_cat)
+    out_cont, out_cats = data.augment(cont, cats, (2,) * m_cat, p, np.random.default_rng(19))
+    hits = np.concatenate([out_cont != cont, out_cats != cats], axis=1)
+    assert (hits.sum(axis=1) == k).all()
+    sigma = np.sqrt(n * p * (1 - p))
+    assert (np.abs(hits.sum(axis=0) - n * p) < 5 * sigma).all()
 
 
 class TestBatches:
