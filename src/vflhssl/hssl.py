@@ -68,8 +68,10 @@ class PipelineConfig:
             )
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown SSL variant {self.variant!r}; choose from {VARIANTS}")
-        if min(self.gamma, self.lambda_p) < 0 or min(self.cross_lr, self.local_lr) <= 0:
-            raise ConfigError("gamma and lambda_p must be >= 0 and the learning rates > 0")
+        if not (all(0 <= v < math.inf for v in (self.gamma, self.lambda_p))
+                and all(0 < v < math.inf for v in (self.cross_lr, self.local_lr))):
+            raise ConfigError("gamma and lambda_p must be finite and >= 0, "
+                              "and the learning rates finite and > 0")
         if min(self.local_updates, self.batch_size) < 1:
             raise ConfigError("local_updates and batch_size must be >= 1")
         if not 0.0 < self.aligned_fraction <= 1.0:

@@ -20,8 +20,8 @@ def iso_perturb(d, lam, rng):
     lam == 0 is an exact pass-through that consumes no rng draws (rng may
     be None), so a lam=0 run is bit-identical to one without noise.
     """
-    if lam < 0:
-        raise ValidationError("lambda must be non-negative")
+    if not 0 <= lam < math.inf:
+        raise ValidationError("lambda must be finite and non-negative")
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
     if lam == 0.0:
         return d.copy()
@@ -38,6 +38,8 @@ def metric_top1(predictions, labels):
     labels = np.asarray(labels)
     if predictions.size == 0:
         raise ValidationError("empty prediction set")
+    if predictions.shape != labels.shape:
+        raise ValidationError(f"{predictions.shape} predictions for {labels.shape} labels")
     return float((predictions == labels).mean())
 
 

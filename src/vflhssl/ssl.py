@@ -1,11 +1,14 @@
 """The three self-supervised losses and the MoCo negative queue.
 
-All losses take a prediction ``p`` and a target ``z_target``; the
-target is always routed through stop_gradient internally, so gradients
-never reach the target's producers regardless of caller discipline.
+All losses take a prediction ``p`` and a target ``z_target``; SimSiam
+and BYOL route the target through stop_gradient and MoCo hands
+``info_nce`` only its values, so gradients never reach the target's
+producers regardless of caller discipline.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -66,20 +69,9 @@ def loss_moco(z1: T.Tensor, z2_target: T.Tensor, queue: NegativeQueue, temperatu
     """InfoNCE with the queue as negatives; rows are unit-normalized and
     all logits are divided by the temperature."""
     _check_pair(z1, z2_target)
-    if temperature <= 0:
-        raise ConfigError("temperature must be positive")
-    z1n = T.row_l2_normalize(z1)
-    z2n = T.row_l2_normalize(T.stop_gradient(z2_target))
-    pos = T.row_sum(T.mul(z1n, z2n))
-    negatives = queue.as_matrix()
-    if negatives is None:
-        logits = pos
-    else:
-        negs = T.matmul(z1n, T.Tensor(negatives.T))
-        logits = T.concat_cols([pos, negs])
-    logits = T.affine(logits, 1.0 / temperature)
-    labels = np.zeros(z1.rows, dtype=np.int64)  # positive is column 0
-    return T.softmax_cross_entropy(logits, labels)
+    if not 0 < temperature < math.inf:
+        raise ConfigError("temperature must be positive and finite")
+    return T.info_nce(z1, z2_target.values, queue.as_matrix(), temperature)
 
 
 def ssl_loss(variant: str, p: T.Tensor, z_target: T.Tensor, queue=None) -> T.Tensor:

@@ -9,6 +9,7 @@ cross-entropy used elsewhere in the package. Everything is float64.
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 
 import numpy as np
@@ -243,18 +244,27 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_values, (a, b), backward)
 
 
+def _row_normalize(x):
+    """``x`` with each row divided by max(||row||_2, eps); also the
+    divisors and the rows where the clamp is inactive."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    denom = np.maximum(norms, NORM_EPS)
+    return x / denom, denom, norms > NORM_EPS
+
+
+def _row_normalize_grad(g, x, denom, live):
+    """The gradient reaching ``x`` through ``_row_normalize`` from ``g``."""
+    dot = (g * x).sum(axis=1, keepdims=True)
+    return g / denom - np.where(live, x * dot / denom**3, 0.0)
+
+
 def row_l2_normalize(x: Tensor) -> Tensor:
     """Divide each row by max(||row||_2, eps)."""
-    norms = np.linalg.norm(x.values, axis=1, keepdims=True)
-    denom = np.maximum(norms, NORM_EPS)
-    live = norms > NORM_EPS  # rows where the clamp is inactive
-    out_values = x.values / denom
+    out_values, denom, live = _row_normalize(x.values)
 
     def backward(g):
         if x.requires_grad:
-            dot = (g * x.values).sum(axis=1, keepdims=True)
-            gx = g / denom - np.where(live, x.values * dot / denom**3, 0.0)
-            x._accumulate(gx, fresh=True)
+            x._accumulate(_row_normalize_grad(g, x.values, denom, live), fresh=True)
 
     return _result(out_values, (x,), backward)
 
@@ -353,6 +363,24 @@ def embed_concat(cont, tables, cats, frozen_rows) -> Tensor:
     return _result(out_values, tuple(tables), backward)
 
 
+def _log_softmax_nll(logits, y, out=None):
+    """The row-wise log-softmax of ``logits``, written to ``out`` (which
+    may be ``logits`` itself), and the mean of its negated ``y`` entries
+    as a (1, 1) array."""
+    log_probs = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+    return log_probs, np.array([[-log_probs[np.arange(len(y)), y].mean()]])
+
+
+def _nll_grad(log_probs, y, g):
+    """The gradient of that mean with respect to the logits, given ``g``
+    on it: (softmax - one-hot(y)) * g / n."""
+    probs = np.exp(log_probs)
+    probs[np.arange(len(y)), y] -= 1.0
+    probs *= g[0, 0] / len(y)
+    return probs
+
+
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label]."""
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -361,18 +389,54 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ShapeError(f"{y.shape[0]} labels for {n} logit rows")
     if y.size and (y.min() < 0 or y.max() >= c):
         raise ValidationError(f"label out of range [0, {c})")
-    shifted = logits.values - logits.values.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - lse
-    out_values = np.array([[-log_probs[np.arange(n), y].mean()]])
+    log_probs, out_values = _log_softmax_nll(logits.values, y)
 
     def backward(g):
         if logits.requires_grad:
-            probs = np.exp(log_probs)
-            probs[np.arange(n), y] -= 1.0
-            logits._accumulate(probs * (g[0, 0] / n), fresh=True)
+            logits._accumulate(_nll_grad(log_probs, y, g), fresh=True)
 
     return _result(out_values, (logits,), backward)
+
+
+def info_nce(q: Tensor, k, negatives, temperature) -> Tensor:
+    """InfoNCE of the rows of ``q`` against the positives ``k`` and the
+    shared ``negatives``, as one node.
+
+    Rows of ``q`` and ``k`` are unit-normalised; the logits
+    ``[q̂·k̂ | q̂ @ negativesᵀ]`` are divided by ``temperature``, and the
+    loss is their mean cross-entropy with label 0. ``k`` (n, d) and
+    ``negatives`` (Q, d), or None for none, are constant arrays. Values
+    and the gradient of ``q`` equal the composition ``row_l2_normalize ->
+    mul -> row_sum``, ``matmul``, ``concat_cols``, ``affine(1/temperature)``
+    and ``softmax_cross_entropy`` bit for bit; the logits are one buffer.
+    """
+    k = np.asarray(k, dtype=np.float64)
+    if k.shape != q.shape or (negatives is not None and negatives.shape[1:] != (q.cols,)):
+        raise ShapeError(f"info_nce shapes disagree: q {q.shape}, k {k.shape}, "
+                         f"negatives {None if negatives is None else negatives.shape}")
+    n = q.rows
+    qn, denom, live = _row_normalize(q.values)
+    kn = _row_normalize(k)[0]
+    logits = np.empty((n, 1 if negatives is None else 1 + len(negatives)))
+    logits[:, :1] = (qn * kn).sum(axis=1, keepdims=True)
+    if negatives is not None:
+        np.matmul(qn, negatives.T, out=logits[:, 1:])
+    scale = 1.0 / temperature
+    logits *= scale
+    logits += 0.0  # as affine's ``scale * x + 0.0``, which turns -0.0 into 0.0
+    y = np.zeros(n, dtype=np.int64)
+    log_probs, out_values = _log_softmax_nll(logits, y, out=logits)
+
+    def backward(g):
+        if q.requires_grad:
+            gl = _nll_grad(log_probs, y, g)
+            gl *= scale
+            gqn = gl[:, :1] * kn
+            if negatives is not None:
+                gqn += gl[:, 1:] @ negatives
+            q._accumulate(_row_normalize_grad(gqn, q.values, denom, live), fresh=True)
+
+    return _result(out_values, (q,), backward)
 
 
 # -- optimizer ----------------------------------------------------------
@@ -391,8 +455,8 @@ class SgdOptimizer:
     """
 
     def __init__(self, params, learning_rate, momentum=0.9):
-        if learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
+        if not 0 < learning_rate < math.inf:
+            raise ValidationError("learning_rate must be positive and finite")
         if not 0.0 <= momentum < 1.0:
             raise ValidationError("momentum must be in [0, 1)")
         self.params = list(params)

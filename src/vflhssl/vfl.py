@@ -166,8 +166,8 @@ class SplitTrainer:
         active = self.parties[0]
         if active.party_id != 1 or active.model.top_model is None or active.labels is None:
             raise ConfigError("party 1 must be active: it owns the top model and the labels")
-        if lambda_f < 0:
-            raise ConfigError("lambda_f must be non-negative")
+        if not 0 <= lambda_f < math.inf:
+            raise ConfigError("lambda_f must be finite and non-negative")
         self.network = network
         self.aggregator = active.model.cfg.aggregator
         self.lambda_f = lambda_f

@@ -373,6 +373,19 @@ class TestPretrain:
         trace = json.loads((out / "trace.json").read_text())
         assert {r["step"] for r in trace["records"]} == {"cross"}
 
+    def test_local_moco_outputs_pinned(self, cfg_path, tmp_path):
+        # Step 2 alone under MoCo: each party's local_a and local_b queues
+        # supply the negatives, and no guidance term joins the loss.
+        out = tmp_path / "out"
+        assert cli.main(["pretrain", "--config", cfg_path, "--preset", "fedlocal-moco",
+                         "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("checkpoint.bin", "trace.json")}
+        assert digests == {
+            "checkpoint.bin": "f63221f44853b077dfde49631c150ce536d8119c8872e4d7bf1d3d28410e29e4",
+            "trace.json": "3a51f23be5cc8593e380e40bb376e721315739c59e5754b26cb163e5715e8a12",
+        }
+
     def test_fedsplitnn_skips_pretraining(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         cli.main(["pretrain", "--config", cfg_path, "--preset", "fedsplitnn",

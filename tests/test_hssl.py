@@ -339,6 +339,12 @@ class TestPresets:
         with pytest.raises(ConfigError):
             hssl.PipelineConfig(aligned_fraction=0.0)
 
+    @pytest.mark.parametrize("field", ["gamma", "lambda_p", "cross_lr", "local_lr"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            hssl.PipelineConfig(**{field: value})
+
     def test_step1_aligned_fraction(self):
         ds = desk_dataset(aligned=48)
         assert len(hssl.step1_aligned_ids(ds, 1.0)) == 48

@@ -46,12 +46,22 @@ class TestIsoPerturb:
         with pytest.raises(ValidationError):
             privacy.iso_perturb(np.ones((1, 2)), -1.0, rng)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda(self, rng, lam):
+        with pytest.raises(ValidationError):
+            privacy.iso_perturb(np.ones((1, 2)), lam, rng)
+
 
 class TestMetrics:
     def test_top1(self):
         assert privacy.metric_top1([1, 2, 3, 1], [1, 2, 0, 0]) == 0.5
         with pytest.raises(ValidationError):
             privacy.metric_top1([], [])
+
+    @pytest.mark.parametrize("predictions,labels", [([1], [1, 1, 0]), ([1, 1, 0], [1])])
+    def test_top1_lengths_must_agree(self, predictions, labels):
+        with pytest.raises(ValidationError):
+            privacy.metric_top1(predictions, labels)
 
 
 class TestCap:

@@ -104,6 +104,75 @@ class TestMoco:
         with pytest.raises(ConfigError):
             ssl.loss_moco(z, z, ssl.NegativeQueue(4), 0.0)
 
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf])
+    def test_non_finite_temperature(self, rng, temperature):
+        z = T.Tensor(rng.normal(size=(2, 3)))
+        with pytest.raises(ConfigError, match="finite"):
+            ssl.loss_moco(z, z, ssl.NegativeQueue(4), temperature)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            ssl.loss_moco(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 4))),
+                          ssl.NegativeQueue(4), 0.5)
+
+
+def reference_info_nce(q, k, negatives, temperature):
+    """The composition ``info_nce`` replaces: normalise, positive column by
+    ``mul -> row_sum``, negatives by ``matmul``, join, scale, cross-entropy."""
+    qn = T.row_l2_normalize(q)
+    kn = T.row_l2_normalize(T.Tensor(k))
+    logits = T.row_sum(T.mul(qn, kn))
+    if negatives is not None:
+        logits = T.concat_cols([logits, T.matmul(qn, T.Tensor(negatives.T))])
+    logits = T.affine(logits, 1.0 / temperature)
+    return T.softmax_cross_entropy(logits, np.zeros(q.rows, dtype=np.int64))
+
+
+class TestInfoNce:
+    @pytest.mark.parametrize("queued", [0, 5, ssl.QUEUE_CAPACITY])
+    @pytest.mark.parametrize("batch", [1, 128])
+    @pytest.mark.parametrize("zero_row", [False, True])
+    def test_bit_identical_to_composition(self, rng, queued, batch, zero_row):
+        d = 16
+        q, k = rng.normal(size=(batch, d)), rng.normal(size=(batch, d))
+        if zero_row:
+            q[0] = 0.0  # its norm is clamped to NORM_EPS
+        queue = ssl.NegativeQueue(ssl.QUEUE_CAPACITY)
+        if queued:
+            queue.enqueue(rng.normal(size=(queued, d)))
+        arrays = [q, k, queue.as_matrix()]
+        # The same operands again, with NaN, signed zeros and infinities.
+        special = [None if a is None else a.copy() for a in arrays]
+        for a in filter(lambda a: a is not None, special):
+            cells = rng.random(a.shape) < 0.2
+            a[cells] = rng.choice([np.nan, 0.0, -0.0, np.inf, -np.inf], size=cells.sum())
+
+        def run(operands, fused):
+            q = T.Tensor(operands[0], requires_grad=True)
+            loss = (T.info_nce if fused else reference_info_nce)(
+                q, *operands[1:], ssl.MOCO_TEMPERATURE)
+            loss.backward(grad=np.array([[0.7]]))
+            return loss.values, q.grad
+
+        with np.errstate(all="ignore"):
+            for operands in (arrays, special):
+                for fused_part, composed_part in zip(run(operands, True), run(operands, False)):
+                    assert fused_part.tobytes() == composed_part.tobytes()
+
+    def test_constants_untouched(self, rng):
+        q = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        k, negatives = rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
+        before = k.copy(), negatives.copy()
+        T.info_nce(q, k, negatives, 0.5).backward()
+        assert k.tobytes() == before[0].tobytes() and negatives.tobytes() == before[1].tobytes()
+
+    @pytest.mark.parametrize("k_shape,neg_shape", [((4, 2), None), ((4, 3), (6, 2)),
+                                                   ((3, 3), (6, 3))])
+    def test_shape_mismatch(self, k_shape, neg_shape):
+        negatives = None if neg_shape is None else np.zeros(neg_shape)
+        with pytest.raises(ShapeError, match="info_nce"):
+            T.info_nce(T.Tensor(np.ones((4, 3))), np.ones(k_shape), negatives, 0.5)
+
 
 class TestDispatch:
     @pytest.mark.parametrize("kind", ["simsiam", "byol", "moco"])

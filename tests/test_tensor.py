@@ -118,6 +118,7 @@ def test_every_op_returns_2d_float64(rng):
         "concat_cols": lambda: T.concat_cols([a, T.Tensor(w.values[:1].repeat(4, axis=0))]),
         "embed_concat": lambda: T.embed_concat(a.values, [w], [[0], [2], [2], [1]], [2]),
         "softmax_cross_entropy": lambda: T.softmax_cross_entropy(a, [0, 1, 2, 0]),
+        "info_nce": lambda: T.info_nce(a, b.values, w.values.T, 0.5),
     }
     public_ops = {
         name for name, fn in vars(T).items()
@@ -358,6 +359,11 @@ class TestSgdOptimizer:
                     assert a.grad is None and b.grad is None
 
         check()
+
+    @pytest.mark.parametrize("learning_rate", [0.0, -0.1, np.nan, np.inf])
+    def test_learning_rate_positive_and_finite(self, learning_rate):
+        with pytest.raises(ValidationError, match="learning_rate"):
+            T.SgdOptimizer([T.Tensor([[1.0]], requires_grad=True)], learning_rate)
 
     def test_parameter_packed_twice(self):
         p, q = (T.Tensor([[1.0, 2.0]], requires_grad=True) for _ in range(2))

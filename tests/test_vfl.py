@@ -338,6 +338,11 @@ class TestSplitTraining:
             assert payload.shape == (len(ids), repr_dim)
             assert not np.array_equal(payload.ravel()[: len(labels)], labels)
 
+    @pytest.mark.parametrize("lambda_f", [-1.0, np.nan, np.inf])
+    def test_lambda_f_non_negative_and_finite(self, lambda_f):
+        with pytest.raises(ConfigError, match="lambda_f"):
+            make_trainer(lambda_f=lambda_f)
+
     def test_party_one_without_top_model_rejected(self):
         ds = desk_dataset()
         cfg = desk_cfg()
