@@ -216,13 +216,15 @@ def augment(cont, cats, cat_cardinalities, corruption_fraction, rng, cont_std=No
     Draw order, which fixes the output for an ``rng`` state:
 
     1. ``keys = rng.random((n, m))``. A row's corrupted cells are its k
-       smallest keys, found with
-       ``np.argpartition(keys, k - 1, axis=1)[:, :k]`` and turned into a
-       boolean ``(n, m)`` mask.
+       smallest keys: the boolean ``(n, m)`` mask is ``keys <=`` the row's
+       k-th smallest key (``np.partition``). Should a row tie at that key,
+       so that the mask holds more than n*k cells, it is remade from
+       ``np.argpartition(keys, k - 1, axis=1)[:, :k]``, whose choice among
+       tied keys fixes the mask as before.
     2. If ``m_cont > 0``, draw one of these:
        for n > 1, ``donors = rng.integers(n - 1, size=(n, m_cont))``, then
-       ``donors += donors >= np.arange(n)[:, None]``, with the values read
-       by ``np.take_along_axis(cont, donors, axis=0)``;
+       ``donors += donors >= np.arange(n)[:, None]``, and cell (i, j) reads
+       ``cont[donors[i, j], j]``;
        for n = 1, ``rng.standard_normal((1, m_cont))``, a jitter times
        ``cont_std`` (or times 1).
     3. The continuous block is ``np.where(mask[:, :m_cont], swapped, cont)``.
@@ -237,13 +239,15 @@ def augment(cont, cats, cat_cardinalities, corruption_fraction, rng, cont_std=No
     if k == 0 or m == 0:
         return cont.copy(), cats.copy()
     keys = rng.random((n, m))
-    mask = np.zeros((n, m), dtype=bool)
-    np.put_along_axis(mask, np.argpartition(keys, k - 1, axis=1)[:, :k], True, axis=1)
+    mask = keys <= np.partition(keys, k - 1, axis=1)[:, k - 1 : k]
+    if np.count_nonzero(mask) != n * k:
+        mask = np.zeros((n, m), dtype=bool)
+        np.put_along_axis(mask, np.argpartition(keys, k - 1, axis=1)[:, :k], True, axis=1)
     swapped = cont
     if m_cont and n > 1:
         donors = rng.integers(n - 1, size=(n, m_cont))
         donors += donors >= np.arange(n)[:, None]
-        swapped = np.take_along_axis(cont, donors, axis=0)
+        swapped = cont.ravel()[donors * m_cont + np.arange(m_cont)]
     elif m_cont:
         sigma = 1.0 if cont_std is None else cont_std
         swapped = cont + sigma * rng.standard_normal((1, m_cont))

@@ -72,8 +72,12 @@ class PipelineConfig:
                 and all(0 < v < math.inf for v in (self.cross_lr, self.local_lr))):
             raise ConfigError("gamma and lambda_p must be finite and >= 0, "
                               "and the learning rates finite and > 0")
-        if min(self.local_updates, self.batch_size) < 1:
-            raise ConfigError("local_updates and batch_size must be >= 1")
+        counts = {"global_iterations": 0, "cross_epochs": 0, "local_epochs": 0,
+                  "local_updates": 1, "batch_size": 1}  # field -> least value
+        for name, least in counts.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"pipeline.{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 < self.aligned_fraction <= 1.0:
             raise ConfigError("aligned_fraction must be in (0, 1]")
         if not 0.0 <= self.corruption_fraction <= 1.0:

@@ -1,9 +1,9 @@
 """The three self-supervised losses and the MoCo negative queue.
 
 All losses take a prediction ``p`` and a target ``z_target``; SimSiam
-and BYOL route the target through stop_gradient and MoCo hands
-``info_nce`` only its values, so gradients never reach the target's
-producers regardless of caller discipline.
+and BYOL hand ``neg_cosine`` and MoCo hands ``info_nce`` only the
+target's values, so gradients never reach the target's producers
+regardless of caller discipline.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class NegativeQueue:
 
     def enqueue(self, rows):
         rows = np.asarray(rows, dtype=np.float64)
-        held = rows / np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), T.NORM_EPS)
+        held = T._row_normalize(rows)[0]
         if self.rows is not None:
             held = np.concatenate([self.rows, held])
         self.rows = held[max(0, len(held) - self.capacity):]
@@ -54,10 +54,7 @@ def _check_pair(p, z):
 def loss_simsiam(p: T.Tensor, z_target: T.Tensor) -> T.Tensor:
     """Mean over the batch of the negative cosine similarity."""
     _check_pair(p, z_target)
-    pn = T.row_l2_normalize(p)
-    zn = T.row_l2_normalize(T.stop_gradient(z_target))
-    cos = T.row_sum(T.mul(pn, zn))
-    return T.affine(T.mean_all(cos), -1.0)
+    return T.neg_cosine(p, z_target.values)
 
 
 def loss_byol(p: T.Tensor, z_target: T.Tensor) -> T.Tensor:

@@ -439,6 +439,27 @@ def info_nce(q: Tensor, k, negatives, temperature) -> Tensor:
     return _result(out_values, (q,), backward)
 
 
+def neg_cosine(p: Tensor, z) -> Tensor:
+    """Minus the mean over rows of cos(p, z), with ``z`` a constant (n, d)
+    array, as one node. Values and the gradient of ``p`` equal the composition
+    ``row_l2_normalize -> mul -> row_sum -> mean_all -> affine(-1.0)`` bit for bit."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != p.shape:
+        raise ShapeError(f"neg_cosine shapes disagree: p {p.shape}, z {z.shape}")
+    n = p.rows
+    pn, denom, live = _row_normalize(p.values)
+    zn = _row_normalize(z)[0]
+    cos = (pn * zn).sum(axis=1, keepdims=True)
+    out_values = -1.0 * np.array([[cos.sum() / n]]) + 0.0  # as affine(-1.0): -0.0 becomes 0.0
+
+    def backward(g):
+        if p.requires_grad:
+            gpn = (-1.0 * g[0, 0] / n) * zn
+            p._accumulate(_row_normalize_grad(gpn, p.values, denom, live), fresh=True)
+
+    return _result(out_values, (p,), backward)
+
+
 # -- optimizer ----------------------------------------------------------
 
 class SgdOptimizer:

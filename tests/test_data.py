@@ -236,6 +236,72 @@ def test_augment_matches_per_cell_reference():
     check()
 
 
+def argpartition_augment(cont, cats, cat_cardinalities, corruption_fraction, rng, cont_std=None):
+    """augment with the mask always from ``argpartition`` + ``put_along_axis``
+    and the donors read by ``take_along_axis``; the oracle of its tie
+    fallback."""
+    n, m_cont = cont.shape
+    m = m_cont + cats.shape[1]
+    k = int(np.ceil(corruption_fraction * m))
+    if k == 0 or m == 0:
+        return cont.copy(), cats.copy()
+    keys = rng.random((n, m))
+    mask = np.zeros((n, m), dtype=bool)
+    np.put_along_axis(mask, np.argpartition(keys, k - 1, axis=1)[:, :k], True, axis=1)
+    swapped = cont
+    if m_cont and n > 1:
+        donors = rng.integers(n - 1, size=(n, m_cont))
+        donors += donors >= np.arange(n)[:, None]
+        swapped = np.take_along_axis(cont, donors, axis=0)
+    elif m_cont:
+        sigma = 1.0 if cont_std is None else cont_std
+        swapped = cont + sigma * rng.standard_normal((1, m_cont))
+    cards = np.asarray(cat_cardinalities, dtype=np.int64)
+    return (np.where(mask[:, :m_cont], swapped, cont),
+            np.where(mask[:, m_cont:], cards, cats))
+
+
+class TiedKeysRng:
+    """An rng whose ``random`` keys take one of ``levels`` values, so rows
+    tie at their k-th key; ``integers`` and ``standard_normal`` are a real
+    Generator's."""
+
+    def __init__(self, seed, levels=3):
+        self.gen = np.random.default_rng(seed)
+        self.levels = levels
+        self.integers, self.standard_normal = self.gen.integers, self.gen.standard_normal
+
+    def random(self, size):
+        return np.floor(self.gen.random(size) * self.levels) / self.levels
+
+
+@pytest.mark.parametrize("n,m_cont,m_cat,fraction", [
+    (16, 5, 3, 0.3),   # k = 3 of 8
+    (16, 5, 3, 0.1),   # k = 1
+    (16, 5, 3, 1.0),   # k = m
+    (1, 5, 3, 0.5),    # one row: jitter, no donors
+    (16, 0, 6, 0.5),   # categorical only
+])
+def test_augment_tie_fallback_matches_argpartition(n, m_cont, m_cat, fraction):
+    make = np.random.default_rng(7)
+    cont = make.standard_normal((n, m_cont))
+    cards = (3,) * m_cat
+    cats = make.integers(3, size=(n, m_cat))
+    cont_std = make.random(m_cont) + 0.1
+    m = m_cont + m_cat
+    k = int(np.ceil(fraction * m))
+    keys = TiedKeysRng(11).random((n, m))
+    ties = np.count_nonzero(keys <= np.partition(keys, k - 1, axis=1)[:, k - 1 : k]) != n * k
+    assert ties == (k < m)  # the fallback runs wherever a tie can change the mask
+    for seed in range(11, 31):
+        ours, theirs = TiedKeysRng(seed), TiedKeysRng(seed)
+        got = data.augment(cont, cats, cards, fraction, ours, cont_std)
+        want = argpartition_augment(cont, cats, cards, fraction, theirs, cont_std)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes() and got[1].dtype == want[1].dtype
+        assert ours.gen.bit_generator.state == theirs.gen.bit_generator.state
+
+
 def test_augment_positions_are_uniform():
     n, m_cont, m_cat, k = 4000, 6, 4, 3
     # Distinct values per column, so every corrupted cell differs from its input.

@@ -345,6 +345,20 @@ class TestPresets:
         with pytest.raises(ConfigError, match="finite"):
             hssl.PipelineConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("global_iterations", -3), ("cross_epochs", -1), ("local_epochs", 2.5),
+        ("local_updates", 2.5), ("local_updates", 0), ("batch_size", 0),
+        ("global_iterations", True), ("cross_epochs", False), ("local_epochs", True),
+        ("local_updates", True), ("batch_size", True),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"pipeline.{field} must be an integer"):
+            hssl.PipelineConfig(**{field: value})
+
+    def test_zero_counts_accepted(self):
+        cfg = hssl.PipelineConfig(global_iterations=0, cross_epochs=0, local_epochs=0)
+        assert (cfg.global_iterations, cfg.cross_epochs, cfg.local_epochs) == (0, 0, 0)
+
     def test_step1_aligned_fraction(self):
         ds = desk_dataset(aligned=48)
         assert len(hssl.step1_aligned_ids(ds, 1.0)) == 48

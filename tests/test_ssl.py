@@ -174,6 +174,54 @@ class TestInfoNce:
             T.info_nce(T.Tensor(np.ones((4, 3))), np.ones(k_shape), negatives, 0.5)
 
 
+def reference_neg_cosine(p, z):
+    """The composition ``neg_cosine`` replaces: normalise both sides, the
+    cosine by ``mul -> row_sum``, then minus its mean."""
+    pn = T.row_l2_normalize(p)
+    zn = T.row_l2_normalize(T.stop_gradient(T.Tensor(z)))
+    return T.affine(T.mean_all(T.row_sum(T.mul(pn, zn))), -1.0)
+
+
+class TestNegCosine:
+    @pytest.mark.parametrize("batch", [1, 128])
+    @pytest.mark.parametrize("zero_row", [None, "p", "z"])
+    def test_bit_identical_to_composition(self, rng, batch, zero_row):
+        d = 16
+        p, z = rng.normal(size=(batch, d)), rng.normal(size=(batch, d))
+        if zero_row is not None:
+            # A zero p row has its norm clamped to NORM_EPS; a zero z row normalises to 0.
+            (p if zero_row == "p" else z)[0] = 0.0
+        # The same operands again, with NaN, signed zeros and infinities.
+        special = [p.copy(), z.copy()]
+        for a in special:
+            cells = rng.random(a.shape) < 0.2
+            a[cells] = rng.choice([np.nan, 0.0, -0.0, np.inf, -np.inf], size=cells.sum())
+
+        def run(operands, fused, seed):
+            p = T.Tensor(operands[0], requires_grad=True)
+            loss = (T.neg_cosine if fused else reference_neg_cosine)(p, operands[1])
+            loss.backward(grad=seed)
+            return loss.values, p.grad
+
+        with np.errstate(all="ignore"):
+            for operands in ((p, z), special):
+                for seed in (None, np.array([[0.7]])):
+                    for fused_part, composed_part in zip(run(operands, True, seed),
+                                                         run(operands, False, seed)):
+                        assert fused_part.tobytes() == composed_part.tobytes()
+
+    def test_target_untouched(self, rng):
+        p = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        z = rng.normal(size=(4, 3))
+        before = z.copy()
+        T.neg_cosine(p, z).backward()
+        assert z.tobytes() == before.tobytes()
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="neg_cosine"):
+            T.neg_cosine(T.Tensor(np.ones((4, 3))), np.ones((4, 2)))
+
+
 class TestDispatch:
     @pytest.mark.parametrize("kind", ["simsiam", "byol", "moco"])
     def test_covers_all_kinds(self, kind, rng):

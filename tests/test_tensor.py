@@ -119,6 +119,7 @@ def test_every_op_returns_2d_float64(rng):
         "embed_concat": lambda: T.embed_concat(a.values, [w], [[0], [2], [2], [1]], [2]),
         "softmax_cross_entropy": lambda: T.softmax_cross_entropy(a, [0, 1, 2, 0]),
         "info_nce": lambda: T.info_nce(a, b.values, w.values.T, 0.5),
+        "neg_cosine": lambda: T.neg_cosine(a, b.values),
     }
     public_ops = {
         name for name, fn in vars(T).items()
