@@ -365,6 +365,12 @@ def cmd_attack(config, out_dir, checkpoint_path):
     checkpoint = _load_checkpoint(config, checkpoint_path)
     labeled_count = config["finetune"]["labeled_counts"][0]
     aux_ids = dataset.labeled_ids[: priv["aux_labeled_count"]]
+    # mc_attack checks these too, but only after the first fine-tune has trained.
+    if priv["head_hidden_dim"] < 1:
+        raise ConfigError(f"privacy.head_hidden_dim must be >= 1, got {priv['head_hidden_dim']}")
+    if len(aux_ids) < dataset.num_classes:
+        raise ConfigError(f"privacy.aux_labeled_count gives {len(aux_ids)} auxiliary labels, "
+                          f"fewer than the {dataset.num_classes} classes")
     curve = privacy.TradeoffCurve(
         method=config["pipeline"]["preset"] or "FedSplitNN",
         dataset="synthetic" if "synthetic" in config["data"] else "csv",

@@ -120,6 +120,12 @@ class SyntheticSpec:
         for name in ("feature_dims", "noise_scales", "unaligned", "cat_cardinalities"):
             if len(getattr(self, name)) != self.parties:
                 raise ConfigError(f"{name} must have one entry per party")
+        for dims, cards in zip(self.feature_dims, self.cat_cardinalities):
+            # Categorical columns quantize a party's leading feature columns.
+            if len(cards) > dims or any(isinstance(c, bool) or not isinstance(c, int) or c < 1
+                                        for c in cards):
+                raise ConfigError("cat_cardinalities must give each party at most feature_dims "
+                                  f"integers >= 1, got {self.cat_cardinalities!r}")
         if self.aligned <= 0:
             raise ConfigError("aligned count must be positive")
         if self.test < 0:

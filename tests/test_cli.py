@@ -146,6 +146,12 @@ class TestExitCodes:
         ("pretrain", "data", {"csv": {"paths": ["p1.csv", "p2.csv"], "cat_cols": ["c0", []]}}),
         ("pretrain", "data", {"csv": {"paths": ["p1.csv", "p2.csv"], "cat_cols": [["c0"], []],
                                       "cat_levels": [[5], []]}}),
+        ("gen-data", "data", {"synthetic": {"feature_dims": [2, 16],
+                                            "cat_cardinalities": [[3, 3, 3], []]}}),
+        ("pretrain", "data", {"synthetic": {"cat_cardinalities": [["a"], []]}}),
+        ("pretrain", "data", {"synthetic": {"cat_cardinalities": [[2.5], []]}}),
+        ("gen-data", "data", {"synthetic": {"cat_cardinalities": [[0], []]}}),
+        ("gen-data", "data", {"synthetic": {"cat_cardinalities": [[True], []]}}),
     ], ids=["csv-unknown-key", "csv-no-paths", "negative-lambda-p", "negative-lambda-f",
             "encoder-source", "csv-not-object", "string-lambda-p", "scalar-lambda-f",
             "star-preset", "null-preset-with-pretrain", "method-without-pretrain",
@@ -156,7 +162,8 @@ class TestExitCodes:
             "long-projector", "unknown-aggregator", "zero-lr-candidate", "infinite-gamma",
             "repeated-seed", "repeated-labeled-count", "repeated-lambda-f",
             "repeated-lr-candidate", "synthetic-and-csv", "csv-string-cat-cols",
-            "csv-scalar-level-list"])
+            "csv-scalar-level-list", "more-cardinalities-than-columns", "string-cardinality",
+            "float-cardinality", "zero-cardinality", "bool-cardinality"])
     def test_malformed_section_is_2(self, tmp_path, capsys, command, section, value):
         cfg = json.loads(json.dumps(TINY))
         merge = isinstance(value, dict) and section != "data"
@@ -186,15 +193,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
-    def test_lambda_f_checked_before_any_training(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("privacy,message", [
+        ({"lambda_f": [1.0, -1.0]}, "lambda_f"),
+        ({"head_hidden_dim": 0}, "head_hidden_dim"),
+        ({"aux_labeled_count": 2}, "aux_labeled_count"),
+    ], ids=["negative-lambda-f", "zero-head-hidden-dim", "fewer-aux-labels-than-classes"])
+    def test_lambda_f_checked_before_any_training(self, tmp_path, capsys, monkeypatch,
+                                                  privacy, message):
         steps = []
         monkeypatch.setattr(vfl.SplitTrainer, "train_step", lambda self, ids: steps.append(ids))
         cfg = json.loads(json.dumps(TINY))
-        cfg["privacy"]["lambda_f"] = [1.0, -1.0]
+        cfg["privacy"].update(privacy)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["attack", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert "lambda_f" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert steps == []
 
     @pytest.mark.parametrize("source", ["synthetic", "csv"])

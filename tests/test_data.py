@@ -104,6 +104,9 @@ class TestSynthetic:
             small_spec(feature_dims=(6,))
         with pytest.raises(ConfigError, match="test count"):
             small_spec(test=-1)
+        for cards in (((3, 3, 3), ()), ((2.5,), ()), (("a",), ()), ((0,), ()), ((True,), ())):
+            with pytest.raises(ConfigError, match="cat_cardinalities"):
+                small_spec(feature_dims=(2, 5), cat_cardinalities=cards)
 
 
 class TestAugmentation:
