@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, hssl, nn, privacy, vfl
-from .errors import ConfigError, DataError, VflError
+from .errors import ConfigError, DataError, FormatError, VflError
 
 CLI_PRESETS = {
     # name -> (hssl.METHODS key or None for plain split training, SSL
@@ -260,10 +260,17 @@ def cmd_pretrain(config, out_dir):
 
 
 def _load_checkpoint(config, path):
-    """The fingerprint-checked checkpoint of a command, or None."""
+    """The fingerprint-checked checkpoint of a command, or None. A
+    diverged pretraining (any non-finite value) is no model to score."""
     if path is None:
         return None
-    return nn.load_checkpoint(path, expect_fingerprint=config_fingerprint(config))
+    checkpoint = nn.load_checkpoint(path, expect_fingerprint=config_fingerprint(config))
+    for p, blob in enumerate(checkpoint.party_params):
+        for name, values in blob.items():
+            if not np.isfinite(values).all():
+                raise FormatError(f"checkpoint {path}: party {p + 1} array {name!r} "
+                                  f"holds non-finite values")
+    return checkpoint
 
 
 def _restore_parties(config, dataset, seed, checkpoint):

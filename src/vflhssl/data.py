@@ -362,11 +362,18 @@ def _read_party(path, p, id_col, label_col, cat_cols, cat_levels):
         raise DataError(f"cannot read {path}: {exc}") from exc
     if header is None:
         raise DataError(f"{path}: empty file")
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise DataError(f"{path}: header repeats column names {repeated}")
     if id_col not in header:
         raise DataError(f"{path}: missing id column {id_col!r}")
     id_at = header.index(id_col)
     label_at = header.index(label_col) if label_col in header else None
     features = [(j, name) for j, name in enumerate(header) if j not in (id_at, label_at)]
+    unknown = [name for name in cat_cols if name not in header or name in (id_col, label_col)]
+    if unknown:
+        raise DataError(f"{path}: data.csv.cat_cols names {unknown}, which are not among the "
+                        f"file's feature columns")
     cont_cols = [(j, name) for j, name in features if name not in cat_cols]
     cat_at = [j for j, name in features if name in cat_cols]
     if cat_levels is None:  # levels coded in order of appearance
@@ -378,7 +385,7 @@ def _read_party(path, p, id_col, label_col, cat_cols, cat_levels):
         levels, code = [{str(lvl): k for k, lvl in enumerate(col)} for col in cat_levels], dict.get
     index, cont, cats, labels = {}, [], [], {}
     for row in rows:
-        if len(row) < len(header):
+        if len(row) != len(header):
             raise DataError(f"party {p + 1} file: row of {len(row)} cells under "
                             f"a {len(header)}-column header")
         sid = _int_cell(row[id_at], "id", p)
@@ -444,6 +451,9 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
     train_aligned = np.sort(np.setdiff1d(aligned, test_ids))
     train_labeled = np.setdiff1d(labeled_aligned, test_ids)
     if labeled_count is not None:
+        if labeled_count > len(train_labeled):
+            raise DataError(f"labeled_count {labeled_count} exceeds available "
+                            f"{len(train_labeled)} labeled training ids")
         train_labeled = train_labeled[rng.permutation(len(train_labeled))][:labeled_count]
     if len(train_labeled) == 0:
         raise DataError("no labeled training samples after the test split")

@@ -269,11 +269,6 @@ def row_l2_normalize(x: Tensor) -> Tensor:
     return _result(out_values, (x,), backward)
 
 
-def stop_gradient(x: Tensor) -> Tensor:
-    """Value-identical tensor through which no gradient flows."""
-    return Tensor(x.values.copy())
-
-
 def sum_all(x: Tensor) -> Tensor:
     out_values = np.array([[x.values.sum()]])
 

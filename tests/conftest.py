@@ -4,6 +4,21 @@ import pytest
 from vflhssl import tensor as T
 
 
+# A config small enough for a CLI test to run pretrain, finetune and attack.
+TINY = {
+    "data": {"synthetic": {
+        "classes": 3, "aligned": 60, "unaligned": [40, 40], "labeled": 48,
+        "test": 45, "feature_dims": [8, 8], "latent_dim": 4, "class_sep": 2.0,
+    }},
+    "pipeline": {"global_iterations": 1, "batch_size": 32},
+    "finetune": {"labeled_counts": [32], "lr_candidates": [0.03],
+                 "epochs": 3, "batch_size": 32},
+    "privacy": {"lambda_f": [1.0, 25.0], "aux_labeled_count": 15,
+                "attack_epochs": 5},
+    "seeds": [0],
+}
+
+
 def finite_diff_grad(fn, x, h=1e-5):
     """Central finite differences of a scalar-valued fn wrt ndarray x."""
     g = np.zeros_like(x)

@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import numpy as np
@@ -7,21 +6,7 @@ import pytest
 from vflhssl import cli, hssl, nn, privacy, vfl
 from vflhssl.errors import ConfigError
 
-from conftest import PerParameterSgd
-
-
-TINY = {
-    "data": {"synthetic": {
-        "classes": 3, "aligned": 60, "unaligned": [40, 40], "labeled": 48,
-        "test": 45, "feature_dims": [8, 8], "latent_dim": 4, "class_sep": 2.0,
-    }},
-    "pipeline": {"global_iterations": 1, "batch_size": 32},
-    "finetune": {"labeled_counts": [32], "lr_candidates": [0.03],
-                 "epochs": 3, "batch_size": 32},
-    "privacy": {"lambda_f": [1.0, 25.0], "aux_labeled_count": 15,
-                "attack_epochs": 5},
-    "seeds": [0],
-}
+from conftest import TINY, PerParameterSgd
 
 
 @pytest.fixture
@@ -329,6 +314,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "frame length does not match" in err and "Traceback" not in err
 
+    def test_non_finite_checkpoint_is_4_before_any_training(self, cfg_path, tmp_path, capsys,
+                                                           monkeypatch):
+        out = tmp_path / "o"
+        assert cli.main(["pretrain", "--config", cfg_path, "--out", str(out)]) == 0
+        path = out / "checkpoint.bin"
+        first = next(iter(nn.load_checkpoint(path).party_params[0]))
+        raw = path.read_bytes()
+        payload = 10 + int.from_bytes(raw[6:10], "little")
+        path.write_bytes(raw[:payload] + np.full((len(raw) - payload) // 8, np.nan).tobytes())
+        steps = []
+        monkeypatch.setattr(vfl.SplitTrainer, "train_step", lambda self, ids: steps.append(ids))
+        for command in ("finetune", "attack"):
+            assert cli.main([command, "--config", cfg_path, "--out", str(out),
+                             "--checkpoint", str(path)]) == 4
+            err = capsys.readouterr().err
+            assert f"party 1 array {first!r} holds non-finite values" in err
+        assert steps == [] and not (out / "report.json").exists()
+
     def test_malformed_checkpoint_entry_is_4(self, cfg_path, tmp_path, capsys):
         header = json.dumps({"config_fingerprint": "0", "seeds": [0],
                              "parties": [[{"name": "w", "cols": 1}]]}).encode()
@@ -385,19 +388,6 @@ class TestPretrain:
                   "--out", str(out)])
         trace = json.loads((out / "trace.json").read_text())
         assert {r["step"] for r in trace["records"]} == {"cross"}
-
-    def test_local_moco_outputs_pinned(self, cfg_path, tmp_path):
-        # Step 2 alone under MoCo: each party's local_a and local_b queues
-        # supply the negatives, and no guidance term joins the loss.
-        out = tmp_path / "out"
-        assert cli.main(["pretrain", "--config", cfg_path, "--preset", "fedlocal-moco",
-                         "--out", str(out)]) == 0
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("checkpoint.bin", "trace.json")}
-        assert digests == {
-            "checkpoint.bin": "f63221f44853b077dfde49631c150ce536d8119c8872e4d7bf1d3d28410e29e4",
-            "trace.json": "3a51f23be5cc8593e380e40bb376e721315739c59e5754b26cb163e5715e8a12",
-        }
 
     def test_fedsplitnn_skips_pretraining(self, cfg_path, tmp_path):
         out = tmp_path / "out"
@@ -482,70 +472,6 @@ class TestFinetuneAndAttack:
         rows = (out / "tradeoff.csv").read_text().strip().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["csv", "csv"]
 
-    def test_categorical_csv_outputs_pinned(self, tmp_path, monkeypatch):
-        # Party 1 has continuous and categorical columns, party 2 only
-        # categorical ones, so every tower's input goes through
-        # embeddings; the hashes were measured with per-column lookups.
-        # Relative paths keep the config fingerprint, which hashes them,
-        # independent of the directory.
-        colours, sizes, shapes = ["red", "green", "blue"], ["s", "m", "l", "xl"], ["o", "x"]
-        p1 = ["id,x0,c0,x1,label"] + [
-            f"{i},{(i * 37 % 101) / 10},{colours[i * 7 % 3]},{(i * 13 % 17) - 8},{i % 3}"
-            for i in range(80)
-        ]
-        p2 = ["id,c0,c1"] + [
-            f"{i},{sizes[(i * 5 + i // 7) % 4]},{shapes[i * i % 5 % 2]}"
-            for i in [*range(60), *range(100, 120)]
-        ]
-        (tmp_path / "p1.csv").write_text("\n".join(p1) + "\n")
-        (tmp_path / "p2.csv").write_text("\n".join(p2) + "\n")
-        cfg = {**TINY, "data": {"csv": {"paths": ["p1.csv", "p2.csv"], "test_fraction": 0.25,
-                                        "cat_cols": [["c0"], ["c0", "c1"]]}}}
-        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-        monkeypatch.chdir(tmp_path)
-        for command in ("pretrain", "finetune"):
-            assert cli.main([command, "--config", "cfg.json", "--out", "out"]) == 0
-        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-                   for name in ("checkpoint.bin", "report.csv")}
-        assert digests == {
-            "checkpoint.bin": "700651387f6f7046c2413371b666bb39f59b3ae46db4c3922169484a69069848",
-            "report.csv": "2b75453da4029e67c25a784a65b5c4f88231d0476d0a022056a0c26a16d91e68",
-        }
-
-    def test_three_party_moco_outputs_pinned(self, tmp_path):
-        # Two peers per exchange at party 1, two updates per exchange,
-        # ISO noise on party 1's Repr and PMA blob, and a noisy split
-        # network under attack; the hashes were measured when every frame
-        # still waited in a per-link queue for its receive.
-        cfg = {
-            "data": {"synthetic": {
-                "classes": 3, "parties": 3, "aligned": 60, "unaligned": [30, 30, 30],
-                "labeled": 48, "test": 30, "feature_dims": [6, 5, 4],
-                "noise_scales": [0.5, 1.0, 1.5], "cat_cardinalities": [[], [], []],
-                "latent_dim": 4, "class_sep": 2.0,
-            }},
-            "pipeline": {"global_iterations": 2, "batch_size": 32, "local_updates": 2,
-                         "lambda_p": 0.5},
-            "finetune": {"labeled_counts": [32], "lr_candidates": [0.03], "epochs": 3,
-                         "batch_size": 32},
-            "privacy": {"lambda_f": [1.0, 5.0], "aux_labeled_count": 15, "attack_epochs": 5},
-            "seeds": [0],
-        }
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / "out"
-        assert cli.main(["pretrain", "--config", str(path), "--preset", "fedhssl-moco",
-                         "--out", str(out)]) == 0
-        assert cli.main(["attack", "--config", str(path), "--preset", "fedhssl-moco",
-                         "--out", str(out), "--checkpoint", str(out / "checkpoint.bin")]) == 0
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("checkpoint.bin", "trace.json", "attack.json")}
-        assert digests == {
-            "checkpoint.bin": "eadb2bee1c5c7740c668f15e6fe3a612aabb5b11a3a27758747130a815ca95a9",
-            "trace.json": "22bd60e3264842db4414244822740fd8b827653848fb93ff2c5b639202479bbc",
-            "attack.json": "acaa019ccc09e8a3df2783f852ca4ca17a66ddbc70cb19f32f6868d76519fa2d",
-        }
-
     def test_checkpoint_loaded_once_outputs_unchanged(self, tmp_path, monkeypatch):
         # Oracle: every lr candidate restores from a fresh read of the file.
         cfg = json.loads(json.dumps(TINY))
@@ -577,38 +503,6 @@ class TestFinetuneAndAttack:
         for command, expected in once.items():
             assert run(command, tmp_path / f"reread-{command}") == expected
 
-    @pytest.mark.parametrize("preset,expected", [
-        ("fedlocal-simsiam", {
-            "report.json": "6fa4fcaad790d0e2204a2f9737d8f3113fb27f28dfe6c6d095a82300dd1d4cd4",
-            "attack.json": "1739bd867e724cffa6505a1a89c491a0588a7ceba7bc259dec02b9087565a1cb",
-        }),
-        ("fedcssl", {
-            "report.json": "dbaee7b14a3d0c42737bf53cacd0eb84a6b61ec96b88debd55fb8c7c2c872678",
-            "attack.json": "a3a8dd6a2048989353c17b2794883205bf97d25b7bff5fc11044174e871337ba",
-        }),
-        ("fedsplitnn", {
-            "report.json": "963f277f27b670db682c86ce9f5e5328c6b0eeb06f43ba2ce667701bb65fc41c",
-            "attack.json": "15771df25725dd6795cd55b82e163917d6f531602bfa2753c5ce0044e3a7a60e",
-        }),
-    ], ids=["local", "cross", "no-pretraining"])
-    def test_finetune_modes_outputs_pinned(self, tmp_path, preset, expected):
-        # The local-only and cross-only fine-tune towers, and untrained
-        # encoders, with two lr candidates over two seeds; the attack
-        # output tells fedlocal-simsiam from fedsplitnn, whose report.csv
-        # bytes agree at this size.
-        cfg = json.loads(json.dumps(TINY))
-        cfg["finetune"]["lr_candidates"] = [0.01, 0.03]
-        cfg["seeds"] = [0, 1]
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / "out"
-        args = ["--config", str(path), "--preset", preset, "--out", str(out)]
-        assert cli.main(["pretrain", *args]) == 0
-        for command in ("finetune", "attack"):
-            assert cli.main([command, *args, "--checkpoint", str(out / "checkpoint.bin")]) == 0
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in expected}
-        assert digests == expected
 
 
 def test_select_lr_ranks_diverged_candidates_last(tmp_path):

@@ -419,6 +419,10 @@ class TestCsv:
         _, loaded = self.roundtrip(tmp_path, labeled_count=10)
         assert len(loaded.labeled_ids) == 10
 
+    def test_labeled_count_beyond_the_pool_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="labeled_count 1000 exceeds available"):
+            self.roundtrip(tmp_path, labeled_count=1000)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("id,x0,label\n1,0.5,0\n1,0.7,1\n")
@@ -462,10 +466,19 @@ class TestCsv:
         with pytest.raises(ConfigError, match="list of"):
             data.load_csv([p1, p2], cat_cols=cat_cols, cat_levels=cat_levels)
 
+    def test_cat_cols_outside_the_feature_columns_named(self, tmp_path):
+        p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        p1.write_text("id,x0,label\n1,0.1,0\n2,0.2,1\n")
+        p2.write_text("id,x0\n1,1.0\n2,2.0\n")
+        with pytest.raises(DataError, match=r"p1.csv: .* names \['nope', 'label'\], which"):
+            data.load_csv([p1, p2], cat_cols=[["nope", "x0", "label"], []])
+
     @pytest.mark.parametrize("party1, match", [
         ("id,x0,label\n1,0.1,0\nx2,0.2,1\n", "non-integer id"),
         ("id,x0,label\n1,0.1,0\n2,0.2,cat\n", "non-integer label"),
         ("id,x0,label\n1,0.1,0\n2,0.2\n", "row of 2 cells"),
+        ("id,x0,label\n1,0.1,0\n2,0.2,1,9\n", "row of 4 cells under a 3-column header"),
+        ("id,x0,x0,label\n1,0.1,0.2,0\n", r"p1.csv: header repeats column names \['x0'\]"),
         ("id,x0,label\n1,0.1,0\n99999999999999999999,0.2,1\n", "id .* out of range"),
         ("id,x0,label\n1,0.1,0\n2,0.2,-1\n", "label '-1' out of range"),
         ("id,x0,label\n1,0.1,0\n2,inf,1\n", "non-finite continuous cell for id 2"),

@@ -178,7 +178,7 @@ def reference_neg_cosine(p, z):
     """The composition ``neg_cosine`` replaces: normalise both sides, the
     cosine by ``mul -> row_sum``, then minus its mean."""
     pn = T.row_l2_normalize(p)
-    zn = T.row_l2_normalize(T.stop_gradient(T.Tensor(z)))
+    zn = T.row_l2_normalize(T.Tensor(z))
     return T.affine(T.mean_all(T.row_sum(T.mul(pn, zn))), -1.0)
 
 

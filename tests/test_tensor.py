@@ -111,7 +111,6 @@ def test_every_op_returns_2d_float64(rng):
         "relu": lambda: T.relu(a),
         "maximum": lambda: T.maximum(a, b),
         "row_l2_normalize": lambda: T.row_l2_normalize(a),
-        "stop_gradient": lambda: T.stop_gradient(a),
         "sum_all": lambda: T.sum_all(a),
         "mean_all": lambda: T.mean_all(a),
         "row_sum": lambda: T.row_sum(a),
@@ -144,27 +143,6 @@ class TestRowNormalize:
 
     def test_gradient(self, rng):
         check_grad(T.row_l2_normalize, [(4, 5)], rng)
-
-
-class TestStopGradient:
-    def test_value_identity(self, rng):
-        x = T.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        assert np.array_equal(T.stop_gradient(x).values, x.values)
-
-    def test_x_times_stopped_x(self, rng):
-        # d/dx sum(x * st(x)) == x, not 2x
-        x = T.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        loss = T.sum_all(T.mul(x, T.stop_gradient(x)))
-        loss.backward()
-        np.testing.assert_allclose(x.grad, x.values)
-
-    def test_exactly_zero_through_stopped_path(self, rng):
-        w = T.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        x = T.Tensor(rng.normal(size=(2, 3)))
-        z = T.matmul(x, w)
-        loss = T.sum_all(T.stop_gradient(z))
-        loss.backward()
-        assert w.grad is None
 
 
 class TestSoftmaxCrossEntropy:
