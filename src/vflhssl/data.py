@@ -59,11 +59,10 @@ class VerticalDataset:
     num_classes: int
 
     def __post_init__(self):
-        aligned = set(map(int, self.aligned_ids))
-        if not set(map(int, self.labeled_ids)) <= aligned:
+        if not np.isin(self.labeled_ids, self.aligned_ids).all():
             raise DataError("labeled_ids must be a subset of aligned_ids")
         for i, una in enumerate(self.unaligned_ids):
-            if aligned & set(map(int, una)):
+            if np.isin(una, self.aligned_ids).any():
                 raise DataError(f"party {i + 1} unaligned ids overlap aligned ids")
 
     @property
@@ -120,6 +119,9 @@ class SyntheticSpec:
         for name in ("feature_dims", "noise_scales", "unaligned", "cat_cardinalities"):
             if len(getattr(self, name)) != self.parties:
                 raise ConfigError(f"{name} must have one entry per party")
+        if min(self.feature_dims) < 1 or min(self.unaligned) < 0:
+            raise ConfigError(f"feature_dims must be >= 1 and unaligned counts >= 0, got "
+                              f"{self.feature_dims!r} and {self.unaligned!r}")
         for dims, cards in zip(self.feature_dims, self.cat_cardinalities):
             # Categorical columns quantize a party's leading feature columns.
             if len(cards) > dims or any(isinstance(c, bool) or not isinstance(c, int) or c < 1
@@ -134,62 +136,73 @@ class SyntheticSpec:
             raise ConfigError("labeled count must be in (0, aligned]")
 
 
-def _observe(u, w, noise_scale, rng):
-    x = u @ w
-    if noise_scale:
-        x = x + noise_scale * rng.standard_normal(x.shape)
-    return x
-
-
 def generate_synthetic(spec: SyntheticSpec) -> VerticalDataset:
+    """Each party's block, its aligned and test rows and then its
+    unaligned rows, is allocated once and filled in place: a latent is
+    drawn into one scratch array and projected into the block's rows, then
+    the observation noise is drawn into the same scratch and added."""
     rng = np.random.default_rng(spec.seed)
     means = spec.class_sep * rng.standard_normal((spec.classes, spec.latent_dim))
     projections = [
         rng.standard_normal((spec.latent_dim, spec.feature_dims[i])) / math.sqrt(spec.latent_dim)
         for i in range(spec.parties)
     ]
+    n_al = spec.aligned + spec.test
+    scratch = np.empty(max(n_al, *spec.unaligned) * max(spec.latent_dim, *spec.feature_dims))
 
-    n_aligned_total = spec.aligned + spec.test
-    y_aligned = rng.integers(0, spec.classes, size=n_aligned_total)
-    u_aligned = means[y_aligned] + rng.standard_normal((n_aligned_total, spec.latent_dim))
+    def normal(shape):
+        out = scratch[:math.prod(shape)].reshape(shape)
+        rng.standard_normal(out=out)
+        return out
 
-    next_id = 0
-    aligned_all = np.arange(next_id, next_id + n_aligned_total)
-    next_id += n_aligned_total
+    def latent(y):  # standard normal plus each row's class mean
+        u = normal((len(y), spec.latent_dim))
+        for c, mean in enumerate(means):
+            np.add(u, mean, out=u, where=(y == c)[:, None])
+        return u
 
-    blocks = []
-    unaligned_ids = []
-    for i in range(spec.parties):
-        x_al = _observe(u_aligned, projections[i], spec.noise_scales[i], rng)
-        n_un = spec.unaligned[i]
-        y_un = rng.integers(0, spec.classes, size=n_un)
-        u_un = means[y_un] + rng.standard_normal((n_un, spec.latent_dim))
-        x_un = _observe(u_un, projections[i], spec.noise_scales[i], rng)
+    def add_noise(rows, scale):
+        if scale:
+            noise = normal(rows.shape)
+            noise *= scale
+            rows += noise
+
+    y_aligned = rng.integers(0, spec.classes, size=n_al)
+    u = latent(y_aligned)
+    conts = [np.empty((n_al + n_un, d)) for n_un, d in zip(spec.unaligned, spec.feature_dims)]
+    for cont, w in zip(conts, projections):  # no RNG draw, so before any party's noise
+        np.matmul(u, w, out=cont[:n_al])
+    for i, cont in enumerate(conts):
+        add_noise(cont[:n_al], spec.noise_scales[i])
+        u = latent(rng.integers(0, spec.classes, size=spec.unaligned[i]))
+        np.matmul(u, projections[i], out=cont[n_al:])
+        add_noise(cont[n_al:], spec.noise_scales[i])
+        if not np.isfinite(cont).all():
+            raise DataError(f"party {i + 1}'s synthetic features hold non-finite values; "
+                            f"lower data.synthetic.noise_scales or class_sep")
+    del scratch, u  # u is a view of scratch
+
+    aligned_all = np.arange(n_al)
+    blocks, unaligned_ids, next_id = [], [], n_al
+    for cont, cards, n_un in zip(conts, spec.cat_cardinalities, spec.unaligned):
         ids_un = np.arange(next_id, next_id + n_un)
         next_id += n_un
-
-        ids = np.concatenate([aligned_all, ids_un])
-        cont = np.concatenate([x_al, x_un], axis=0)
-        cards = tuple(spec.cat_cardinalities[i])
-        if cards:
-            # Categorical columns quantize the leading continuous ones.
-            n_cat = len(cards)
-            cat_src, cont = cont[:, :n_cat], cont[:, n_cat:]
-            cats = np.stack(
-                [_quantize(cat_src[:, j], cards[j]) for j in range(n_cat)], axis=1
-            )
-        else:
-            cats = np.zeros((len(ids), 0), dtype=np.int64)
-        blocks.append(PartyBlock(index={sid: r for r, sid in enumerate(ids.tolist())},
-                                 cont=cont, cats=cats, cat_cardinalities=cards))
+        # Categorical columns quantize the leading continuous ones.
+        cards = tuple(cards)
+        cats = np.zeros((len(cont), len(cards)), dtype=np.int64)
+        for j, levels in enumerate(cards):
+            cats[:, j] = _quantize(cont[:, j], levels)
+        ids = np.concatenate([aligned_all, ids_un]).tolist()
+        blocks.append(PartyBlock(index={sid: r for r, sid in enumerate(ids)},
+                                 cont=cont[:, len(cards):], cats=cats, cat_cardinalities=cards))
         unaligned_ids.append(ids_un)
 
     # Shuffle aligned ids once, then carve out labeled and test slices.
-    perm = rng.permutation(n_aligned_total)
+    perm = rng.permutation(n_al)
     test_ids = aligned_all[perm[:spec.test]]
     train_aligned = aligned_all[perm[spec.test:]]
     labeled_ids = train_aligned[:spec.labeled]
-    labels = {int(i): int(y_aligned[i]) for i in aligned_all}
+    labels = dict(zip(range(n_al), y_aligned.tolist()))
 
     return VerticalDataset(
         parties=blocks,

@@ -137,6 +137,8 @@ class TestExitCodes:
         ("pretrain", "data", {"synthetic": {"cat_cardinalities": [[2.5], []]}}),
         ("gen-data", "data", {"synthetic": {"cat_cardinalities": [[0], []]}}),
         ("gen-data", "data", {"synthetic": {"cat_cardinalities": [[True], []]}}),
+        ("gen-data", "data", {"synthetic": {"feature_dims": [0, 16]}}),
+        ("pretrain", "data", {"synthetic": {"feature_dims": [0, 16]}}),
     ], ids=["csv-unknown-key", "csv-no-paths", "negative-lambda-p", "negative-lambda-f",
             "encoder-source", "csv-not-object", "string-lambda-p", "scalar-lambda-f",
             "star-preset", "null-preset-with-pretrain", "method-without-pretrain",
@@ -148,7 +150,8 @@ class TestExitCodes:
             "repeated-seed", "repeated-labeled-count", "repeated-lambda-f",
             "repeated-lr-candidate", "synthetic-and-csv", "csv-string-cat-cols",
             "csv-scalar-level-list", "more-cardinalities-than-columns", "string-cardinality",
-            "float-cardinality", "zero-cardinality", "bool-cardinality"])
+            "float-cardinality", "zero-cardinality", "bool-cardinality",
+            "zero-feature-dim-gen-data", "zero-feature-dim-pretrain"])
     def test_malformed_section_is_2(self, tmp_path, capsys, command, section, value):
         cfg = json.loads(json.dumps(TINY))
         merge = isinstance(value, dict) and section != "data"
@@ -222,6 +225,18 @@ class TestExitCodes:
 
     def test_data_error_is_3(self, tmp_path):
         assert cli.main(["report", "--out", str(tmp_path / "empty")]) == 3
+
+    @pytest.mark.parametrize("command", ["pretrain", "gen-data"])
+    def test_non_finite_synthetic_data_is_3_before_any_output(self, tmp_path, capsys, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"data": {"synthetic": {"noise_scales": [1e308, 1.0]}},
+                                    "pipeline": {"global_iterations": 1}}))
+        out = tmp_path / "o"
+        with np.errstate(over="ignore"):
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "party 1's synthetic features hold non-finite values" in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("bad_row", ["x2,0.2,1", "2,0.2,cat", "2,0.2"])
     def test_malformed_csv_is_3(self, tmp_path, capsys, bad_row):

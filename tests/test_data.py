@@ -1,10 +1,14 @@
+import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vflhssl import data
 from vflhssl.errors import ConfigError, DataError
+
+from test_golden import PRESETS
 
 
 def small_spec(**kw):
@@ -15,6 +19,13 @@ def small_spec(**kw):
     )
     base.update(kw)
     return data.SyntheticSpec(**base)
+
+
+# The benchmark's hssl-unaligned data at seed 3: the unaligned pools are
+# most of each party's rows.
+HSSL_UNALIGNED = dict(latent_dim=64, class_sep=0.5, noise_scales=(1.0, 3.0),
+                      feature_dims=(48, 48), aligned=256, unaligned=(2048, 2048),
+                      labeled=256, test=1000, seed=3)
 
 
 class TestSynthetic:
@@ -107,6 +118,50 @@ class TestSynthetic:
         for cards in (((3, 3, 3), ()), ((2.5,), ()), (("a",), ()), ((0,), ()), ((True,), ())):
             with pytest.raises(ConfigError, match="cat_cardinalities"):
                 small_spec(feature_dims=(2, 5), cat_cardinalities=cards)
+        with pytest.raises(ConfigError, match="feature_dims must be >= 1"):
+            small_spec(feature_dims=(0, 5))
+        with pytest.raises(ConfigError, match="unaligned counts >= 0"):
+            small_spec(unaligned=(-3, 40))
+
+    def test_non_finite_block_names_the_party(self):
+        with pytest.raises(DataError, match="party 2's synthetic features hold non-finite"):
+            with np.errstate(over="ignore"):
+                data.generate_synthetic(small_spec(noise_scales=(0.5, 1e308)))
+
+    def test_inconsistent_id_sets_rejected(self):
+        ds = data.generate_synthetic(small_spec())
+        with pytest.raises(DataError, match="subset of aligned_ids"):
+            dataclasses.replace(ds, labeled_ids=np.append(ds.labeled_ids, ds.test_ids[0]))
+        overlapping = [ds.unaligned_ids[0], np.append(ds.unaligned_ids[1], ds.aligned_ids[5])]
+        with pytest.raises(DataError, match="party 2 unaligned ids overlap aligned ids"):
+            dataclasses.replace(ds, unaligned_ids=overlapping)
+
+    @pytest.mark.parametrize("spec,digest", [
+        (HSSL_UNALIGNED, "c06658a8f208dc89a27b0d10752548525ae5c5441eb6d12ee5ae655d169c0051"),
+        (dict(latent_dim=5, classes=3, parties=3, feature_dims=(7, 4, 6),
+              noise_scales=(0.5, 0.0, 2.0), cat_cardinalities=((), (), ()), aligned=50,
+              unaligned=(31, 0, 17), labeled=20, test=13, seed=11),
+         "59a98f2055e6e0eb31ab8254bffa79b2f0deb0c0ecaaeefc7cda19db7d697af7"),
+        # Categorical columns at both parties: each continuous block is a
+        # strided view of the party's generated block.
+        (PRESETS["data"]["synthetic"],
+         "f90c3d53043552a12eb0b1793b0f11236e4c9e067ece3f6dd059040bd4d24327"),
+    ], ids=["hssl-unaligned", "three-party", "categorical"])
+    def test_fingerprint_pinned(self, spec, digest):
+        # Measured when each party's block was built by concatenating its
+        # aligned and unaligned observations.
+        assert data.generate_synthetic(data.SyntheticSpec(**spec)).fingerprint() == digest
+
+    def test_build_peak_memory_near_the_dataset_size(self):
+        spec = data.SyntheticSpec(**HSSL_UNALIGNED)
+        data.generate_synthetic(spec)  # warm-up: first-call allocations are not the build's
+        tracemalloc.start()
+        try:
+            ds = data.generate_synthetic(spec)  # held, so the traced size is the dataset's
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * kept, (peak, kept, ds.num_parties)
 
 
 class TestAugmentation:
