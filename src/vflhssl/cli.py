@@ -133,6 +133,8 @@ def load_config(path=None, preset=None):
                 user = json.load(fh)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _check_section("config", user, DEFAULT_CONFIG)
@@ -295,20 +297,20 @@ def _select_lr(config, dataset, seed, labeled_count, checkpoint, lambda_f=0.0):
     pool = dataset.labeled_ids
     if labeled_count > len(pool):
         raise DataError(f"labeled_count {labeled_count} exceeds available {len(pool)} labeled ids")
-    chosen = pool[np.random.default_rng((seed, 4)).permutation(len(pool))][:labeled_count]
+    chosen = pool[data.stream(seed, "labeled_subset").permutation(len(pool))][:labeled_count]
     n_val = max(1, int(round(0.2 * len(chosen))))
     val_ids, train_ids = chosen[:n_val], chosen[n_val:]
     if len(train_ids) == 0:
         raise DataError("labeled subset too small to split off validation")
     val_labels = dataset.label_array(val_ids)
-    shuffle = np.random.default_rng((seed, 6))
+    shuffle = data.stream(seed, "finetune_shuffle")
     schedule = [batch for _ in range(ft["epochs"])
                 for batch in data.batches(train_ids, ft["batch_size"], rng=shuffle)]
     best, best_rank = None, None
     for lr in ft["lr_candidates"]:
         trainer = vfl.SplitTrainer(_restore_parties(config, dataset, seed, checkpoint),
                                    vfl.Network(), lr, lambda_f=lambda_f,
-                                   noise_rng=np.random.default_rng((seed, 5)))
+                                   noise_rng=data.stream(seed, "finetune_noise"))
         for batch in schedule:
             trainer.train_step(batch)
         val_logits = trainer.logits(val_ids)
@@ -391,7 +393,7 @@ def cmd_attack(config, out_dir, checkpoint_path):
             )
             recovery = privacy.mc_attack(
                 trainer.parties[-1], aux_ids, dataset.test_ids, dataset.label_array,
-                dataset.num_classes, np.random.default_rng((seed, 7)),
+                dataset.num_classes, data.stream(seed, "attack_head"),
                 head_hidden_dim=priv["head_hidden_dim"], epochs=priv["attack_epochs"],
             )
             utilities.append(trainer.accuracy(dataset.test_ids))
@@ -418,10 +420,14 @@ def cmd_attack(config, out_dir, checkpoint_path):
 
 def cmd_report(out_dir):
     path = Path(out_dir) / "report.json"
-    if not path.exists():
-        raise DataError(f"no report.json in {out_dir}")
     try:
-        report = json.loads(path.read_text())
+        text = path.read_text()
+    except FileNotFoundError as exc:
+        raise DataError(f"no report.json in {out_dir}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        report = json.loads(text)
         for s in report["summary"]:
             accs = [
                 r["test_top1"] for r in report["per_run"]
@@ -514,7 +520,7 @@ def main(argv=None):
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except VflError as exc:
+    except (VflError, OSError) as exc:  # OSError: an output path the command cannot write
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -136,11 +136,14 @@ class SyntheticSpec:
             raise ConfigError("labeled count must be in (0, aligned]")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate_synthetic(spec: SyntheticSpec) -> VerticalDataset:
     """Each party's block, its aligned and test rows and then its
     unaligned rows, is allocated once and filled in place: a latent is
     drawn into one scratch array and projected into the block's rows, then
-    the observation noise is drawn into the same scratch and added."""
+    the observation noise is drawn into the same scratch and added. An
+    overflow leaves a non-finite block, which raises a ``DataError`` naming
+    the party, so numpy's overflow warnings are silenced."""
     rng = np.random.default_rng(spec.seed)
     means = spec.class_sep * rng.standard_normal((spec.classes, spec.latent_dim))
     projections = [
@@ -291,6 +294,33 @@ def batches(ids, batch_size, rng=None):
         ids = ids[rng.permutation(len(ids))]
     for start in range(0, len(ids), batch_size):
         yield ids[start : start + batch_size]
+
+
+# -- random streams -----------------------------------------------------
+
+# Every model-side stream, by family: its leading tag after the model
+# seed. ``stream`` appends the index that tells a family's streams apart.
+# The dataset's own seed (``SyntheticSpec.seed``, ``load_csv``'s seed) is
+# separate. numpy's ``SeedSequence`` drops trailing zeros from its entropy
+# tuple, so two streams collide today (ROADMAP item 15): cross_shuffle at
+# iteration 0 and epoch 0 is party 1's init, and party k's init is the
+# (k,)-tagged family for k = 4 to 7 (party 4's is the labeled subset).
+STREAMS = {
+    "init": (),                     # (pid,): each party's weight init
+    "cross_shuffle": (1,),          # (it, epoch): step 1's aligned-id order
+    "augment": (2,),                # (pid, it, epoch): step 2's views
+    "local_shuffle": (3,),          # (pid, it, epoch): step 2's batch order
+    "labeled_subset": (4,),         # fine-tuning's labeled ids and validation cut
+    "finetune_noise": (5,),         # ISO noise on fine-tuning gradients
+    "finetune_shuffle": (6,),       # fine-tuning's batch order
+    "attack_head": (7,),            # model-completion head init and order
+    "pretrain_noise": (9999,),      # ISO noise on step 1 and PMA uploads
+}
+
+
+def stream(seed, family, *index):
+    """The ``family`` stream of model seed ``seed`` at ``index``."""
+    return np.random.default_rng((seed, *STREAMS[family], *index))
 
 
 # -- output -------------------------------------------------------------

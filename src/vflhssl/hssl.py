@@ -24,7 +24,7 @@ from functools import reduce
 import numpy as np
 
 from . import tensor as T
-from .data import augment, batches
+from .data import augment, batches, stream
 from .errors import ConfigError, ProtocolError
 from .privacy import iso_perturb
 from .ssl import VARIANTS, ssl_loss
@@ -151,7 +151,7 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
 
 
 def guided_local_ssl_epoch(party, ids, variant, gamma, corruption_fraction, optimizer,
-                           batch_size, aug_rng=None, shuffle_rng=None):
+                           batch_size, aug_rng, shuffle_rng=None):
     """One epoch of step 2 for a single party. Returns mean loss.
 
     Only the local tower (f_lb, f_lt, projector_l, h_l and its EMA
@@ -238,7 +238,7 @@ def pretrain(dataset, parties, network, config: PipelineConfig, seed=0):
     """Run the full pretraining pipeline in place. Returns the metrics
     trace: one record per (iteration, party, step)."""
     parties = sorted(parties, key=lambda p: p.party_id)
-    noise_rng = np.random.default_rng((seed, 9999))
+    noise_rng = stream(seed, "pretrain_noise")
 
     opt_cross = {
         p.party_id: T.SgdOptimizer(p.model.params_cross(), config.cross_lr)
@@ -262,7 +262,7 @@ def pretrain(dataset, parties, network, config: PipelineConfig, seed=0):
         if "cross" in steps:
             ids = step1_aligned_ids(dataset, config.aligned_fraction)
             for epoch in range(config.cross_epochs):
-                shuffle_rng = np.random.default_rng((seed, 1, it, epoch))
+                shuffle_rng = stream(seed, "cross_shuffle", it, epoch)
                 losses = cross_party_ssl_epoch(
                     parties, network, ids, config.variant, opt_cross,
                     batch_size=config.batch_size,
@@ -277,8 +277,8 @@ def pretrain(dataset, parties, network, config: PipelineConfig, seed=0):
         if "local" in steps:
             for p in parties:
                 for epoch in range(config.local_epochs):
-                    aug_rng = np.random.default_rng((seed, 2, p.party_id, it, epoch))
-                    shuffle_rng = np.random.default_rng((seed, 3, p.party_id, it, epoch))
+                    aug_rng = stream(seed, "augment", p.party_id, it, epoch)
+                    shuffle_rng = stream(seed, "local_shuffle", p.party_id, it, epoch)
                     loss = guided_local_ssl_epoch(
                         p, dataset.local_ids(p.party_id - 1), config.variant,
                         gamma, config.corruption_fraction, opt_local[p.party_id],

@@ -20,6 +20,7 @@ from functools import partial, reduce
 import numpy as np
 
 from . import tensor as T
+from .data import stream
 from .errors import ConfigError, ProtocolError, ShapeError
 from .nn import EncoderStack
 from .privacy import iso_perturb, metric_top1
@@ -135,7 +136,7 @@ def make_parties(dataset, cfg, variant, seed):
         party_cfg = replace(
             cfg, input_dim=block.cont.shape[1], cat_cardinalities=tuple(block.cat_cardinalities)
         )
-        model = EncoderStack(party_cfg, variant, np.random.default_rng((seed, pid)), active=pid == 1)
+        model = EncoderStack(party_cfg, variant, stream(seed, "init", pid), active=pid == 1)
         parties.append(PartyNode(pid, model, block, dataset.label_array if pid == 1 else None))
     return parties
 

@@ -229,14 +229,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["pretrain", "gen-data"])
     def test_non_finite_synthetic_data_is_3_before_any_output(self, tmp_path, capsys, command):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"data": {"synthetic": {"noise_scales": [1e308, 1.0]}},
-                                    "pipeline": {"global_iterations": 1}}))
         out = tmp_path / "o"
-        with np.errstate(over="ignore"):
+        for synthetic in ({"noise_scales": [1e308, 1.0]}, {"class_sep": 1e308}):
+            path.write_text(json.dumps({"data": {"synthetic": synthetic},
+                                        "pipeline": {"global_iterations": 1}}))
             assert cli.main([command, "--config", str(path), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert "party 1's synthetic features hold non-finite values" in err
-        assert "Traceback" not in err and not out.exists()
+            err = capsys.readouterr().err
+            assert "party 1's synthetic features hold non-finite values" in err
+            assert "Traceback" not in err and "RuntimeWarning" not in err and not out.exists()
 
     @pytest.mark.parametrize("bad_row", ["x2,0.2,1", "2,0.2,cat", "2,0.2"])
     def test_malformed_csv_is_3(self, tmp_path, capsys, bad_row):
@@ -301,6 +301,25 @@ class TestExitCodes:
         assert cli.main(["report", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["config-is-dir", "out-under-file", "out-is-file",
+                                      "report-is-dir"])
+    def test_file_system_error_exits_cleanly(self, cfg_path, tmp_path, capsys, case):
+        # An unreadable config is a config error, an unreadable report a
+        # data error; an output path that cannot be written is exit 4.
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        (tmp_path / "r" / "report.json").mkdir(parents=True)
+        argv, code, prefix = {
+            "config-is-dir": (["pretrain", "--config", str(tmp_path)], 2, "config error:"),
+            "out-under-file": (["pretrain", "--config", cfg_path, "--out", str(afile / "x")],
+                               4, "error:"),
+            "out-is-file": (["gen-data", "--config", cfg_path, "--out", str(afile)], 4, "error:"),
+            "report-is-dir": (["report", "--out", str(tmp_path / "r")], 3, "data error:"),
+        }[case]
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and "Traceback" not in err
 
     def test_missing_checkpoint_is_4(self, cfg_path, tmp_path, capsys):
         code = cli.main([

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,8 +127,7 @@ class TestSynthetic:
 
     def test_non_finite_block_names_the_party(self):
         with pytest.raises(DataError, match="party 2's synthetic features hold non-finite"):
-            with np.errstate(over="ignore"):
-                data.generate_synthetic(small_spec(noise_scales=(0.5, 1e308)))
+            data.generate_synthetic(small_spec(noise_scales=(0.5, 1e308)))
 
     def test_inconsistent_id_sets_rejected(self):
         ds = data.generate_synthetic(small_spec())
@@ -388,6 +389,29 @@ class TestBatches:
     def test_bad_batch_size(self):
         with pytest.raises(ConfigError):
             list(data.batches(np.arange(4), 0))
+
+
+def test_model_streams_come_only_from_the_stream_table():
+    # Every model-side stream is a STREAMS family built by data.stream;
+    # only the dataset builders seed a generator of their own.
+    callers = set()
+    for path in Path(data.__file__).parent.glob("*.py"):
+        module = path.stem
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, child.name if scope is None else scope)
+                    continue
+                if (isinstance(child, ast.Call)
+                        and ast.unparse(child.func) == "np.random.default_rng"):
+                    callers.add(f"{module}.{scope}")
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text()), None)
+    assert callers == {"data.stream", "data.generate_synthetic", "data.load_csv"}
+    tags = list(data.STREAMS.values())
+    assert len(set(tags)) == len(tags)
 
 
 class TestAtomicWrite:
