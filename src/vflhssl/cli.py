@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, hssl, nn, privacy, vfl
-from .errors import ConfigError, DataError, FormatError, VflError
+from .errors import ConfigError, DataError, ValidationError, VflError
 
 CLI_PRESETS = {
     # name -> (hssl.METHODS key or None for plain split training, SSL
@@ -243,8 +243,12 @@ def cmd_pretrain(config, out_dir):
     net = vfl.Network()
     trace = []
     if config["pipeline"]["pretrain"]:
-        trace = hssl.pretrain(dataset, nodes, net, hssl.PipelineConfig(**config["pipeline"]),
-                              seed=seed)
+        # A diverged run is refused below, so numpy's floating-point warnings are silenced.
+        with np.errstate(all="ignore"):
+            trace = hssl.pretrain(dataset, nodes, net, hssl.PipelineConfig(**config["pipeline"]),
+                                  seed=seed)
+    _check_finite("pretraining diverged",
+                  [{name: t.values for name, t in p.model.named_params()} for p in nodes])
     out_dir = Path(out_dir)
     nn.save_checkpoint(
         out_dir / "checkpoint.bin", [p.model for p in nodes], config_fingerprint(config),
@@ -261,17 +265,22 @@ def cmd_pretrain(config, out_dir):
     return 0
 
 
+def _check_finite(source, party_params):
+    """Refuse a diverged model: ``party_params`` holds one {name: array}
+    per party, and an array holding NaN or ±inf is no model to save or score."""
+    for p, blob in enumerate(party_params):
+        for name, values in blob.items():
+            if not np.isfinite(values).all():
+                raise ValidationError(f"{source}: party {p + 1} array {name!r} "
+                                      f"holds non-finite values")
+
+
 def _load_checkpoint(config, path):
-    """The fingerprint-checked checkpoint of a command, or None. A
-    diverged pretraining (any non-finite value) is no model to score."""
+    """The fingerprint-checked, finite checkpoint of a command, or None."""
     if path is None:
         return None
     checkpoint = nn.load_checkpoint(path, expect_fingerprint=config_fingerprint(config))
-    for p, blob in enumerate(checkpoint.party_params):
-        for name, values in blob.items():
-            if not np.isfinite(values).all():
-                raise FormatError(f"checkpoint {path}: party {p + 1} array {name!r} "
-                                  f"holds non-finite values")
+    _check_finite(f"checkpoint {path}", checkpoint.party_params)
     return checkpoint
 
 

@@ -32,13 +32,10 @@ class PartyBlock:
     cont: np.ndarray         # n x m_cont float64
     cats: np.ndarray         # n x m_cat int64 (level indices)
     cat_cardinalities: tuple
-    cont_std: np.ndarray = None  # per-column training std, jitter fallback
     ids: np.ndarray = field(init=False)  # sample ids, one per row
 
     def __post_init__(self):
         self.ids = np.array(list(self.index), dtype=np.int64)
-        if self.cont_std is None:
-            self.cont_std = self.cont.std(axis=0) if len(self.cont) else np.zeros(self.cont.shape[1])
 
     def rows(self, ids):
         try:
@@ -248,7 +245,8 @@ def augment(cont, cats, cat_cardinalities, corruption_fraction, rng, cont_std=No
        ``donors += donors >= np.arange(n)[:, None]``, and cell (i, j) reads
        ``cont[donors[i, j], j]``;
        for n = 1, ``rng.standard_normal((1, m_cont))``, a jitter times
-       ``cont_std`` (or times 1).
+       ``cont_std`` (or times 1). Step 2 passes the party block's
+       per-column std for a one-row batch only, and None otherwise.
     3. The continuous block is ``np.where(mask[:, :m_cont], swapped, cont)``.
        The categorical block is ``np.where(mask[:, m_cont:], cards, cats)``,
        with ``cards`` as int64.

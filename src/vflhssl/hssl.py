@@ -162,8 +162,10 @@ def guided_local_ssl_epoch(party, ids, variant, gamma, corruption_fraction, opti
 
     for batch_ids in batches(ids, batch_size, rng=shuffle_rng):
         cont, cats = block.rows(batch_ids)
+        # Only a one-row batch reads the std: its jitter has no donor row.
+        cont_std = block.cont.std(axis=0) if len(cont) == 1 else None
         v1, v2 = (augment(cont, cats, block.cat_cardinalities, corruption_fraction, aug_rng,
-                          block.cont_std) for _ in range(2))
+                          cont_std) for _ in range(2))
 
         z1 = model.local.forward(*v1)
         z2 = model.local.forward(*v2)

@@ -63,11 +63,12 @@ def mc_attack(adversary, aux_ids, eval_ids, labels, num_classes, rng, *, head_hi
     if len(aux_ids) < num_classes:
         raise ConfigError("need at least one auxiliary sample per class")
 
-    # Encoder outputs are computed once as constants: the encoder is
-    # frozen by construction, only the head trains.
-    x_aux = adversary.finetune_forward(aux_ids).values
+    # Encoder outputs are computed once as constants, recording no graph:
+    # the encoder is frozen by construction, only the head trains.
+    with T.no_grad():
+        x_aux = adversary.finetune_forward(aux_ids).values
+        x_eval = adversary.finetune_forward(eval_ids).values
     y_aux = labels(aux_ids)
-    x_eval = adversary.finetune_forward(eval_ids).values
     y_eval = labels(eval_ids)
 
     head = MLP([x_aux.shape[1], head_hidden_dim, num_classes], rng)
@@ -78,7 +79,8 @@ def mc_attack(adversary, aux_ids, eval_ids, labels, num_classes, rng, *, head_hi
             loss.backward()
             opt.step()
 
-    recovered = head.forward(T.Tensor(x_eval)).values.argmax(axis=1)
+    with T.no_grad():
+        recovered = head.forward(T.Tensor(x_eval)).values.argmax(axis=1)
     return metric_top1(recovered, y_eval)
 
 

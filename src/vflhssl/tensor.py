@@ -5,6 +5,13 @@ backward closure on the output node; ``Tensor.backward`` topologically
 sorts the reachable subgraph and runs the closures in reverse order.
 Sufficient for MLPs, embedding lookups, the contrastive losses and
 cross-entropy used elsewhere in the package. Everything is float64.
+
+Inside ``with no_grad():`` op outputs record no graph, so a forward
+whose result is only read frees each layer's input as soon as the next
+layer has run. Fine-tuning's evaluation forward
+(``vfl.SplitTrainer.logits``) and the attack's frozen features and head
+evaluation (``privacy.mc_attack``) run so; every training step and all
+of pretraining record their graph as usual.
 """
 
 from __future__ import annotations
@@ -17,6 +24,22 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 
 NORM_EPS = 1e-12
+
+grad_enabled = True  # False inside a ``no_grad`` block
+
+
+class no_grad:
+    """Context manager under which ops build outputs with no parents and
+    no backward closure. Values are computed exactly as in grad mode. It
+    nests, and grad mode is restored however the block exits."""
+
+    def __enter__(self):
+        global grad_enabled
+        self._outer, grad_enabled = grad_enabled, False
+
+    def __exit__(self, *exc_info):
+        global grad_enabled
+        grad_enabled = self._outer
 
 
 class Tensor:
@@ -104,6 +127,7 @@ def _result(values, parents, backward):
 
     Ops pass 2-D float64 ``values`` and a tuple of ``parents``, so the
     node is built directly, without ``Tensor.__init__``'s input checks.
+    Under ``no_grad`` it is a constant: no parents, no closure.
     """
     out = Tensor.__new__(Tensor)
     out.values = values
@@ -111,12 +135,13 @@ def _result(values, parents, backward):
     out.requires_grad = False
     out._parents = ()
     out._backward = None
-    for p in parents:
-        if p.requires_grad:
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
-            break
+    if grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward
+                break
     return out
 
 

@@ -202,9 +202,11 @@ class SplitTrainer:
         return loss.item()
 
     def logits(self, ids):
-        reps = [p.finetune_forward(ids) for p in self.parties]
-        joined = _aggregate(reps, self.aggregator)
-        return self.parties[0].model.top_model.forward(joined).values
+        """The joined forward over ``ids``; it records no autodiff graph."""
+        with T.no_grad():
+            reps = [p.finetune_forward(ids) for p in self.parties]
+            joined = _aggregate(reps, self.aggregator)
+            return self.parties[0].model.top_model.forward(joined).values
 
     def accuracy(self, ids):
         labels = self.parties[0].labels(ids)

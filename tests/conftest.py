@@ -46,6 +46,17 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture(autouse=True)
+def grad_mode_stays_on():
+    """Every test starts in grad mode and must leave it on: a leaked
+    ``tensor.no_grad`` fails the test that leaked it, and only that one."""
+    assert T.grad_enabled
+    yield
+    leaked = not T.grad_enabled
+    T.grad_enabled = True
+    assert not leaked, "the test left tensor.no_grad on"
+
+
 class PerParameterSgd(T.SgdOptimizer):
     """One update per parameter: the loop that the packed
     ``SgdOptimizer.step`` replaces, kept as the reference it must equal

@@ -238,6 +238,16 @@ class TestExitCodes:
             assert "party 1's synthetic features hold non-finite values" in err
             assert "Traceback" not in err and "RuntimeWarning" not in err and not out.exists()
 
+    def test_diverged_pretraining_is_4_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        out = tmp_path / "o"
+        path.write_text(json.dumps({**TINY, "pipeline": {**TINY["pipeline"], "cross_lr": 1e308}}))
+        assert cli.main(["pretrain", "--config", str(path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: pretraining diverged: party 1 array 'f_lb.0.weight' "
+                              "holds non-finite values")
+        assert "Traceback" not in err and "RuntimeWarning" not in err and not out.exists()
+
     @pytest.mark.parametrize("bad_row", ["x2,0.2,1", "2,0.2,cat", "2,0.2"])
     def test_malformed_csv_is_3(self, tmp_path, capsys, bad_row):
         p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"

@@ -162,7 +162,7 @@ class TestSynthetic:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.8 * kept, (peak, kept, ds.num_parties)
+        assert peak <= 1.25 * kept, (peak, kept, ds.num_parties)
 
 
 class TestAugmentation:

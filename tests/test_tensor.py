@@ -95,14 +95,13 @@ class TestDense:
             T.dense(x, w, T.Tensor(np.zeros((1, 3))), True)
 
 
-def test_every_op_returns_2d_float64(rng):
-    """Op outputs skip Tensor's input checks, so each op must itself
-    produce a 2-D float64 array; a new op without a case here fails."""
+def op_cases(rng):
+    """One call of every public op, by name, over inputs that require grad."""
     a = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     b = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     w = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     bias = T.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
-    cases = {
+    return {
         "matmul": lambda: T.matmul(a, w),
         "dense": lambda: T.dense(a, w, bias, True),
         "add": lambda: T.add(a, T.Tensor([[1, 2, 3]])),
@@ -120,6 +119,12 @@ def test_every_op_returns_2d_float64(rng):
         "info_nce": lambda: T.info_nce(a, b.values, w.values.T, 0.5),
         "neg_cosine": lambda: T.neg_cosine(a, b.values),
     }
+
+
+def test_every_op_returns_2d_float64(rng):
+    """Op outputs skip Tensor's input checks, so each op must itself
+    produce a 2-D float64 array; a new op without a case here fails."""
+    cases = op_cases(rng)
     public_ops = {
         name for name, fn in vars(T).items()
         if inspect.isfunction(fn) and fn.__module__ == T.__name__
@@ -130,6 +135,30 @@ def test_every_op_returns_2d_float64(rng):
         out = make()
         assert isinstance(out, T.Tensor), name
         assert out.values.ndim == 2 and out.values.dtype == np.float64, name
+
+
+class TestNoGrad:
+    def test_every_op_records_no_graph_and_equal_values(self, rng):
+        for name, make in op_cases(rng).items():
+            with_graph = make()
+            assert with_graph._parents and with_graph.requires_grad, name
+            with T.no_grad():
+                out = make()
+            assert out._parents == () and out._backward is None, name
+            assert not out.requires_grad, name
+            assert out.values.tobytes() == with_graph.values.tobytes(), name
+
+    def test_grad_mode_restored_after_nesting_and_exceptions(self):
+        x = T.Tensor(np.ones((2, 2)), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                assert not T.grad_enabled
+            assert not T.grad_enabled
+            assert T.relu(x)._parents == ()
+        assert T.grad_enabled and T.relu(x)._parents == (x,)
+        with pytest.raises(ShapeError), T.no_grad():
+            T.matmul(x, T.Tensor(np.ones((3, 1))))
+        assert T.grad_enabled and T.relu(x)._parents == (x,)
 
 
 class TestRowNormalize:

@@ -1,10 +1,13 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from vflhssl import data, nn, tensor as T, vfl
+from vflhssl import cli, data, nn, tensor as T, vfl
 from vflhssl.errors import ConfigError, ProtocolError, ValidationError
+
+from test_data import HSSL_UNALIGNED
 
 
 def desk_cfg(**kw):
@@ -388,6 +391,48 @@ class TestSplitTraining:
         np.testing.assert_array_equal(t1.logits(ds.test_ids).argmax(1),
                                       t2.logits(ds.test_ids).argmax(1))
         np.testing.assert_array_equal(t1.logits(ds.test_ids), t2.logits(ds.test_ids))
+
+    def test_logits_record_no_graph(self, monkeypatch):
+        ds, _, _, trainer = make_trainer()
+        trainer.train_step(ds.labeled_ids[:16])
+        outputs, result = [], T._result
+
+        def recording(*args):
+            outputs.append(result(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(T, "_result", recording)
+        trainer.logits(ds.test_ids)
+        assert outputs and all(out._parents == () and out._backward is None for out in outputs)
+
+    def test_logits_between_steps_leave_training_bit_identical(self):
+        ds, plain, _, t1 = make_trainer(seed=9)
+        _, probed, _, t2 = make_trainer(seed=9)
+        for batch in np.array_split(ds.labeled_ids, 4):
+            t1.train_step(batch)
+            t2.logits(ds.test_ids)
+            t2.train_step(batch)
+            t2.accuracy(batch)
+        for a, b in zip(plain, probed):
+            for (name, pa), (_, pb) in zip(a.model.named_params(), b.model.named_params()):
+                assert pa.values.tobytes() == pb.values.tobytes(), name
+
+    def test_logits_temporary_memory_on_the_unaligned_test_split(self):
+        # The hssl-unaligned benchmark's split network, scored on its 1000 test rows.
+        config = cli.load_config(preset="fedhssl-simsiam")
+        ds = data.generate_synthetic(data.SyntheticSpec(**HSSL_UNALIGNED))
+        nodes = vfl.make_parties(ds, cli.build_model_config(config, ds), "simsiam", 0)
+        trainer = vfl.SplitTrainer(nodes, vfl.Network(), learning_rate=0.01)
+        trainer.train_step(ds.labeled_ids[:64])
+        trainer.logits(ds.test_ids)  # warm-up: first-call allocations are not the forward's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trainer.logits(ds.test_ids)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6e6, peak
 
 
 class TestAggregators:
