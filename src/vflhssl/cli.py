@@ -377,18 +377,25 @@ def _summary_line(s):
             f"{s['mean_test_top1']:.4f} +- {s['std_test_top1']:.4f} over {s['seeds']} seeds")
 
 
+def auxiliary_ids(priv, dataset):
+    """The attacker's labels: the labeled pool's first ``aux_labeled_count`` ids."""
+    count = priv["aux_labeled_count"]
+    if not dataset.num_classes <= count <= len(dataset.labeled_ids):
+        raise ConfigError(f"privacy.aux_labeled_count must lie between the {dataset.num_classes} "
+                          f"classes and the {len(dataset.labeled_ids)} labeled training ids, "
+                          f"got {count}")
+    return dataset.labeled_ids[:count]
+
+
 def cmd_attack(config, out_dir, checkpoint_path):
     priv = config["privacy"]
     dataset = build_scored_dataset(config)
     checkpoint = _load_checkpoint(config, checkpoint_path)
     labeled_count = config["finetune"]["labeled_counts"][0]
-    aux_ids = dataset.labeled_ids[: priv["aux_labeled_count"]]
     # mc_attack checks these too, but only after the first fine-tune has trained.
     if priv["head_hidden_dim"] < 1:
         raise ConfigError(f"privacy.head_hidden_dim must be >= 1, got {priv['head_hidden_dim']}")
-    if len(aux_ids) < dataset.num_classes:
-        raise ConfigError(f"privacy.aux_labeled_count gives {len(aux_ids)} auxiliary labels, "
-                          f"fewer than the {dataset.num_classes} classes")
+    aux_ids = auxiliary_ids(priv, dataset)
     curve = privacy.TradeoffCurve(
         method=config["pipeline"]["preset"] or "FedSplitNN",
         dataset="synthetic" if "synthetic" in config["data"] else "csv",
@@ -529,7 +536,9 @@ def main(argv=None):
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (VflError, OSError) as exc:  # OSError: an output path the command cannot write
+    # OSError: an output path the command cannot write; MemoryError: an
+    # array numpy cannot allocate, as a huge model.hidden_dim asks for.
+    except (VflError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

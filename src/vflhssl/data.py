@@ -467,6 +467,8 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
     are coded in order of appearance. Party 1's labels are the class
     indices: the largest must be below the file's labeled row count.
     """
+    if not 0 <= test_fraction < 1:
+        raise ConfigError(f"data.csv.test_fraction must lie in [0, 1), got {test_fraction}")
     cat_cols = cat_cols or [() for _ in paths]
     if len(cat_cols) != len(paths) or len(cat_levels or paths) != len(paths):
         raise ConfigError("cat_cols and cat_levels must have one entry per party")

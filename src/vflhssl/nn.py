@@ -197,7 +197,7 @@ class ModelConfig:
     predictor_dims: tuple = (8, 16)  # the bottleneck, then the output
     moco_projector_out: int = 16
     finetune_encoders: str = "concat"  # local | cross | concat
-    aggregator: str = "concat"  # concat | mean | max
+    aggregator: str = "concat"  # the only join; kept as a key for existing configs
 
     def __post_init__(self):
         for name in ("num_classes", "num_parties", "hidden_dim", "repr_dim"):
@@ -207,8 +207,8 @@ class ModelConfig:
             raise ConfigError("party must have at least one feature after encoding")
         if self.finetune_encoders not in FINETUNE_TOWERS:
             raise ConfigError(f"unknown finetune_encoders {self.finetune_encoders!r}")
-        if self.aggregator not in ("concat", "mean", "max"):
-            raise ConfigError(f"unknown aggregator {self.aggregator!r}")
+        if self.aggregator != "concat":
+            raise ConfigError(f"model.aggregator must be 'concat', got {self.aggregator!r}")
         if (len(self.projector_dims), len(self.predictor_dims)) != (3, 2):
             raise ConfigError(
                 f"projector_dims needs 3 entries and predictor_dims 2, got "
@@ -227,7 +227,7 @@ class ModelConfig:
         return self.repr_dim * len(FINETUNE_TOWERS[self.finetune_encoders])
 
     def top_input_dim(self):
-        return self.finetune_repr_dim() * (self.num_parties if self.aggregator == "concat" else 1)
+        return self.finetune_repr_dim() * self.num_parties
 
 
 class EncoderStack:

@@ -15,13 +15,13 @@ import math
 import struct
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
 from . import tensor as T
 from .data import stream
-from .errors import ConfigError, ProtocolError, ShapeError
+from .errors import ConfigError, ProtocolError
 from .nn import EncoderStack
 from .privacy import iso_perturb, metric_top1
 from .ssl import QUEUE_CAPACITY, NegativeQueue
@@ -141,24 +141,12 @@ def make_parties(dataset, cfg, variant, seed):
     return parties
 
 
-def _aggregate(tensors, kind):
-    """Join party representations by ``kind``: concat, mean or max."""
-    if kind == "concat":
-        return T.concat_cols(tensors)
-    dims = {t.cols for t in tensors}
-    if len(dims) != 1:
-        raise ShapeError(f"{kind} aggregator requires equal per-party dims, got {sorted(dims)}")
-    if kind == "mean":
-        return T.affine(reduce(T.add, tensors), 1.0 / len(tensors))
-    return reduce(T.maximum, tensors)
-
-
 class SplitTrainer:
     """Drives FedSplitNN supervised training/fine-tuning over parties.
 
     ``lambda_f`` is the ISO strength on the gradients sent to passive
-    parties, drawn from ``noise_rng``; 0 sends them exact. The active
-    party's ``ModelConfig.aggregator`` joins the party representations.
+    parties, drawn from ``noise_rng``; 0 sends them exact. The top model
+    reads the party representations concatenated in party order.
     Each party steps its ``params_finetune()`` by SGD with momentum 0.9.
     """
 
@@ -170,7 +158,6 @@ class SplitTrainer:
         if not 0 <= lambda_f < math.inf:
             raise ConfigError("lambda_f must be finite and non-negative")
         self.network = network
-        self.aggregator = active.model.cfg.aggregator
         self.lambda_f = lambda_f
         self.noise_rng = noise_rng
         self.optimizers = [T.SgdOptimizer(p.model.params_finetune(), learning_rate)
@@ -188,7 +175,7 @@ class SplitTrainer:
             for p, z in zip(self.parties[1:], reps[1:])
         ]
 
-        joined = _aggregate([reps[0]] + received, self.aggregator)
+        joined = T.concat_cols([reps[0]] + received)
         logits = active.model.top_model.forward(joined)
         loss = T.softmax_cross_entropy(logits, labels)
         loss.backward()
@@ -205,7 +192,7 @@ class SplitTrainer:
         """The joined forward over ``ids``; it records no autodiff graph."""
         with T.no_grad():
             reps = [p.finetune_forward(ids) for p in self.parties]
-            joined = _aggregate(reps, self.aggregator)
+            joined = T.concat_cols(reps)
             return self.parties[0].model.top_model.forward(joined).values
 
     def accuracy(self, ids):

@@ -1,9 +1,12 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vflhssl import cli, hssl, nn, privacy, vfl
+from vflhssl import cli, data, hssl, nn, privacy, vfl
 from vflhssl.errors import ConfigError
 
 from conftest import TINY, PerParameterSgd
@@ -72,6 +75,25 @@ class TestConfig:
         for preset, fingerprint in pinned.items():
             assert cli.config_fingerprint(cli.load_config(preset=preset)) == fingerprint, preset
 
+    def test_benchmark_workloads_are_accepted(self, tmp_path, monkeypatch):
+        # perfbench writes every key of its own copy of the defaults, so a
+        # key the program drops or a value it stops accepting fails here.
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing lands under perfbench/
+        source = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", source)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        monkeypatch.chdir(workloads.ROOT)  # moco-k4-csv's paths are relative to the checkout
+        for name in workloads.WORKLOADS:
+            cfg, preset, _ = workloads.build(name, 0, tmp_path / name)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            config = cli.load_config(str(path), preset=preset)
+            dataset = cli.build_scored_dataset(config)
+            cli.build_model_config(config, dataset)  # nn.ModelConfig checks the model section
+            aux_ids = cli.auxiliary_ids(config["privacy"], dataset)
+            assert len(aux_ids) == cfg["privacy"]["aux_labeled_count"], name
+
     def test_parse_sweep(self):
         assert cli.parse_sweep("gamma=0,0.5,1.0") == ("gamma", [0.0, 0.5, 1.0])
         assert cli.parse_sweep("aligned=0.2,0.4") == ("aligned", [0.2, 0.4])
@@ -116,6 +138,8 @@ class TestExitCodes:
         ("pretrain", "data", {"csv": {"paths": "p1.csv"}}),
         ("pretrain", "data", {"csv": {"paths": ["p1.csv", "p2.csv"], "cat_levels": 5}}),
         ("pretrain", "data", {"csv": {"paths": ["p1.csv", "p2.csv"], "test_fraction": "x"}}),
+        ("pretrain", "data", {"csv": {"paths": ["p1.csv", "p2.csv"], "test_fraction": 1.0}}),
+        ("pretrain", "data", {"csv": {"paths": ["p1.csv", "p2.csv"], "test_fraction": 1.5}}),
         ("pretrain", "seeds", [-1]),
         ("pretrain", "data", {"synthetic": {"classes": 0}}),
         ("pretrain", "model", {"projector_dims": [16]}),
@@ -145,7 +169,8 @@ class TestExitCodes:
             "empty-seeds-pretrain", "empty-seeds-attack", "float-seed",
             "float-global-iterations", "empty-labeled-counts", "float-labeled-count",
             "empty-lr-candidates", "csv-string-paths", "csv-scalar-cat-levels",
-            "csv-string-test-fraction", "negative-seed", "zero-classes", "short-projector",
+            "csv-string-test-fraction", "csv-test-fraction-one", "csv-test-fraction-above-one",
+            "negative-seed", "zero-classes", "short-projector",
             "long-projector", "unknown-aggregator", "zero-lr-candidate", "infinite-gamma",
             "repeated-seed", "repeated-labeled-count", "repeated-lambda-f",
             "repeated-lr-candidate", "synthetic-and-csv", "csv-string-cat-cols",
@@ -185,7 +210,9 @@ class TestExitCodes:
         ({"lambda_f": [1.0, -1.0]}, "lambda_f"),
         ({"head_hidden_dim": 0}, "head_hidden_dim"),
         ({"aux_labeled_count": 2}, "aux_labeled_count"),
-    ], ids=["negative-lambda-f", "zero-head-hidden-dim", "fewer-aux-labels-than-classes"])
+        ({"aux_labeled_count": 100000}, "aux_labeled_count"),
+    ], ids=["negative-lambda-f", "zero-head-hidden-dim", "fewer-aux-labels-than-classes",
+            "more-aux-labels-than-labeled-pool"])
     def test_lambda_f_checked_before_any_training(self, tmp_path, capsys, monkeypatch,
                                                   privacy, message):
         steps = []
@@ -247,6 +274,17 @@ class TestExitCodes:
         assert err.startswith("error: pretraining diverged: party 1 array 'f_lb.0.weight' "
                               "holds non-finite values")
         assert "Traceback" not in err and "RuntimeWarning" not in err and not out.exists()
+
+    def test_failed_allocation_is_4(self, cfg_path, tmp_path, capsys, monkeypatch):
+        # What numpy raises for, say, model.hidden_dim 1e12; no real allocation is tried.
+        def oversized(spec):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12, 1)")
+        monkeypatch.setattr(data, "generate_synthetic", oversized)
+        out = tmp_path / "o"
+        assert cli.main(["pretrain", "--config", cfg_path, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 7.28 TiB for an array with shape (10**12, 1)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad_row", ["x2,0.2,1", "2,0.2,cat", "2,0.2"])
     def test_malformed_csv_is_3(self, tmp_path, capsys, bad_row):

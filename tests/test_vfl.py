@@ -1,5 +1,4 @@
 import tracemalloc
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -204,7 +203,6 @@ class MonolithicMirror:
 
     def __init__(self, dataset, cfg, variant, seed, learning_rate):
         self.parties = vfl.make_parties(dataset, cfg, variant, seed)
-        self.aggregator = cfg.aggregator
         self.optimizers = [
             T.SgdOptimizer(p.model.params_finetune(), learning_rate, momentum=0.9)
             for p in self.parties
@@ -213,12 +211,7 @@ class MonolithicMirror:
     def train_step(self, ids):
         labels = self.parties[0].labels(ids)
         reps = [p.finetune_forward(ids) for p in self.parties]
-        if self.aggregator == "mean":
-            joined = T.affine(reduce(T.add, reps), 1.0 / len(reps))
-        elif self.aggregator == "max":
-            joined = reduce(T.maximum, reps)
-        else:
-            joined = T.concat_cols(reps) if len(reps) > 1 else reps[0]
+        joined = T.concat_cols(reps) if len(reps) > 1 else reps[0]
         logits = self.parties[0].model.top_model.forward(joined)
         loss = T.softmax_cross_entropy(logits, labels)
         loss.backward()
@@ -249,14 +242,13 @@ class TestSplitTraining:
         @hypothesis.settings(max_examples=100, deadline=None)
         @hypothesis.given(
             num_parties=st.integers(1, 4),
-            aggregator=st.sampled_from(["concat", "mean", "max"]),
             hidden_dim=st.integers(1, 12),
             repr_dim=st.integers(1, 8),
             finetune_encoders=st.sampled_from(["local", "cross", "concat"]),
         )
-        def check(num_parties, aggregator, hidden_dim, repr_dim, finetune_encoders):
+        def check(num_parties, hidden_dim, repr_dim, finetune_encoders):
             ds = datasets[num_parties]
-            cfg = desk_cfg(num_parties=num_parties, aggregator=aggregator, hidden_dim=hidden_dim,
+            cfg = desk_cfg(num_parties=num_parties, hidden_dim=hidden_dim,
                            repr_dim=repr_dim, finetune_encoders=finetune_encoders)
             nodes = vfl.make_parties(ds, cfg, "simsiam", 3)
             trainer = vfl.SplitTrainer(nodes, vfl.Network(), 0.05)
@@ -436,25 +428,9 @@ class TestSplitTraining:
 
 
 class TestAggregators:
-    def test_mean_matches_numpy(self, rng):
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        out = vfl._aggregate([T.Tensor(a), T.Tensor(b)], "mean")
-        np.testing.assert_allclose(out.values, (a + b) / 2)
-
-    def test_max_matches_numpy(self, rng):
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        out = vfl._aggregate([T.Tensor(a), T.Tensor(b)], "max")
-        np.testing.assert_allclose(out.values, np.maximum(a, b))
-
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError, match="aggregator"):
-            desk_cfg(aggregator="median")
-
-    def test_mean_aggregator_trains(self):
-        ds = desk_dataset()
-        nodes = vfl.make_parties(ds, desk_cfg(aggregator="mean"), "simsiam", 2)
-        net = vfl.Network()
-        trainer = vfl.SplitTrainer(nodes, net, learning_rate=0.05)
-        assert trainer.aggregator == "mean"  # read from the active party's ModelConfig
-        loss = trainer.train_step(ds.labeled_ids[:8])
-        assert np.isfinite(loss)
+        # concat is the one join; any other value, mean and max included, is refused.
+        assert desk_cfg(aggregator="concat").top_input_dim() == 2 * desk_cfg().finetune_repr_dim()
+        for kind in ("median", "mean", "max"):
+            with pytest.raises(ConfigError, match="model.aggregator"):
+                desk_cfg(aggregator=kind)
