@@ -76,13 +76,12 @@ DEFAULT_CONFIG = {
 # data.csv's keys are load_csv's keyword arguments, each with a value of its shape.
 CSV_SHAPES = {
     **{k: p.default for k, p in inspect.signature(data.load_csv).parameters.items()},
-    "paths": ["party1.csv"], "cat_cols": [], "cat_levels": [], "labeled_count": 0,
+    "paths": ["party1.csv"], "cat_cols": [], "labeled_count": 0,
 }
 
 # Config values that may also be null: the preset of plain split training,
 # and the data.csv arguments whose load_csv default is None.
-NULLABLE = {"pipeline.preset", "data.csv.cat_cols", "data.csv.cat_levels",
-            "data.csv.labeled_count"}
+NULLABLE = {"pipeline.preset", "data.csv.cat_cols", "data.csv.labeled_count"}
 
 JSON_TYPES = ((type(None), "null"), (bool, "boolean"), ((int, float), "number"),
               (str, "string"), (list, "array"), (dict, "object"))
@@ -171,6 +170,10 @@ def load_config(path=None, preset=None):
                          ("privacy.lambda_f", config["privacy"]["lambda_f"])):
         if len(set(values)) != len(values):
             raise ConfigError(f"{name} repeats an entry: {values}")
+    if min(config["finetune"]["labeled_counts"]) < 2:
+        # A count below 2 leaves no training id once validation takes one.
+        raise ConfigError(f"finetune.labeled_counts must be >= 2, got "
+                          f"{config['finetune']['labeled_counts']}")
     if min(config["finetune"]["lr_candidates"]) <= 0:
         raise ConfigError("finetune.lr_candidates must be positive")
     if config["privacy"]["encoder_source"] != "finetuned_local":
@@ -195,10 +198,15 @@ def build_dataset(config):
 
 
 def build_scored_dataset(config):
-    """The dataset of a command that scores on the test split, which must not be empty."""
+    """The dataset of a command that fine-tunes and scores on the test
+    split: the split must not be empty, and every labeled count must fit
+    in the labeled pool, so that no fine-tune runs before a bad one fails."""
     dataset = build_dataset(config)
     if not len(dataset.test_ids):
         raise DataError("finetune and attack score on the test split, which is empty")
+    count, pool = max(config["finetune"]["labeled_counts"]), len(dataset.labeled_ids)
+    if count > pool:
+        raise DataError(f"finetune.labeled_counts entry {count} exceeds the {pool} labeled ids")
     return dataset
 
 
@@ -304,13 +312,9 @@ def _select_lr(config, dataset, seed, labeled_count, checkpoint, lambda_f=0.0):
     ranks last: its argmax predicts class 0, and that share is no score."""
     ft = config["finetune"]
     pool = dataset.labeled_ids
-    if labeled_count > len(pool):
-        raise DataError(f"labeled_count {labeled_count} exceeds available {len(pool)} labeled ids")
     chosen = pool[data.stream(seed, "labeled_subset").permutation(len(pool))][:labeled_count]
     n_val = max(1, int(round(0.2 * len(chosen))))
     val_ids, train_ids = chosen[:n_val], chosen[n_val:]
-    if len(train_ids) == 0:
-        raise DataError("labeled subset too small to split off validation")
     val_labels = dataset.label_array(val_ids)
     shuffle = data.stream(seed, "finetune_shuffle")
     schedule = [batch for _ in range(ft["epochs"])
@@ -449,7 +453,10 @@ def cmd_report(out_dir):
                 r["test_top1"] for r in report["per_run"]
                 if r["labeled_count"] == s["labeled_count"]
             ]
-            if not accs or abs(float(np.mean(accs)) - s["mean_test_top1"]) > 1e-12:
+            given = (s["mean_test_top1"], s["std_test_top1"], s["seeds"])
+            # A NaN compares false, so it never agrees.
+            if not accs or not all(abs(float(stat(accs)) - value) <= 1e-12
+                                   for stat, value in zip((np.mean, np.std, len), given)):
                 raise DataError("report summary disagrees with per-run entries")
             print(_summary_line(s))
     except (ValueError, KeyError, TypeError) as exc:
@@ -519,13 +526,16 @@ def main(argv=None):
         if args.sweep:
             key, values = parse_sweep(args.sweep)
             section, field = SWEEP_KEYS[key]
+            sub_dirs = [Path(out_dir) / f"sweep_{key}_{value:g}" for value in values]
+            if len(set(sub_dirs)) != len(sub_dirs):
+                raise ConfigError(f"--sweep values {values} name one output directory twice "
+                                  f"(sweep_{key}_<value:g>)")
             for value in values:  # every swept pipeline is checked before any runs
                 hssl.PipelineConfig(**{**config[section], field: value})
             code = 0
-            for value in values:
+            for value, sub_dir in zip(values, sub_dirs):
                 swept = copy.deepcopy(config)
                 swept[section][field] = value
-                sub_dir = Path(out_dir) / f"sweep_{key}_{value:g}"
                 print(f"[sweep {key}={value:g}]")
                 code = max(code, _run_one(args, swept, sub_dir))
             return code

@@ -348,15 +348,15 @@ def csv_text(rows):
 
 # -- CSV ingestion ------------------------------------------------------
 
-def export_csv(dataset: VerticalDataset, paths, id_col="id", label_col="label"):
-    """One CSV per party; party 1's file carries the label column for
-    every aligned id (missing labels written empty)."""
+def export_csv(dataset: VerticalDataset, paths):
+    """One CSV per party with an ``id`` column; party 1's file carries the
+    ``label`` column for every aligned id (missing labels written empty)."""
     if len(paths) != dataset.num_parties:
         raise ConfigError("one output path per party required")
     for i, (block, path) in enumerate(zip(dataset.parties, paths)):
         cont_names = [f"x{j}" for j in range(block.cont.shape[1])]
         cat_names = [f"c{j}" for j in range(block.cats.shape[1])]
-        rows = [[id_col] + cont_names + cat_names + ([label_col] if i == 0 else [])]
+        rows = [["id"] + cont_names + cat_names + (["label"] if i == 0 else [])]
         for r, sid in enumerate(block.ids):
             row = [int(sid)]
             row += [repr(float(v)) for v in block.cont[r]]
@@ -386,14 +386,11 @@ def _is_float(text):
     return True
 
 
-def _list_of(value, item_types):
-    return isinstance(value, (list, tuple)) and all(isinstance(v, item_types) for v in value)
-
-
-def _read_party(path, p, id_col, label_col, cat_cols, cat_levels):
+def _read_party(path, p, cat_cols):
     """Party ``p``'s file in one pass over its rows: the id -> row dict in
-    file order, the continuous block, the coded categorical block, the
-    cardinalities and the labels (none when ``label_col`` is None)."""
+    file order, the continuous block, the categorical block with levels
+    coded in order of appearance, the cardinalities and the labels (party
+    1's ``label`` column; at any other party it is a feature)."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -406,24 +403,18 @@ def _read_party(path, p, id_col, label_col, cat_cols, cat_levels):
     repeated = sorted({name for name in header if header.count(name) > 1})
     if repeated:
         raise DataError(f"{path}: header repeats column names {repeated}")
-    if id_col not in header:
-        raise DataError(f"{path}: missing id column {id_col!r}")
-    id_at = header.index(id_col)
-    label_at = header.index(label_col) if label_col in header else None
-    features = [(j, name) for j, name in enumerate(header) if j not in (id_at, label_at)]
-    unknown = [name for name in cat_cols if name not in header or name in (id_col, label_col)]
+    if "id" not in header:
+        raise DataError(f"{path}: missing id column 'id'")
+    id_at = header.index("id")
+    label_at = header.index("label") if p == 0 and "label" in header else None
+    features = {name: j for j, name in enumerate(header) if j not in (id_at, label_at)}
+    unknown = [name for name in cat_cols if name not in features]
     if unknown:
         raise DataError(f"{path}: data.csv.cat_cols names {unknown}, which are not among the "
                         f"file's feature columns")
-    cont_cols = [(j, name) for j, name in features if name not in cat_cols]
-    cat_at = [j for j, name in features if name in cat_cols]
-    if cat_levels is None:  # levels coded in order of appearance
-        levels, code = [{} for _ in cat_at], dict.setdefault
-    elif len(cat_levels) != len(cat_at):
-        raise ConfigError(f"cat_levels needs one level list per categorical column "
-                          f"of party {p + 1}")
-    else:  # an unknown level gets the corruption index, the vocabulary size
-        levels, code = [{str(lvl): k for k, lvl in enumerate(col)} for col in cat_levels], dict.get
+    cont_cols = [(j, name) for name, j in features.items() if name not in cat_cols]
+    cat_at = [j for name, j in features.items() if name in cat_cols]
+    levels = [{} for _ in cat_at]
     index, cont, cats, labels = {}, [], [], {}
     for row in rows:
         if len(row) != len(header):
@@ -441,7 +432,7 @@ def _read_party(path, p, id_col, label_col, cat_cols, cat_levels):
                 f"{path}: non-numeric cell {cell!r} in column {name!r} for id {sid}; "
                 f"list a categorical column in data.csv.cat_cols"
             ) from exc
-        cats.append([code(lv, row[j], len(lv)) for lv, j in zip(levels, cat_at)])
+        cats.append([lv.setdefault(row[j], len(lv)) for lv, j in zip(levels, cat_at)])
         if label_at is not None and row[label_at] != "":
             labels[sid] = _int_cell(row[label_at], "label", p, low=0)
     cont = np.array(cont, dtype=np.float64).reshape(len(index), len(cont_cols))
@@ -455,31 +446,26 @@ def _read_party(path, p, id_col, label_col, cat_cols, cat_levels):
     return index, cont, cats, tuple(map(len, levels)), labels
 
 
-def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=None,
-             test_fraction=0.2, labeled_count=None, seed=0, standardize=True):
-    """Join per-party CSV files on the id column into a VerticalDataset.
+def load_csv(paths, cat_cols=None, test_fraction=0.2, labeled_count=None, seed=0):
+    """Join per-party CSV files on their ``id`` column into a VerticalDataset.
 
     Ids present in every file form the aligned set; ids present in only
     one file become that party's unaligned set. Continuous columns are
-    z-scored with statistics of the aligned training rows. When
-    ``cat_levels`` pins the known level vocabulary per categorical
-    column, unknown levels map to the corruption index; otherwise levels
-    are coded in order of appearance. Party 1's labels are the class
-    indices: the largest must be below the file's labeled row count.
+    z-scored with statistics of the aligned training rows, and the levels
+    of each categorical column are coded in order of appearance. Party 1's
+    ``label`` column holds the class indices: the largest must be below
+    the file's labeled row count.
     """
     if not 0 <= test_fraction < 1:
         raise ConfigError(f"data.csv.test_fraction must lie in [0, 1), got {test_fraction}")
     cat_cols = cat_cols or [() for _ in paths]
-    if len(cat_cols) != len(paths) or len(cat_levels or paths) != len(paths):
-        raise ConfigError("cat_cols and cat_levels must have one entry per party")
-    if not (all(_list_of(cols, str) for cols in cat_cols) and
-            all(_list_of(levels, (list, tuple)) for levels in cat_levels or ())):
-        raise ConfigError("each party's cat_cols must be a list of column names and its "
-                          "cat_levels a list of level lists")
+    if len(cat_cols) != len(paths):
+        raise ConfigError("cat_cols must have one entry per party")
+    if not all(isinstance(cols, (list, tuple)) and all(isinstance(c, str) for c in cols)
+               for cols in cat_cols):
+        raise ConfigError("each party's cat_cols must be a list of column names")
     indexes, conts, codes, cards, labels = zip(*(
-        _read_party(path, p, id_col, label_col if p == 0 else None, cat_cols[p],
-                    None if cat_levels is None else cat_levels[p])
-        for p, path in enumerate(paths)
+        _read_party(path, p, cat_cols[p]) for p, path in enumerate(paths)
     ))
     labels = labels[0]
     aligned_set = set(indexes[0]).intersection(*indexes[1:])
@@ -506,14 +492,11 @@ def load_csv(paths, id_col="id", label_col="label", cat_cols=None, cat_levels=No
         # An id held by some but not all parties is neither aligned nor unaligned.
         shared = aligned_set.union(*(other for q, other in enumerate(indexes) if q != p))
         unaligned_ids.append(np.array(sorted(index.keys() - shared), dtype=np.int64))
-        cont = conts[p]
-        if standardize and cont.shape[1]:
-            train = cont[[index[i] for i in train_aligned.tolist()]]
-            std = train.std(axis=0)
-            std[std == 0] = 1.0
-            cont = (cont - train.mean(axis=0)) / std
-        blocks.append(PartyBlock(index=index, cont=cont, cats=codes[p],
-                                 cat_cardinalities=cards[p]))
+        train = conts[p][[index[i] for i in train_aligned.tolist()]]
+        std = train.std(axis=0)
+        std[std == 0] = 1.0
+        blocks.append(PartyBlock(index=index, cont=(conts[p] - train.mean(axis=0)) / std,
+                                 cats=codes[p], cat_cardinalities=cards[p]))
 
     return VerticalDataset(parties=blocks, aligned_ids=train_aligned, unaligned_ids=unaligned_ids,
                            labeled_ids=np.sort(train_labeled), labels=labels, test_ids=test_ids,

@@ -94,6 +94,13 @@ class TestConfig:
             aux_ids = cli.auxiliary_ids(config["privacy"], dataset)
             assert len(aux_ids) == cfg["privacy"]["aux_labeled_count"], name
 
+    def test_nullable_entries_name_config_keys(self):
+        # A key deleted from the config must leave NULLABLE too.
+        for name in cli.NULLABLE:
+            section, _, key = name.rpartition(".")
+            shapes = cli.CSV_SHAPES if section == "data.csv" else cli.DEFAULT_CONFIG[section]
+            assert key in shapes, name
+
     def test_parse_sweep(self):
         assert cli.parse_sweep("gamma=0,0.5,1.0") == ("gamma", [0.0, 0.5, 1.0])
         assert cli.parse_sweep("aligned=0.2,0.4") == ("aligned", [0.2, 0.4])
@@ -108,6 +115,15 @@ class TestConfig:
     def test_parse_sweep_rejects_non_finite(self, values):
         with pytest.raises(ConfigError, match="finite"):
             cli.parse_sweep(f"gamma={values}")
+
+
+def _report_text(mean, std, seeds):
+    """A report.json of two runs, test top-1 0.8 and 0.6, under the given summary."""
+    return json.dumps({
+        "per_run": [{"labeled_count": 32, "test_top1": acc} for acc in (0.8, 0.6)],
+        "summary": [{"labeled_count": 32, "mean_test_top1": mean, "std_test_top1": std,
+                     "seeds": seeds}],
+    })
 
 
 class TestExitCodes:
@@ -186,6 +202,36 @@ class TestExitCodes:
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("id_col", "id"), ("label_col", "label"),
+                                            ("cat_levels", [[], []]), ("standardize", True)],
+                             ids=["id_col", "label_col", "cat_levels", "standardize"])
+    def test_removed_csv_key_is_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"data": {"csv": {"paths": ["p1.csv", "p2.csv"], key: value}}}))
+        assert cli.main(["pretrain", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown keys in 'data.csv': [{key!r}]")
+
+    @pytest.mark.parametrize("counts, code, message", [
+        ([32, 1], 2, "config error: finetune.labeled_counts must be >= 2"),
+        ([32, 49], 3, "data error: finetune.labeled_counts entry 49 exceeds the 48 labeled ids"),
+    ], ids=["below-two", "above-pool"])
+    def test_bad_labeled_count_fails_before_any_training(self, tmp_path, capsys, monkeypatch,
+                                                         counts, code, message):
+        def train_step(self, ids):
+            raise AssertionError("a fine-tune trained before the bad labeled count failed")
+
+        monkeypatch.setattr(vfl.SplitTrainer, "train_step", train_step)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "finetune": {**TINY["finetune"],
+                                                         "labeled_counts": counts}}))
+        out = tmp_path / "o"
+        for command in ("finetune", "attack"):
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == code
+            err = capsys.readouterr().err
+            assert err.startswith(message) and "Traceback" not in err
+        assert not out.exists()
 
     def test_negative_cli_seed_is_2(self, tmp_path, capsys):
         assert cli.main(["pretrain", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
@@ -342,8 +388,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("text", ["{nope", '{"per_run": []}', "[]",
-                                      '{"summary": [{"labeled_count": 1}], "per_run": []}'])
+    @pytest.mark.parametrize("text", [
+        "{nope", '{"per_run": []}', "[]", '{"summary": [{"labeled_count": 1}], "per_run": []}',
+        *(pytest.param(_report_text(*summary), id=name) for name, summary in (
+            ("wrong-std", (0.7, 0.9, 2)), ("wrong-seeds", (0.7, 0.1, 7)),
+            ("nan-mean", (float("nan"), 0.1, 2)))),
+    ])
     def test_malformed_report_is_3(self, tmp_path, capsys, text):
         (tmp_path / "report.json").write_text(text)
         assert cli.main(["report", "--out", str(tmp_path)]) == 3
@@ -693,6 +743,15 @@ class TestSweep:
         assert cli.main([command, "--config", cfg_path, "--out", str(out),
                          "--sweep", "aligned=0.5,0"]) == 2
         assert "aligned_fraction" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep", ["gamma=0.5,0.5", "gamma=0.1,0.1000001"])
+    def test_colliding_swept_values_are_2_before_any_run(self, cfg_path, tmp_path, capsys,
+                                                         sweep):
+        out = tmp_path / "out"
+        assert cli.main(["pretrain", "--config", cfg_path, "--out", str(out),
+                         "--sweep", sweep]) == 2
+        assert "name one output directory twice" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("sweep", ["gamma=inf", "gamma=0.5,nan", "aligned=nan"])

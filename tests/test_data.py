@@ -443,7 +443,7 @@ class TestCsv:
         ds = data.generate_synthetic(spec or small_spec())
         paths = [tmp_path / "p1.csv", tmp_path / "p2.csv"]
         data.export_csv(ds, paths)
-        kw = dict(standardize=False, test_fraction=0.2, seed=0)
+        kw = dict(test_fraction=0.2, seed=0)
         kw.update(load_kw)
         return ds, data.load_csv(paths, **kw)
 
@@ -467,12 +467,19 @@ class TestCsv:
         assert sorted(os.listdir(tmp_path)) == ["p1.csv", "p2.csv"]
 
     def test_features_round_trip_exactly(self, tmp_path):
+        # Ids and categorical codes (none in this spec) come back as
+        # written; continuous values come back z-scored by the aligned
+        # training rows' mean and std (a zero std counts as 1), bit for bit.
         ds, loaded = self.roundtrip(tmp_path)
         for p in range(2):
             ids = ds.parties[p].ids
+            np.testing.assert_array_equal(loaded.parties[p].ids, ids)
             orig_cont, orig_cats = ds.parties[p].rows(ids)
             new_cont, new_cats = loaded.parties[p].rows(ids)
-            np.testing.assert_array_equal(new_cont, orig_cont)
+            train, _ = ds.parties[p].rows(loaded.aligned_ids)
+            std = train.std(axis=0)
+            std[std == 0] = 1.0
+            np.testing.assert_array_equal(new_cont, (orig_cont - train.mean(axis=0)) / std)
             np.testing.assert_array_equal(new_cats, orig_cats)
 
     def test_labels_round_trip(self, tmp_path):
@@ -489,7 +496,7 @@ class TestCsv:
             assert set(map(int, loaded.unaligned_ids[p])) == set(map(int, ds.unaligned_ids[p]))
 
     def test_standardize_uses_train_stats(self, tmp_path):
-        _, loaded = self.roundtrip(tmp_path, standardize=True)
+        _, loaded = self.roundtrip(tmp_path)
         cont, _ = loaded.parties[0].rows(loaded.aligned_ids)
         np.testing.assert_allclose(cont.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(cont.std(axis=0), 1.0, atol=1e-10)
@@ -510,40 +517,14 @@ class TestCsv:
         with pytest.raises(DataError, match="duplicate"):
             data.load_csv([path, other])
 
-    def test_unknown_level_maps_to_corruption_index(self, tmp_path):
-        p1 = tmp_path / "p1.csv"
-        p1.write_text("id,x0,c0,label\n1,0.1,red,0\n2,0.2,blue,1\n3,0.3,teal,0\n"
-                      "4,0.4,red,1\n5,0.5,blue,0\n")
-        p2 = tmp_path / "p2.csv"
-        p2.write_text("id,x0\n1,1.0\n2,2.0\n3,3.0\n4,4.0\n5,5.0\n")
-        loaded = data.load_csv(
-            [p1, p2], cat_cols=[("c0",), ()],
-            cat_levels=[(("red", "blue"),), ()],
-            test_fraction=0.0, standardize=False,
-        )
-        _, cats = loaded.parties[0].rows([1, 2, 3])
-        assert cats[:, 0].tolist() == [0, 1, 2]  # teal: corruption index == vocabulary size
-
-    @pytest.mark.parametrize("cat_levels", [[(("red",),)], [(), ()], [(("red",), ("x",)), ()]])
-    def test_cat_levels_need_one_list_per_party_and_column(self, tmp_path, cat_levels):
-        p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
-        p1.write_text("id,x0,c0,label\n1,0.1,red,0\n2,0.2,blue,1\n")
-        p2.write_text("id,x0\n1,1.0\n2,2.0\n")
-        with pytest.raises(ConfigError, match="cat_levels"):
-            data.load_csv([p1, p2], cat_cols=[("c0",), ()], cat_levels=cat_levels)
-
-    @pytest.mark.parametrize("cat_cols,cat_levels", [
-        (["c0", ()], None),
-        ([("c0",), (5,)], None),
-        ([("c0",), ()], [(5,), ()]),
-        ([("c0",), ()], [None, ()]),
-    ], ids=["string-cat-cols", "scalar-cat-col", "scalar-levels", "null-levels"])
-    def test_cat_cols_and_levels_items_are_lists(self, tmp_path, cat_cols, cat_levels):
+    @pytest.mark.parametrize("cat_cols", [["c0", ()], [("c0",), (5,)]],
+                             ids=["string-cat-cols", "scalar-cat-col"])
+    def test_cat_cols_and_levels_items_are_lists(self, tmp_path, cat_cols):
         p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
         p1.write_text("id,x0,c0,label\n1,0.1,red,0\n2,0.2,blue,1\n")
         p2.write_text("id,x0\n1,1.0\n2,2.0\n")
         with pytest.raises(ConfigError, match="list of"):
-            data.load_csv([p1, p2], cat_cols=cat_cols, cat_levels=cat_levels)
+            data.load_csv([p1, p2], cat_cols=cat_cols)
 
     def test_cat_cols_outside_the_feature_columns_named(self, tmp_path):
         p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
@@ -581,12 +562,11 @@ class TestCsv:
 
     def test_three_party_load_pinned(self, tmp_path):
         # Party 1 has a continuous and a categorical column and labels,
-        # party 2 a constant column (std 0) and a categorical one whose
-        # "xl" is not among the pinned levels, party 3 continuous columns
-        # only. Ids 100-102, 200-201 and 300-301 are unaligned; id 50 sits
-        # at parties 1 and 3 only, so it is neither aligned nor unaligned.
-        # The digests were measured when load_csv read every file before
-        # parsing any.
+        # party 2 a constant column (std 0) and a categorical one with
+        # four levels, party 3 continuous columns only. Ids 100-102,
+        # 200-201 and 300-301 are unaligned; id 50 sits at parties 1 and 3
+        # only, so it is neither aligned nor unaligned. The digest was
+        # measured when load_csv read every file before parsing any.
         colours, sizes = ["red", "green", "blue"], ["s", "m", "l", "xl"]
         p1 = ["id,x0,c0,label"] + [
             f"{i},{(i * 37 % 101) / 10},{colours[i * 7 % 3]},{'' if i > 99 else i % 3}"
@@ -600,20 +580,14 @@ class TestCsv:
         paths = [tmp_path / "p1.csv", tmp_path / "p2.csv", tmp_path / "p3.csv"]
         for path, lines in zip(paths, (p1, p2, p3)):
             path.write_text("\n".join(lines) + "\n")
-        kw = dict(cat_cols=[["c0"], ["c0"], []], test_fraction=0.25, labeled_count=12, seed=5)
-        pinned = [[["green", "red", "blue"]], [["s", "m", "l"]], []]
-        digests = {}
-        for coding, cat_levels, cards in (("appearance", None, (4,)), ("pinned", pinned, (3,))):
-            ds = data.load_csv(paths, cat_levels=cat_levels, **kw)
-            assert [u.tolist() for u in ds.unaligned_ids] == [[100, 101, 102], [200, 201],
-                                                              [300, 301]]
-            assert (len(ds.aligned_ids), len(ds.labeled_ids), len(ds.test_ids)) == (30, 12, 10)
-            assert [b.cat_cardinalities for b in ds.parties] == [(3,), cards, ()]
-            digests[coding] = ds.fingerprint()
-        assert digests == {
-            "appearance": "864555868dda1fc83c68838b576c7cbb6085ade95c05bd8e67ea14d89bdb5e78",
-            "pinned": "d2ccda9f42d3f2cfdb64b8d26699ae8f3c1a92baa829e54e133348c48f7349e1",
-        }
+        ds = data.load_csv(paths, cat_cols=[["c0"], ["c0"], []], test_fraction=0.25,
+                           labeled_count=12, seed=5)
+        assert [u.tolist() for u in ds.unaligned_ids] == [[100, 101, 102], [200, 201], [300, 301]]
+        assert (len(ds.aligned_ids), len(ds.labeled_ids), len(ds.test_ids)) == (30, 12, 10)
+        assert [b.cat_cardinalities for b in ds.parties] == [(3,), (4,), ()]
+        # Levels coded in order of appearance.
+        assert ds.fingerprint() == (
+            "864555868dda1fc83c68838b576c7cbb6085ade95c05bd8e67ea14d89bdb5e78")
 
 
 
