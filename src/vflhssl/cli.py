@@ -448,6 +448,9 @@ def cmd_report(out_dir):
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
         report = json.loads(text)
+        covered = sorted(s["labeled_count"] for s in report["summary"])
+        if covered != sorted({*covered, *(r["labeled_count"] for r in report["per_run"])}):
+            raise DataError("report summary repeats a labeled count or misses a per-run one")
         for s in report["summary"]:
             accs = [
                 r["test_top1"] for r in report["per_run"]

@@ -386,18 +386,22 @@ def _is_float(text):
     return True
 
 
-def _read_party(path, p, cat_cols):
-    """Party ``p``'s file in one pass over its rows: the id -> row dict in
-    file order, the continuous block, the categorical block with levels
-    coded in order of appearance, the cardinalities and the labels (party
-    1's ``label`` column; at any other party it is a feature)."""
+def _csv_rows(path):
+    """The rows of ``path`` as ``csv.reader`` yields them; a read error is a ``DataError``."""
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(reader)
+            yield from csv.reader(fh)
     except (OSError, UnicodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_party(path, p, cat_cols):
+    """Party ``p``'s file in one pass, each row parsed as it is read: the id
+    -> row dict in file order, the continuous block, the categorical block
+    with levels coded in order of appearance, the cardinalities and the
+    labels (party 1's ``label`` column; at any other party it is a feature)."""
+    rows = _csv_rows(path)
+    header = next(rows, None)
     if header is None:
         raise DataError(f"{path}: empty file")
     repeated = sorted({name for name in header if header.count(name) > 1})

@@ -393,10 +393,12 @@ def load_checkpoint(path, expect_fingerprint=None) -> Checkpoint:
         header = json.loads(raw[10 : 10 + hlen])
     except ValueError as exc:
         raise FormatError("corrupt checkpoint header") from exc
-    required = {"config_fingerprint", "parties", "seeds"}
-    if not isinstance(header, dict) or not required <= set(header):
-        raise FormatError("checkpoint header lacks config_fingerprint, parties or seeds")
+    required = ("config_fingerprint", "parties", "party_count", "seeds", "version")
+    if not isinstance(header, dict) or not set(required) <= set(header):
+        raise FormatError(f"checkpoint header lacks one of {', '.join(required)}")
     parties = _party_entries(header)
+    if header["party_count"] != len(parties) or header["version"] != version:
+        raise FormatError("checkpoint header's party_count or version disagrees with the file")
     if expect_fingerprint is not None and header["config_fingerprint"] != expect_fingerprint:
         raise FingerprintError("checkpoint fingerprint does not match config")
     offset = 10 + hlen

@@ -23,7 +23,8 @@ VARIANTS = ("simsiam", "byol", "moco")
 class NegativeQueue:
     """FIFO of unit-normalized representation rows, bounded by capacity.
     Each enqueue replaces ``rows`` with a new array and never writes into
-    the old one, so a matrix that ``as_matrix`` returned stays as it was."""
+    the old one, so a matrix that ``as_matrix`` returned stays as it was.
+    Only surviving old rows are copied, so no buffer outgrows a batch or capacity."""
 
     def __init__(self, capacity):
         if capacity < 0:
@@ -38,7 +39,7 @@ class NegativeQueue:
         rows = np.asarray(rows, dtype=np.float64)
         held = T._row_normalize(rows)[0]
         if self.rows is not None:
-            held = np.concatenate([self.rows, held])
+            held = np.concatenate([self.rows[max(0, len(self) + len(held) - self.capacity):], held])
         self.rows = held[max(0, len(held) - self.capacity):]
 
     def as_matrix(self):

@@ -3,6 +3,8 @@
 Small tape-free engine: every operation records its parents and a
 backward closure on the output node; ``Tensor.backward`` topologically
 sorts the reachable subgraph and runs the closures in reverse order.
+A node drops its closure and parents once its closure has run, so a
+graph is backpropagated once: a later ``backward()`` that reaches it raises.
 Sufficient for MLPs, embedding lookups, the contrastive losses and
 cross-entropy used elsewhere in the package. Everything is float64.
 
@@ -110,6 +112,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is False:
+                raise ValidationError("graph already released by an earlier backward()")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -120,6 +124,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node._parents, node._backward = (), False  # released: its buffers die here
 
 
 def _result(values, parents, backward):

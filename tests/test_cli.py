@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 import sys
@@ -117,12 +118,16 @@ class TestConfig:
             cli.parse_sweep(f"gamma={values}")
 
 
-def _report_text(mean, std, seeds):
-    """A report.json of two runs, test top-1 0.8 and 0.6, under the given summary."""
+def _report_text(mean, std, seeds, extra_run=None, repeat_summary=False):
+    """A report.json of two runs, test top-1 0.8 and 0.6, under the given
+    summary; ``extra_run`` adds a per-run row and ``repeat_summary`` lists
+    the summary entry twice."""
+    summary = {"labeled_count": 32, "mean_test_top1": mean, "std_test_top1": std,
+               "seeds": seeds}
     return json.dumps({
-        "per_run": [{"labeled_count": 32, "test_top1": acc} for acc in (0.8, 0.6)],
-        "summary": [{"labeled_count": 32, "mean_test_top1": mean, "std_test_top1": std,
-                     "seeds": seeds}],
+        "per_run": [{"labeled_count": 32, "test_top1": acc} for acc in (0.8, 0.6)]
+                   + ([extra_run] if extra_run else []),
+        "summary": [summary] * (2 if repeat_summary else 1),
     })
 
 
@@ -388,11 +393,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("last_row", [
+        pytest.param(b"1000,0.\xff5,1\n", id="invalid-utf8"),
+        pytest.param(b"1000,%b,1\n" % (b"9" * (csv.field_size_limit() + 1)), id="oversized-field"),
+    ])
+    def test_read_error_in_the_last_row_is_3(self, tmp_path, capsys, last_row):
+        # Past the first 8 KiB, so rows are parsed before the read fails.
+        ids = range(1000)
+        (tmp_path / "p1.csv").write_bytes(b"id,x0,label\n" + b"".join(
+            b"%d,0.5,%d\n" % (i, i % 3) for i in ids) + last_row)
+        (tmp_path / "p2.csv").write_bytes(b"id,x0\n" + b"".join(b"%d,0.5\n" % i for i in ids))
+        path = tmp_path / "cfg.json"
+        paths = [str(tmp_path / "p1.csv"), str(tmp_path / "p2.csv")]
+        path.write_text(json.dumps({"data": {"csv": {"paths": paths}}}))
+        assert cli.main(["pretrain", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot read") and "Traceback" not in err
+
     @pytest.mark.parametrize("text", [
         "{nope", '{"per_run": []}', "[]", '{"summary": [{"labeled_count": 1}], "per_run": []}',
         *(pytest.param(_report_text(*summary), id=name) for name, summary in (
             ("wrong-std", (0.7, 0.9, 2)), ("wrong-seeds", (0.7, 0.1, 7)),
             ("nan-mean", (float("nan"), 0.1, 2)))),
+        pytest.param(_report_text(0.7, 0.1, 2, extra_run={"labeled_count": 50, "test_top1": 0.5}),
+                     id="uncovered-run"),
+        pytest.param(_report_text(0.7, 0.1, 2, repeat_summary=True), id="repeated-summary"),
     ])
     def test_malformed_report_is_3(self, tmp_path, capsys, text):
         (tmp_path / "report.json").write_text(text)
@@ -464,9 +489,24 @@ class TestExitCodes:
             assert f"party 1 array {first!r} holds non-finite values" in err
         assert steps == [] and not (out / "report.json").exists()
 
+    def test_checkpoint_party_count_mismatch_is_4(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["pretrain", "--config", cfg_path, "--out", str(out)]) == 0
+        path = out / "checkpoint.bin"
+        raw = path.read_bytes()
+        end = 10 + int.from_bytes(raw[6:10], "little")
+        header = json.loads(raw[10:end])
+        header["party_count"] += 1
+        edited = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(raw[:6] + len(edited).to_bytes(4, "little") + edited + raw[end:])
+        assert cli.main(["finetune", "--config", cfg_path, "--out", str(tmp_path / "f"),
+                         "--checkpoint", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "party_count or version disagrees" in err and "Traceback" not in err
+
     def test_malformed_checkpoint_entry_is_4(self, cfg_path, tmp_path, capsys):
-        header = json.dumps({"config_fingerprint": "0", "seeds": [0],
-                             "parties": [[{"name": "w", "cols": 1}]]}).encode()
+        header = json.dumps({"config_fingerprint": "0", "seeds": [0], "party_count": 1,
+                             "version": 1, "parties": [[{"name": "w", "cols": 1}]]}).encode()
         bogus = tmp_path / "ckpt.bin"
         bogus.write_bytes(b"VFLH" + (1).to_bytes(2, "little")
                           + len(header).to_bytes(4, "little") + header)

@@ -552,6 +552,24 @@ class TestCsv:
         with pytest.raises(DataError, match=match):
             data.load_csv([p1, p2])
 
+    def test_load_peak_memory_near_the_dataset_size(self, tmp_path):
+        # Two parties of 760 rows, 9 continuous and 3 categorical columns
+        # each; rows are parsed as read, so a file's strings are never all held.
+        spec = small_spec(latent_dim=8, feature_dims=(9, 9), noise_scales=(1.0, 1.0),
+                          cat_cardinalities=((3, 5, 7), (3, 5, 7)), aligned=600,
+                          unaligned=(160, 160), labeled=300, test=300, seed=3)
+        paths = [tmp_path / "p1.csv", tmp_path / "p2.csv"]
+        data.export_csv(data.generate_synthetic(spec), paths)
+        cat_cols = [["c0", "c1", "c2"]] * 2
+        data.load_csv(paths, cat_cols=cat_cols)  # warm-up, as for the synthetic build
+        tracemalloc.start()
+        try:
+            ds = data.load_csv(paths, cat_cols=cat_cols)  # held, so the traced size is the dataset's
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.4 * kept, (peak, kept, ds.num_parties)
+
     def test_no_overlap_rejected(self, tmp_path):
         p1 = tmp_path / "p1.csv"
         p1.write_text("id,x0,label\n1,0.1,0\n")

@@ -269,10 +269,22 @@ class TestCheckpoint:
                          + raw[10 + hlen :])
         return path
 
-    @pytest.mark.parametrize("key", ["parties", "config_fingerprint"])
+    @pytest.mark.parametrize("key", ["parties", "config_fingerprint", "party_count", "version"])
     def test_header_missing_key(self, tmp_path, key):
         path = self.saved_with_header(tmp_path, lambda header: header.pop(key))
         with pytest.raises(FormatError, match="lacks"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: h.update(party_count=h["party_count"] + 1), id="party-count-up"),
+        pytest.param(lambda h: h.update(party_count=1), id="party-count-down"),
+        pytest.param(lambda h: h["parties"].pop(), id="party-dropped"),
+        pytest.param(lambda h: h.update(version=nn.CHECKPOINT_VERSION + 1), id="json-version"),
+        pytest.param(lambda h: h.update(version=str(nn.CHECKPOINT_VERSION)), id="string-version"),
+    ])
+    def test_header_disagrees_with_the_file(self, tmp_path, edit):
+        path = self.saved_with_header(tmp_path, edit)
+        with pytest.raises(FormatError, match="party_count or version disagrees"):
             nn.load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", [

@@ -333,3 +333,13 @@ def test_negative_queue_matches_deque_reference():
             np.testing.assert_array_equal(got, snapshot)
 
     check()
+
+
+def test_negative_queue_buffer_holds_at_most_capacity_rows(rng):
+    # A full queue keeps its newest rows without a capacity + batch buffer.
+    capacity = 8
+    queue = ssl.NegativeQueue(capacity)
+    for size in [3, 8, 5, 1, 0, 8, 7]:
+        queue.enqueue(rng.normal(size=(size, 4)))
+        rows = queue.as_matrix()
+        assert rows.base is None or len(rows.base) <= capacity, (size, rows.base.shape)

@@ -1,4 +1,5 @@
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -159,6 +160,53 @@ class TestNoGrad:
         with pytest.raises(ShapeError), T.no_grad():
             T.matmul(x, T.Tensor(np.ones((3, 1))))
         assert T.grad_enabled and T.relu(x)._parents == (x,)
+
+
+class TestGraphRelease:
+    def graph(self, rng):
+        """A dense layer into MoCo's InfoNCE against 5 negatives; every op
+        node of it, root last, and the leaves."""
+        x = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+        b = T.Tensor(rng.normal(size=(1, 6)), requires_grad=True)
+        h = T.dense(x, w, b, relu=True)
+        z = T.affine(h, 2.0)
+        loss = T.info_nce(z, rng.normal(size=(4, 6)), rng.normal(size=(5, 6)), 0.5)
+        return [h, z, loss], [x, w, b]
+
+    def test_backward_releases_every_node_it_ran(self, rng):
+        nodes, leaves = self.graph(rng)
+        assert all(node._parents and callable(node._backward) for node in nodes)
+        nodes[-1].backward()
+        for node in nodes:
+            assert node._parents == () and not callable(node._backward)
+        assert all(leaf.grad is not None for leaf in leaves)
+        assert np.isfinite(nodes[-1].item())  # values stay readable
+
+    def test_logits_buffer_dies_with_the_backward_not_the_loss(self, rng):
+        nodes, _ = self.graph(rng)
+        loss = nodes[-1]
+        closure = loss._backward
+        captured = dict(zip(closure.__code__.co_freevars,
+                            (cell.cell_contents for cell in closure.__closure__)))
+        logits = weakref.ref(captured["log_probs"])
+        assert logits().shape == (4, 6)  # the positive and 5 negatives per row
+        del closure, captured
+        loss.backward()
+        assert logits() is None  # freed although the caller still holds ``loss``
+
+    def test_second_backward_raises_and_changes_no_gradient(self, rng):
+        nodes, leaves = self.graph(rng)
+        h, loss = nodes[0], nodes[-1]
+        loss.backward()
+        grads = [leaf.grad.copy() for leaf in leaves]
+        with pytest.raises(ValidationError, match="graph already released"):
+            loss.backward()
+        # A new node over a released one reaches it too.
+        with pytest.raises(ValidationError, match="graph already released"):
+            T.sum_all(T.relu(h)).backward()
+        for leaf, grad in zip(leaves, grads):
+            assert leaf.grad.tobytes() == grad.tobytes()
 
 
 class TestRowNormalize:
