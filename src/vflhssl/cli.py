@@ -19,13 +19,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import data, hssl, nn, privacy, vfl
-from .errors import ConfigError, DataError, ValidationError, VflError
+from .errors import ConfigError, DataError, ValidationError, VflError, require_distinct
 
 CLI_PRESETS = {
     # name -> (hssl.METHODS key or None for plain split training, SSL
@@ -52,20 +52,33 @@ def _defaults(cls, skip=()):
     return json.loads(json.dumps({f.name: f.default for f in fields(cls) if f.name not in skip}))
 
 
+@dataclass
+class FinetuneConfig:
+    """The ``finetune`` section: what ``_select_lr`` trains at each labeled count."""
+
+    labeled_counts: tuple = (200,)
+    lr_candidates: tuple = (0.005, 0.01, 0.03)
+    epochs: int = 30
+    batch_size: int = 64
+
+    def __post_init__(self):
+        require_distinct("finetune.labeled_counts", self.labeled_counts)
+        require_distinct("finetune.lr_candidates", self.lr_candidates)
+        if min(self.labeled_counts) < 2:  # validation takes one id, so 1 leaves none to train
+            raise ConfigError(f"finetune.labeled_counts must be >= 2, got {self.labeled_counts}")
+        if min(self.lr_candidates) <= 0:
+            raise ConfigError("finetune.lr_candidates must be positive")
+        if self.batch_size < 1:
+            raise ConfigError(f"finetune.batch_size must be >= 1, got {self.batch_size}")
+
+
 DEFAULT_CONFIG = {
-    # Each of these three sections is the fields of the object it builds.
+    # Each section but the last two is the fields of the object it builds.
     "data": {"synthetic": _defaults(data.SyntheticSpec)},
     "model": _defaults(nn.ModelConfig, skip=DATASET_FIELDS),
     "pipeline": _defaults(hssl.PipelineConfig),
-    "finetune": {
-        "labeled_counts": [200], "lr_candidates": [0.005, 0.01, 0.03],
-        "epochs": 30, "batch_size": 64,
-    },
-    "privacy": {
-        "lambda_f": [1.0, 5.0, 25.0], "aux_labeled_count": 80,
-        "attack_epochs": 100, "head_hidden_dim": 32,
-        "encoder_source": "finetuned_local",
-    },
+    "finetune": _defaults(FinetuneConfig),
+    "privacy": _defaults(privacy.PrivacyConfig),
     "seeds": [0, 1, 2, 3, 4],
     "output_dir": "runs",
 }
@@ -122,8 +135,8 @@ def _check_section(section, given, defaults):
 
 
 def load_config(path=None, preset=None):
-    """Merge the default config, an optional JSON file and a CLI preset.
-    Every value is checked here, whatever the command runs."""
+    """Merge the default config, an optional JSON file and a CLI preset, and
+    build each section's object once: every value is checked whatever the command runs."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     user = {}
     if path is not None:
@@ -147,6 +160,7 @@ def load_config(path=None, preset=None):
                 defaults = DEFAULT_CONFIG["data"]["synthetic"]
                 _check_section("data.synthetic", value["synthetic"], defaults)
                 value = {"synthetic": {**defaults, **value["synthetic"]}}
+                data.SyntheticSpec(**value["synthetic"])
             else:
                 _check_section("data.csv", value["csv"], CSV_SHAPES)
                 if "paths" not in value["csv"]:
@@ -163,24 +177,11 @@ def load_config(path=None, preset=None):
             raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(CLI_PRESETS)}")
         method, pipeline["variant"], config["model"]["finetune_encoders"] = CLI_PRESETS[preset]
         pipeline.update(preset=method, pretrain=method is not None)
+    nn.ModelConfig(input_dim=1, num_classes=1, **config["model"])  # the dataset sets these two
     hssl.PipelineConfig(**pipeline)
-    for name, values in (("seeds", config["seeds"]),
-                         ("finetune.labeled_counts", config["finetune"]["labeled_counts"]),
-                         ("finetune.lr_candidates", config["finetune"]["lr_candidates"]),
-                         ("privacy.lambda_f", config["privacy"]["lambda_f"])):
-        if len(set(values)) != len(values):
-            raise ConfigError(f"{name} repeats an entry: {values}")
-    if min(config["finetune"]["labeled_counts"]) < 2:
-        # A count below 2 leaves no training id once validation takes one.
-        raise ConfigError(f"finetune.labeled_counts must be >= 2, got "
-                          f"{config['finetune']['labeled_counts']}")
-    if min(config["finetune"]["lr_candidates"]) <= 0:
-        raise ConfigError("finetune.lr_candidates must be positive")
-    if config["privacy"]["encoder_source"] != "finetuned_local":
-        # The attack reads the representation the adversary sends in the
-        # split network; the key stays accepted for existing configs.
-        raise ConfigError(f"privacy.encoder_source must be 'finetuned_local', "
-                          f"got {config['privacy']['encoder_source']!r}")
+    FinetuneConfig(**config["finetune"])
+    privacy.PrivacyConfig(**config["privacy"])
+    require_distinct("seeds", config["seeds"])
     return config
 
 
@@ -251,10 +252,8 @@ def cmd_pretrain(config, out_dir):
     net = vfl.Network()
     trace = []
     if config["pipeline"]["pretrain"]:
-        # A diverged run is refused below, so numpy's floating-point warnings are silenced.
-        with np.errstate(all="ignore"):
-            trace = hssl.pretrain(dataset, nodes, net, hssl.PipelineConfig(**config["pipeline"]),
-                                  seed=seed)
+        trace = hssl.pretrain(dataset, nodes, net, hssl.PipelineConfig(**config["pipeline"]),
+                              seed=seed)
     _check_finite("pretraining diverged",
                   [{name: t.values for name, t in p.model.named_params()} for p in nodes])
     out_dir = Path(out_dir)
@@ -328,6 +327,8 @@ def _select_lr(config, dataset, seed, labeled_count, checkpoint, lambda_f=0.0):
             trainer.train_step(batch)
         val_logits = trainer.logits(val_ids)
         finite = bool(np.isfinite(val_logits).all())
+        if not finite:
+            print(f"warning: seed {seed}, lr {lr}, lambda_f {lambda_f}: diverged", file=sys.stderr)
         val_acc = privacy.metric_top1(val_logits.argmax(axis=1), val_labels)
         if best is None or (finite, val_acc) > best_rank:
             best, best_rank = (trainer, val_acc, lr), (finite, val_acc)
@@ -396,9 +397,6 @@ def cmd_attack(config, out_dir, checkpoint_path):
     dataset = build_scored_dataset(config)
     checkpoint = _load_checkpoint(config, checkpoint_path)
     labeled_count = config["finetune"]["labeled_counts"][0]
-    # mc_attack checks these too, but only after the first fine-tune has trained.
-    if priv["head_hidden_dim"] < 1:
-        raise ConfigError(f"privacy.head_hidden_dim must be >= 1, got {priv['head_hidden_dim']}")
     aux_ids = auxiliary_ids(priv, dataset)
     curve = privacy.TradeoffCurve(
         method=config["pipeline"]["preset"] or "FedSplitNN",
@@ -510,6 +508,7 @@ COMMANDS = {"gen-data": cmd_gen_data, "pretrain": cmd_pretrain,
             "finetune": cmd_finetune, "attack": cmd_attack}
 
 
+@np.errstate(all="ignore")  # pretrain refuses a diverged model, and _select_lr reports one
 def _run_one(args, config, out_dir):
     if args.command == "report":
         return cmd_report(out_dir)

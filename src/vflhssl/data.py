@@ -112,25 +112,25 @@ class SyntheticSpec:
     def __post_init__(self):
         for name in ("latent_dim", "classes", "parties"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+                raise ConfigError(f"data.synthetic.{name} must be >= 1")
         for name in ("feature_dims", "noise_scales", "unaligned", "cat_cardinalities"):
             if len(getattr(self, name)) != self.parties:
-                raise ConfigError(f"{name} must have one entry per party")
+                raise ConfigError(f"data.synthetic.{name} must have one entry per party")
         if min(self.feature_dims) < 1 or min(self.unaligned) < 0:
-            raise ConfigError(f"feature_dims must be >= 1 and unaligned counts >= 0, got "
-                              f"{self.feature_dims!r} and {self.unaligned!r}")
+            raise ConfigError(f"data.synthetic.feature_dims must be >= 1 and unaligned counts "
+                              f">= 0, got {self.feature_dims!r} and {self.unaligned!r}")
         for dims, cards in zip(self.feature_dims, self.cat_cardinalities):
             # Categorical columns quantize a party's leading feature columns.
             if len(cards) > dims or any(isinstance(c, bool) or not isinstance(c, int) or c < 1
                                         for c in cards):
-                raise ConfigError("cat_cardinalities must give each party at most feature_dims "
-                                  f"integers >= 1, got {self.cat_cardinalities!r}")
+                raise ConfigError("data.synthetic.cat_cardinalities must give each party at most "
+                                  f"feature_dims integers >= 1, got {self.cat_cardinalities!r}")
         if self.aligned <= 0:
-            raise ConfigError("aligned count must be positive")
+            raise ConfigError("data.synthetic.aligned count must be positive")
         if self.test < 0:
-            raise ConfigError("test count must be >= 0")
+            raise ConfigError("data.synthetic.test count must be >= 0")
         if self.labeled <= 0 or self.labeled > self.aligned:
-            raise ConfigError("labeled count must be in (0, aligned]")
+            raise ConfigError("data.synthetic.labeled count must be in (0, aligned]")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -464,10 +464,10 @@ def load_csv(paths, cat_cols=None, test_fraction=0.2, labeled_count=None, seed=0
         raise ConfigError(f"data.csv.test_fraction must lie in [0, 1), got {test_fraction}")
     cat_cols = cat_cols or [() for _ in paths]
     if len(cat_cols) != len(paths):
-        raise ConfigError("cat_cols must have one entry per party")
+        raise ConfigError("data.csv.cat_cols must have one entry per party")
     if not all(isinstance(cols, (list, tuple)) and all(isinstance(c, str) for c in cols)
                for cols in cat_cols):
-        raise ConfigError("each party's cat_cols must be a list of column names")
+        raise ConfigError("each party's data.csv.cat_cols must be a list of column names")
     indexes, conts, codes, cards, labels = zip(*(
         _read_party(path, p, cat_cols[p]) for p, path in enumerate(paths)
     ))

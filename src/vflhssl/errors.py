@@ -21,6 +21,11 @@ class ConfigError(VflError):
     """Inconsistent or malformed configuration."""
 
 
+def require_distinct(name, values):
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{name} repeats an entry: {values}")
+
+
 class DataError(VflError):
     """Dataset construction or ingestion failure."""
 

@@ -70,8 +70,8 @@ class PipelineConfig:
             raise ConfigError(f"unknown SSL variant {self.variant!r}; choose from {VARIANTS}")
         if not (all(0 <= v < math.inf for v in (self.gamma, self.lambda_p))
                 and all(0 < v < math.inf for v in (self.cross_lr, self.local_lr))):
-            raise ConfigError("gamma and lambda_p must be finite and >= 0, "
-                              "and the learning rates finite and > 0")
+            raise ConfigError("pipeline.gamma and lambda_p must be finite and >= 0, "
+                              "and cross_lr and local_lr finite and > 0")
         counts = {"global_iterations": 0, "cross_epochs": 0, "local_epochs": 0,
                   "local_updates": 1, "batch_size": 1}  # field -> least value
         for name, least in counts.items():
@@ -79,9 +79,9 @@ class PipelineConfig:
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ConfigError(f"pipeline.{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 < self.aligned_fraction <= 1.0:
-            raise ConfigError("aligned_fraction must be in (0, 1]")
+            raise ConfigError("pipeline.aligned_fraction must be in (0, 1]")
         if not 0.0 <= self.corruption_fraction <= 1.0:
-            raise ConfigError("corruption_fraction must be in [0, 1]")
+            raise ConfigError("pipeline.corruption_fraction must be in [0, 1]")
 
 
 def step1_aligned_ids(dataset, fraction):

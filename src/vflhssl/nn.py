@@ -202,22 +202,22 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("num_classes", "num_parties", "hidden_dim", "repr_dim"):
             if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+                raise ConfigError(f"model.{name} must be positive")
         if self.input_dim < 0 or self.encoded_input_dim() <= 0:
             raise ConfigError("party must have at least one feature after encoding")
         if self.finetune_encoders not in FINETUNE_TOWERS:
-            raise ConfigError(f"unknown finetune_encoders {self.finetune_encoders!r}")
+            raise ConfigError(f"unknown model.finetune_encoders {self.finetune_encoders!r}")
         if self.aggregator != "concat":
             raise ConfigError(f"model.aggregator must be 'concat', got {self.aggregator!r}")
         if (len(self.projector_dims), len(self.predictor_dims)) != (3, 2):
             raise ConfigError(
-                f"projector_dims needs 3 entries and predictor_dims 2, got "
+                f"model.projector_dims needs 3 entries and model.predictor_dims 2, got "
                 f"{list(self.projector_dims)} and {list(self.predictor_dims)}"
             )
         if self.predictor_dims[-1] != self.projector_dims[-1]:
             raise ConfigError(
-                f"predictor output dim {self.predictor_dims[-1]} must equal "
-                f"projector output dim {self.projector_dims[-1]}"
+                f"model.predictor_dims output {self.predictor_dims[-1]} must equal "
+                f"model.projector_dims output {self.projector_dims[-1]}"
             )
 
     def encoded_input_dim(self):

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import atomic_write, batches, csv_text
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, require_distinct
 from .nn import MLP
 
 
@@ -29,6 +29,27 @@ def iso_perturb(d, lam, rng):
     d_max = np.linalg.norm(d, axis=1).max()
     sigma = lam * d_max / math.sqrt(m)
     return d + sigma * rng.standard_normal(d.shape)
+
+
+@dataclass
+class PrivacyConfig:
+    """The CLI's ``privacy`` section: one trade-off point per ``lambda_f``, and the attack."""
+
+    lambda_f: tuple = (1.0, 5.0, 25.0)
+    aux_labeled_count: int = 80
+    attack_epochs: int = 100
+    head_hidden_dim: int = 32
+    encoder_source: str = "finetuned_local"
+
+    def __post_init__(self):
+        require_distinct("privacy.lambda_f", self.lambda_f)
+        # mc_attack checks this too, but only after the first fine-tune has trained.
+        if self.head_hidden_dim < 1:
+            raise ConfigError(f"privacy.head_hidden_dim must be >= 1, got {self.head_hidden_dim}")
+        if self.encoder_source != "finetuned_local":
+            # The attack reads the split network's representation; the key stays for old configs.
+            raise ConfigError(f"privacy.encoder_source must be 'finetuned_local', "
+                              f"got {self.encoder_source!r}")
 
 
 # -- metrics ------------------------------------------------------------

@@ -95,6 +95,25 @@ class TestConfig:
             aux_ids = cli.auxiliary_ids(config["privacy"], dataset)
             assert len(aux_ids) == cfg["privacy"]["aux_labeled_count"], name
 
+    def test_every_section_is_its_dataclass_defaults(self):
+        # A default changes on its dataclass: a section written out by hand
+        # that drifts from it fails here.
+        defaults = cli.DEFAULT_CONFIG
+        assert defaults["data"] == {"synthetic": cli._defaults(data.SyntheticSpec)}
+        assert defaults["model"] == cli._defaults(nn.ModelConfig, skip=cli.DATASET_FIELDS)
+        assert defaults["pipeline"] == cli._defaults(hssl.PipelineConfig)
+        # The finetune and privacy values are those of the literals they replaced.
+        assert defaults["finetune"] == cli._defaults(cli.FinetuneConfig) == {
+            "labeled_counts": [200], "lr_candidates": [0.005, 0.01, 0.03],
+            "epochs": 30, "batch_size": 64,
+        }
+        assert defaults["privacy"] == cli._defaults(privacy.PrivacyConfig) == {
+            "lambda_f": [1.0, 5.0, 25.0], "aux_labeled_count": 80, "attack_epochs": 100,
+            "head_hidden_dim": 32, "encoder_source": "finetuned_local",
+        }
+        assert set(defaults) - {"data", "model", "pipeline", "finetune", "privacy"} == {
+            "seeds", "output_dir"}
+
     def test_nullable_entries_name_config_keys(self):
         # A key deleted from the config must leave NULLABLE too.
         for name in cli.NULLABLE:
@@ -256,6 +275,28 @@ class TestExitCodes:
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["gen-data", "pretrain", "finetune", "attack", "report"])
+    @pytest.mark.parametrize("config,key", [
+        ({"finetune": {"batch_size": 0}}, "finetune.batch_size"),
+        ({"privacy": {"head_hidden_dim": 0}}, "privacy.head_hidden_dim"),
+        ({"privacy": {"lambda_f": [1.0, 1.0]}}, "privacy.lambda_f"),
+        ({"model": {"finetune_encoders": "bogus"}}, "model.finetune_encoders"),
+        ({"model": {"hidden_dim": 0}}, "model.hidden_dim"),
+        ({"data": {"synthetic": {"classes": 0}}}, "data.synthetic.classes"),
+    ], ids=["zero-finetune-batch", "zero-head-hidden-dim", "repeated-lambda-f",
+            "unknown-finetune-encoders", "zero-hidden-dim", "zero-classes"])
+    def test_bad_section_value_is_2_under_every_command(self, tmp_path, capsys, command,
+                                                         config, key):
+        # Every section builds its object when the config loads, so no
+        # command gets as far as writing a file.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and key in captured.err
+        assert "Traceback" not in captured.err and captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("privacy,message", [
         ({"lambda_f": [1.0, -1.0]}, "lambda_f"),
@@ -674,6 +715,27 @@ class TestFinetuneAndAttack:
         monkeypatch.setattr(cli, "_restore_parties", restore_from_file)
         for command, expected in once.items():
             assert run(command, tmp_path / f"reread-{command}") == expected
+
+    def test_diverged_candidate_is_named_without_numpy_warnings(self, tmp_path, capsys):
+        # At batch size 1 on TINY the one candidate, lr 0.03, overflows at
+        # every lambda_f. pytest turns numpy's RuntimeWarning into an error,
+        # so a warning leaking out of either command fails it here.
+        cfg = json.loads(json.dumps(TINY))
+        cfg["finetune"]["batch_size"] = 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        self.run_pretrain(str(path), out)
+        capsys.readouterr()
+        for command, lambdas in (("finetune", [0.0]), ("attack", [1.0, 25.0])):
+            assert cli.main([command, "--config", str(path), "--preset", "fedhssl-simsiam",
+                             "--out", str(out), "--checkpoint", str(out / "checkpoint.bin")]) == 0
+            assert capsys.readouterr().err == "".join(
+                f"warning: seed 0, lr 0.03, lambda_f {lam}: diverged\n" for lam in lambdas)
+        # Whether a diverged point is scored is not settled; the outputs stay as they were.
+        report = json.loads((out / "report.json").read_text())
+        assert report["per_run"][0]["test_top1"] == 0.35555555555555557
+        assert json.loads((out / "attack.json").read_text())["cap"] == 0.19753086419753088
 
 
 
