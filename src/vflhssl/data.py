@@ -462,6 +462,8 @@ def load_csv(paths, cat_cols=None, test_fraction=0.2, labeled_count=None, seed=0
     """
     if not 0 <= test_fraction < 1:
         raise ConfigError(f"data.csv.test_fraction must lie in [0, 1), got {test_fraction}")
+    if labeled_count is not None and labeled_count < 1:
+        raise ConfigError(f"data.csv.labeled_count must be >= 1, got {labeled_count}")
     cat_cols = cat_cols or [() for _ in paths]
     if len(cat_cols) != len(paths):
         raise ConfigError("data.csv.cat_cols must have one entry per party")

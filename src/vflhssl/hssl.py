@@ -103,7 +103,7 @@ def _term(party, variant, name, prediction, target_values, feeds):
     if variant == "moco":
         queue = party.queues[name]
         feeds.append((queue, target_values))
-    return ssl_loss(variant, prediction, T.Tensor(target_values), queue)
+    return ssl_loss(variant, prediction, target_values, queue)
 
 
 def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,

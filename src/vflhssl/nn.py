@@ -200,20 +200,21 @@ class ModelConfig:
     aggregator: str = "concat"  # the only join; kept as a key for existing configs
 
     def __post_init__(self):
-        for name in ("num_classes", "num_parties", "hidden_dim", "repr_dim"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"model.{name} must be positive")
+        if (len(self.projector_dims), len(self.predictor_dims)) != (3, 2):
+            raise ConfigError(
+                f"model.projector_dims needs 3 entries and model.predictor_dims 2, got "
+                f"{list(self.projector_dims)} and {list(self.predictor_dims)}"
+            )
+        for name in ("num_classes", "num_parties", "embed_dim", "hidden_dim", "repr_dim",
+                     "moco_projector_out", "projector_dims", "predictor_dims"):
+            if min(np.ravel(getattr(self, name))) <= 0:  # a width, or every entry of a list
+                raise ConfigError(f"model.{name} must be positive, got {getattr(self, name)}")
         if self.input_dim < 0 or self.encoded_input_dim() <= 0:
             raise ConfigError("party must have at least one feature after encoding")
         if self.finetune_encoders not in FINETUNE_TOWERS:
             raise ConfigError(f"unknown model.finetune_encoders {self.finetune_encoders!r}")
         if self.aggregator != "concat":
             raise ConfigError(f"model.aggregator must be 'concat', got {self.aggregator!r}")
-        if (len(self.projector_dims), len(self.predictor_dims)) != (3, 2):
-            raise ConfigError(
-                f"model.projector_dims needs 3 entries and model.predictor_dims 2, got "
-                f"{list(self.projector_dims)} and {list(self.predictor_dims)}"
-            )
         if self.predictor_dims[-1] != self.projector_dims[-1]:
             raise ConfigError(
                 f"model.predictor_dims output {self.predictor_dims[-1]} must equal "

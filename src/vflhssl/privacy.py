@@ -116,8 +116,6 @@ class TradeoffCurve:
     points: list = field(default_factory=list)  # (lambda, utility, recovery)
 
     def add_point(self, lam, utility, recovery):
-        if any(abs(lam - l0) < 1e-15 for l0, _, _ in self.points):
-            raise ValidationError(f"duplicate lambda {lam} on trade-off curve")
         self.points.append((float(lam), float(utility), float(recovery)))
 
 

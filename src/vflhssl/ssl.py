@@ -1,19 +1,18 @@
-"""The three self-supervised losses and the MoCo negative queue.
+"""The self-supervised objective and the MoCo negative queue.
 
-All losses take a prediction ``p`` and a target ``z_target``; SimSiam
-and BYOL hand ``neg_cosine`` and MoCo hands ``info_nce`` only the
-target's values, so gradients never reach the target's producers
-regardless of caller discipline.
+``ssl_loss`` scores a prediction ``p`` against a target that is a
+constant array: SimSiam's stop-gradient branch, BYOL's EMA output, or
+MoCo's momentum keys. A plain ndarray has no graph, so no gradient can
+reach the target's producers whatever the caller does; a ``Tensor``
+target is refused with ``TypeError``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 MOCO_TEMPERATURE = 0.5
 QUEUE_CAPACITY = 256  # negatives each MoCo queue holds
@@ -47,37 +46,12 @@ class NegativeQueue:
         return self.rows if len(self) else None
 
 
-def _check_pair(p, z):
-    if p.shape != z.shape:
-        raise ShapeError(f"prediction {p.shape} vs target {z.shape}")
-
-
-def loss_simsiam(p: T.Tensor, z_target: T.Tensor) -> T.Tensor:
-    """Mean over the batch of the negative cosine similarity."""
-    _check_pair(p, z_target)
-    return T.neg_cosine(p, z_target.values)
-
-
-def loss_byol(p: T.Tensor, z_target: T.Tensor) -> T.Tensor:
-    """Mean squared distance of unit vectors: 2 - 2*cos, i.e. 2 + 2*simsiam."""
-    return T.affine(loss_simsiam(p, z_target), 2.0, 2.0)
-
-
-def loss_moco(z1: T.Tensor, z2_target: T.Tensor, queue: NegativeQueue, temperature) -> T.Tensor:
-    """InfoNCE with the queue as negatives; rows are unit-normalized and
-    all logits are divided by the temperature."""
-    _check_pair(z1, z2_target)
-    if not 0 < temperature < math.inf:
-        raise ConfigError("temperature must be positive and finite")
-    return T.info_nce(z1, z2_target.values, queue.as_matrix(), temperature)
-
-
-def ssl_loss(variant: str, p: T.Tensor, z_target: T.Tensor, queue=None) -> T.Tensor:
-    """The loss of ``variant``, a name in ``VARIANTS``."""
-    if variant == "simsiam":
-        return loss_simsiam(p, z_target)
-    if variant == "byol":
-        return loss_byol(p, z_target)
-    if queue is None:
-        raise ConfigError("moco requires a negative queue")
-    return loss_moco(p, z_target, queue, MOCO_TEMPERATURE)
+def ssl_loss(variant: str, p: T.Tensor, target: np.ndarray, queue=None) -> T.Tensor:
+    """The loss of ``variant``, a name in ``VARIANTS``, of ``p`` against the
+    constant ``target`` of the same shape. SimSiam is the mean negative
+    cosine; BYOL is 2 - 2*cos, the mean squared distance of unit vectors;
+    MoCo is InfoNCE with ``queue``'s rows as negatives at ``MOCO_TEMPERATURE``."""
+    if variant == "moco":
+        return T.info_nce(p, target, queue.as_matrix(), MOCO_TEMPERATURE)
+    loss = T.neg_cosine(p, target)
+    return T.affine(loss, 2.0, 2.0) if variant == "byol" else loss

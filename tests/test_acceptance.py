@@ -138,11 +138,11 @@ def test_criterion_1_gradients_match_finite_differences():
 
             def value():
                 return ssl.ssl_loss(
-                    kind, T.Tensor(p_vals), T.Tensor(z_vals), queue=make_queue()
+                    kind, T.Tensor(p_vals), z_vals, queue=make_queue()
                 ).item()
 
             p = T.Tensor(p_vals, requires_grad=True)
-            ssl.ssl_loss(kind, p, T.Tensor(z_vals), queue=make_queue()).backward()
+            ssl.ssl_loss(kind, p, z_vals, queue=make_queue()).backward()
             assert rel_err(p.grad, finite_diff_grad(value, p_vals)) < 1e-4
             cases += 1
 
@@ -188,18 +188,19 @@ def test_criterion_3_ssl_identities():
     p = T.Tensor(rng.normal(size=(8, 12)))
     z = T.Tensor(rng.normal(size=(8, 12)))
 
-    assert abs(ssl.loss_simsiam(p, p).item() - (-1.0)) <= 1e-12
-    assert abs(ssl.loss_byol(p, p).item()) <= 1e-12
+    assert abs(ssl.ssl_loss("simsiam", p, p.values).item() - (-1.0)) <= 1e-12
+    assert abs(ssl.ssl_loss("byol", p, p.values).item()) <= 1e-12
     assert abs(
-        ssl.loss_byol(p, z).item() - (2.0 + 2.0 * ssl.loss_simsiam(p, z).item())
+        ssl.ssl_loss("byol", p, z.values).item()
+        - (2.0 + 2.0 * ssl.ssl_loss("simsiam", p, z.values).item())
     ) <= 1e-12
-    assert abs(ssl.loss_moco(p, p, ssl.NegativeQueue(16), 0.5).item()) <= 1e-12
+    assert abs(ssl.ssl_loss("moco", p, p.values, ssl.NegativeQueue(16)).item()) <= 1e-12
 
     row = rng.normal(size=(1, 12))
     for n in (3, 7):
         q = ssl.NegativeQueue(16)
         q.enqueue(np.tile(row, (n, 1)))
-        loss = ssl.loss_moco(T.Tensor(row), T.Tensor(row), q, 0.5)
+        loss = ssl.ssl_loss("moco", T.Tensor(row), row, q)
         assert abs(loss.item() - np.log(n + 1)) <= 1e-9
 
 
@@ -216,7 +217,7 @@ def test_criterion_4_stop_gradient_and_step_isolation():
         if kind == "moco":
             queue = ssl.NegativeQueue(8)
             queue.enqueue(rng.normal(size=(3, 6)))
-        ssl.ssl_loss(kind, p, z, queue=queue).backward()
+        ssl.ssl_loss(kind, p, z.values, queue=queue).backward()
         assert w.grad is None
 
     # the three pipeline steps mutate disjoint parameter sets

@@ -13,6 +13,16 @@ from vflhssl.errors import ConfigError
 from conftest import TINY, PerParameterSgd
 
 
+def load_perfbench(name, monkeypatch):
+    """perfbench/<name>.py imported by its path, writing no bytecode under perfbench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    source = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", source)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def cfg_path(tmp_path):
     path = tmp_path / "cfg.json"
@@ -79,11 +89,7 @@ class TestConfig:
     def test_benchmark_workloads_are_accepted(self, tmp_path, monkeypatch):
         # perfbench writes every key of its own copy of the defaults, so a
         # key the program drops or a value it stops accepting fails here.
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing lands under perfbench/
-        source = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", source)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = load_perfbench("workloads", monkeypatch)
         monkeypatch.chdir(workloads.ROOT)  # moco-k4-csv's paths are relative to the checkout
         for name in workloads.WORKLOADS:
             cfg, preset, _ = workloads.build(name, 0, tmp_path / name)
@@ -94,6 +100,18 @@ class TestConfig:
             cli.build_model_config(config, dataset)  # nn.ModelConfig checks the model section
             aux_ids = cli.auxiliary_ids(config["privacy"], dataset)
             assert len(aux_ids) == cfg["privacy"]["aux_labeled_count"], name
+
+    def test_benchmark_tracer_targets_resolve(self, monkeypatch):
+        # A renamed or dropped function would leave its span silently empty;
+        # only the eight names already stale may fail to resolve.
+        tracer = load_perfbench("tracer", monkeypatch)
+        stale = {f"nn:EncoderStack.{name}" for name in (
+            "local_backbone", "local_projected", "local_predicted", "target_projected",
+            "cross_backbone", "cross_projected", "cross_predicted_from")}
+        stale.add("nn:EmbeddingLayer.forward")
+        missing = {target for targets in tracer.SPANS.values() for target in targets
+                   if tracer._resolve(target) is None}
+        assert missing <= stale, sorted(missing - stale)
 
     def test_every_section_is_its_dataclass_defaults(self):
         # A default changes on its dataclass: a section written out by hand
@@ -203,6 +221,7 @@ class TestExitCodes:
         ("gen-data", "data", {"synthetic": {"cat_cardinalities": [[True], []]}}),
         ("gen-data", "data", {"synthetic": {"feature_dims": [0, 16]}}),
         ("pretrain", "data", {"synthetic": {"feature_dims": [0, 16]}}),
+        ("pretrain", "data", {"csv": {"paths": ["p1.csv", "p2.csv"], "labeled_count": 0}}),
     ], ids=["csv-unknown-key", "csv-no-paths", "negative-lambda-p", "negative-lambda-f",
             "encoder-source", "csv-not-object", "string-lambda-p", "scalar-lambda-f",
             "star-preset", "null-preset-with-pretrain", "method-without-pretrain",
@@ -216,7 +235,7 @@ class TestExitCodes:
             "repeated-lr-candidate", "synthetic-and-csv", "csv-string-cat-cols",
             "csv-scalar-level-list", "more-cardinalities-than-columns", "string-cardinality",
             "float-cardinality", "zero-cardinality", "bool-cardinality",
-            "zero-feature-dim-gen-data", "zero-feature-dim-pretrain"])
+            "zero-feature-dim-gen-data", "zero-feature-dim-pretrain", "csv-labeled-count-zero"])
     def test_malformed_section_is_2(self, tmp_path, capsys, command, section, value):
         cfg = json.loads(json.dumps(TINY))
         merge = isinstance(value, dict) and section != "data"
@@ -284,8 +303,12 @@ class TestExitCodes:
         ({"model": {"finetune_encoders": "bogus"}}, "model.finetune_encoders"),
         ({"model": {"hidden_dim": 0}}, "model.hidden_dim"),
         ({"data": {"synthetic": {"classes": 0}}}, "data.synthetic.classes"),
+        ({"model": {"predictor_dims": [0, 16]}}, "model.predictor_dims"),
+        ({"model": {"moco_projector_out": 0}}, "model.moco_projector_out"),
+        ({"model": {"embed_dim": 0}}, "model.embed_dim"),
     ], ids=["zero-finetune-batch", "zero-head-hidden-dim", "repeated-lambda-f",
-            "unknown-finetune-encoders", "zero-hidden-dim", "zero-classes"])
+            "unknown-finetune-encoders", "zero-hidden-dim", "zero-classes",
+            "zero-predictor-bottleneck", "zero-moco-projector-out", "zero-embed-dim"])
     def test_bad_section_value_is_2_under_every_command(self, tmp_path, capsys, command,
                                                          config, key):
         # Every section builds its object when the config loads, so no
@@ -672,6 +695,19 @@ class TestFinetuneAndAttack:
             assert dataset == "synthetic"
             curve.add_point(float(lam), float(util), float(rec))
         assert attack["cap"] == pytest.approx(privacy.cap(curve), abs=1e-12)
+
+    def test_near_equal_lambdas_are_two_points(self, tmp_path):
+        # The config refuses only exact repeats, so two distinct floats
+        # one ulp apart each get their point on the curve.
+        lambdas = [1.0, 1.0000000000000002]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "privacy": {**TINY["privacy"], "lambda_f": lambdas}}))
+        out = tmp_path / "out"
+        self.run_pretrain(str(path), out)
+        assert cli.main(["attack", "--config", str(path), "--preset", "fedhssl-simsiam",
+                         "--out", str(out), "--checkpoint", str(out / "checkpoint.bin")]) == 0
+        attack = json.loads((out / "attack.json").read_text())
+        assert [point[0] for point in attack["points"]] == lambdas
 
     def test_tradeoff_names_csv_data(self, cfg_path, tmp_path):
         data_dir = tmp_path / "data"

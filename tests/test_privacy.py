@@ -87,12 +87,6 @@ class TestCap:
         with pytest.raises(ValidationError):
             privacy.cap(privacy.TradeoffCurve())
 
-    def test_duplicate_lambda(self):
-        curve = privacy.TradeoffCurve()
-        curve.add_point(1.0, 0.5, 0.5)
-        with pytest.raises(ValidationError):
-            curve.add_point(1.0, 0.6, 0.4)
-
     def test_csv_export(self, tmp_path):
         curve = privacy.TradeoffCurve(method="fedhssl-simsiam", dataset="synthetic")
         curve.add_point(1.0, 0.9, 0.6)

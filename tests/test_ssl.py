@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vflhssl import ssl, tensor as T
-from vflhssl.errors import ConfigError, ShapeError
+from vflhssl.errors import ShapeError
 
 from conftest import finite_diff_grad, rel_err
 
@@ -12,59 +12,59 @@ from conftest import finite_diff_grad, rel_err
 class TestSimSiam:
     def test_identical_rows(self, rng):
         p = T.Tensor(rng.normal(size=(5, 8)))
-        assert ssl.loss_simsiam(p, p).item() == pytest.approx(-1.0, abs=1e-12)
+        assert ssl.ssl_loss("simsiam", p, p.values).item() == pytest.approx(-1.0, abs=1e-12)
 
     def test_orthogonal_rows(self):
         p = T.Tensor([[1.0, 0.0], [0.0, 2.0]])
         z = T.Tensor([[0.0, 3.0], [5.0, 0.0]])
-        assert ssl.loss_simsiam(p, z).item() == pytest.approx(0.0, abs=1e-12)
+        assert ssl.ssl_loss("simsiam", p, z.values).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_antiparallel(self):
         p = T.Tensor([[1.0, 0.0]])
         z = T.Tensor([[-1.0, 0.0]])
-        assert ssl.loss_simsiam(p, z).item() == pytest.approx(1.0, abs=1e-12)
+        assert ssl.ssl_loss("simsiam", p, z.values).item() == pytest.approx(1.0, abs=1e-12)
 
     def test_target_scale_invariance(self, rng):
         p = T.Tensor(rng.normal(size=(4, 6)))
         z = rng.normal(size=(4, 6))
-        a = ssl.loss_simsiam(p, T.Tensor(z)).item()
-        b = ssl.loss_simsiam(p, T.Tensor(3.7 * z)).item()
+        a = ssl.ssl_loss("simsiam", p, z).item()
+        b = ssl.ssl_loss("simsiam", p, 3.7 * z).item()
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ssl.loss_simsiam(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 4))))
+            ssl.ssl_loss("simsiam", T.Tensor(np.zeros((2, 3))), np.zeros((2, 4)))
 
 
 class TestByol:
     def test_identical_rows(self, rng):
         p = T.Tensor(rng.normal(size=(5, 8)))
-        assert ssl.loss_byol(p, p).item() == pytest.approx(0.0, abs=1e-12)
+        assert ssl.ssl_loss("byol", p, p.values).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_antiparallel(self):
         p = T.Tensor([[0.0, 2.0]])
         z = T.Tensor([[0.0, -5.0]])
-        assert ssl.loss_byol(p, z).item() == pytest.approx(4.0, abs=1e-12)
+        assert ssl.ssl_loss("byol", p, z.values).item() == pytest.approx(4.0, abs=1e-12)
 
     def test_identity_with_simsiam(self, rng):
         p = T.Tensor(rng.normal(size=(16, 12)))
         z = T.Tensor(rng.normal(size=(16, 12)))
-        byol = ssl.loss_byol(p, z).item()
-        simsiam = ssl.loss_simsiam(p, z).item()
+        byol = ssl.ssl_loss("byol", p, z.values).item()
+        simsiam = ssl.ssl_loss("simsiam", p, z.values).item()
         assert abs(byol - (2.0 + 2.0 * simsiam)) < 1e-12
 
 
 class TestMoco:
     def test_empty_queue_zero(self, rng):
         z = T.Tensor(rng.normal(size=(4, 8)))
-        loss = ssl.loss_moco(z, z, ssl.NegativeQueue(16), 0.5)
+        loss = ssl.ssl_loss("moco", z, z.values, ssl.NegativeQueue(16))
         assert abs(loss.item()) < 1e-12
 
     def test_positive_copies_log(self, rng):
         row = rng.normal(size=(1, 8))
         q = ssl.NegativeQueue(32)
         q.enqueue(np.tile(row, (7, 1)))
-        loss = ssl.loss_moco(T.Tensor(row), T.Tensor(row), q, 0.5)
+        loss = ssl.ssl_loss("moco", T.Tensor(row), row, q)
         assert loss.item() == pytest.approx(np.log(8), abs=1e-9)
 
     def test_matches_bruteforce_softmax(self, rng):
@@ -88,7 +88,7 @@ class TestMoco:
             expected += -np.log(np.exp(pos) / np.exp(logits).sum())
         expected /= b
 
-        loss = ssl.loss_moco(T.Tensor(z1), T.Tensor(z2), q, tau)
+        loss = ssl.ssl_loss("moco", T.Tensor(z1), z2, q)
         assert loss.item() == pytest.approx(expected, abs=1e-10)
 
     def test_queue_fifo_eviction(self, rng):
@@ -99,21 +99,10 @@ class TestMoco:
         assert len(q) == 4
         np.testing.assert_allclose(kept, rows[2:])  # two oldest evicted
 
-    def test_bad_temperature(self, rng):
-        z = T.Tensor(rng.normal(size=(2, 3)))
-        with pytest.raises(ConfigError):
-            ssl.loss_moco(z, z, ssl.NegativeQueue(4), 0.0)
-
-    @pytest.mark.parametrize("temperature", [np.nan, np.inf])
-    def test_non_finite_temperature(self, rng, temperature):
-        z = T.Tensor(rng.normal(size=(2, 3)))
-        with pytest.raises(ConfigError, match="finite"):
-            ssl.loss_moco(z, z, ssl.NegativeQueue(4), temperature)
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ssl.loss_moco(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 4))),
-                          ssl.NegativeQueue(4), 0.5)
+            ssl.ssl_loss("moco", T.Tensor(np.zeros((2, 3))), np.zeros((2, 4)),
+                         ssl.NegativeQueue(4))
 
 
 def reference_info_nce(q, k, negatives, temperature):
@@ -226,20 +215,23 @@ class TestDispatch:
     @pytest.mark.parametrize("kind", ["simsiam", "byol", "moco"])
     def test_covers_all_kinds(self, kind, rng):
         p = T.Tensor(rng.normal(size=(3, 4)))
-        z = T.Tensor(rng.normal(size=(3, 4)))
+        z = rng.normal(size=(3, 4))
         queue = ssl.NegativeQueue(8) if kind == "moco" else None
         loss = ssl.ssl_loss(kind, p, z, queue=queue)
         assert np.isfinite(loss.item())
 
     def test_simsiam_dispatch_equals_direct(self, rng):
         p = T.Tensor(rng.normal(size=(3, 4)))
-        z = T.Tensor(rng.normal(size=(3, 4)))
-        assert ssl.ssl_loss("simsiam", p, z).item() == ssl.loss_simsiam(p, z).item()
+        z = rng.normal(size=(3, 4))
+        assert ssl.ssl_loss("simsiam", p, z).item() == T.neg_cosine(p, z).item()
 
-    def test_moco_without_queue(self, rng):
-        p = T.Tensor(rng.normal(size=(3, 4)))
-        with pytest.raises(ConfigError):
-            ssl.ssl_loss("moco", p, p)
+    @pytest.mark.parametrize("kind", ["simsiam", "byol", "moco"])
+    def test_tensor_target_refused(self, kind, rng):
+        # A target is a constant array: a Tensor, which could carry a graph, is refused.
+        p = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        queue = ssl.NegativeQueue(8) if kind == "moco" else None
+        with pytest.raises(TypeError):
+            ssl.ssl_loss(kind, p, T.Tensor(rng.normal(size=(3, 4))), queue=queue)
 
     @pytest.mark.parametrize("kind", ["simsiam", "byol", "moco"])
     def test_target_producers_get_zero_grad(self, kind, rng):
@@ -248,7 +240,7 @@ class TestDispatch:
         p = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         z = T.matmul(x, w)
         queue = ssl.NegativeQueue(8) if kind == "moco" else None
-        loss = ssl.ssl_loss(kind, p, z, queue=queue)
+        loss = ssl.ssl_loss(kind, p, z.values, queue=queue)
         loss.backward()
         assert w.grad is None
         assert p.grad is not None
@@ -268,10 +260,10 @@ def test_loss_gradients_match_finite_differences(kind, rng):
         return q
 
     def value():
-        return ssl.ssl_loss(kind, T.Tensor(p_values), T.Tensor(z_values), queue=make_queue()).item()
+        return ssl.ssl_loss(kind, T.Tensor(p_values), z_values, queue=make_queue()).item()
 
     p = T.Tensor(p_values, requires_grad=True)
-    loss = ssl.ssl_loss(kind, p, T.Tensor(z_values), queue=make_queue())
+    loss = ssl.ssl_loss(kind, p, z_values, queue=make_queue())
     loss.backward()
     expected = finite_diff_grad(value, p_values)
     assert rel_err(p.grad, expected) < 1e-4
@@ -281,7 +273,7 @@ def test_loss_gradients_match_finite_differences(kind, rng):
 def test_loss_bounds(kind, rng):
     for _ in range(20):
         p = T.Tensor(rng.normal(size=(5, 7)))
-        z = T.Tensor(rng.normal(size=(5, 7)))
+        z = rng.normal(size=(5, 7))
         queue = None
         if kind == "moco":
             queue = ssl.NegativeQueue(16)
