@@ -94,16 +94,19 @@ def _mean_loss(losses):
     return T.affine(total, 1.0 / len(losses)) if len(losses) > 1 else total
 
 
-def _term(party, variant, name, prediction, target_values, feeds):
-    """The SSL loss of ``prediction`` against the fixed ``target_values``.
-    Under MoCo the party's queue ``name`` (created by its first lookup)
-    supplies the negatives, and ``(queue, target_values)`` joins
-    ``feeds``, which the caller enqueues after its optimizer step."""
-    queue = None
-    if variant == "moco":
-        queue = party.queues[name]
-        feeds.append((queue, target_values))
-    return ssl_loss(variant, prediction, target_values, queue)
+def _term(party, variant, names, prediction, target_values, feeds):
+    """The SSL loss of ``prediction`` against the fixed ``target_values``:
+    2-D with one queue name in ``names``, or stacked with one per slice.
+    Under MoCo the party's queues of those names (each created by its first
+    lookup) supply the negatives, and each queue with its rows of
+    ``target_values`` joins ``feeds``, which the caller enqueues after its
+    optimizer step."""
+    if variant != "moco":
+        return ssl_loss(variant, prediction, target_values)
+    queues = [party.queues[name] for name in names]
+    stacked = target_values.ndim == 3
+    feeds += zip(queues, target_values if stacked else [target_values])
+    return ssl_loss(variant, prediction, target_values, queues if stacked else queues[0])
 
 
 def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
@@ -122,10 +125,11 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
 
     for batch_ids in batches(aligned_ids, batch_size, rng=shuffle_rng):
         rnd = network.next_round()
-        # Exchange phase: each party computes and ships its representation.
-        values = {}
-        for p in parties:
-            values[p.party_id] = p.model.cross.forward(*p.block.rows(batch_ids)).values
+        # Exchange phase: each party computes and ships its representation,
+        # which is only read, so its forward records no graph.
+        with T.no_grad():
+            values = {p.party_id: p.model.cross.forward(*p.block.rows(batch_ids)).values
+                      for p in parties}
         outgoing_active = iso_perturb(values[1], lambda_p, noise_rng)
         received = {1: {}}
         for p in parties[1:]:
@@ -138,7 +142,7 @@ def cross_party_ssl_epoch(parties, network, aligned_ids, variant, optimizers,
                 pred = p.model.h_c.forward(p.model.cross.forward(*p.block.rows(batch_ids)))
                 feeds = []
                 loss = _mean_loss([
-                    _term(p, variant, f"cross_peer_{peer_id}", pred, target_values, feeds)
+                    _term(p, variant, (f"cross_peer_{peer_id}",), pred, target_values, feeds)
                     for peer_id, target_values in sorted(received[p.party_id].items())
                 ])
                 loss.backward()
@@ -156,6 +160,9 @@ def guided_local_ssl_epoch(party, ids, variant, gamma, corruption_fraction, opti
 
     Only the local tower (f_lb, f_lt, projector_l, h_l and its EMA
     target) is updated; the cross encoder provides frozen anchors.
+    The two augmented views of a batch run as one stacked batch (slice 0
+    is the first view), so each tower runs once per batch; every slice
+    computes what a separate 2-D pass over its view would, bit for bit.
     """
     model, block = party.model, party.block
     losses = []
@@ -164,27 +171,24 @@ def guided_local_ssl_epoch(party, ids, variant, gamma, corruption_fraction, opti
         cont, cats = block.rows(batch_ids)
         # Only a one-row batch reads the std: its jitter has no donor row.
         cont_std = block.cont.std(axis=0) if len(cont) == 1 else None
-        v1, v2 = (augment(cont, cats, block.cat_cardinalities, corruption_fraction, aug_rng,
-                          cont_std) for _ in range(2))
+        views = [augment(cont, cats, block.cat_cardinalities, corruption_fraction, aug_rng,
+                         cont_std) for _ in range(2)]
+        views = [np.stack(part) for part in zip(*views)]  # stacked cont, then stacked cats
 
-        z1 = model.local.forward(*v1)
-        z2 = model.local.forward(*v2)
-        p1 = model.h_l.forward(z1)
-        p2 = model.h_l.forward(z2)
+        z = model.local.forward(*views)
+        p = model.h_l.forward(z)
         # SimSiam's target is the online tower under stop-gradient; BYOL
-        # and MoCo run the same views through the EMA copy.
-        if model.target is None:
-            t1, t2 = z1.values, z2.values
-        else:
-            t1, t2 = model.target.forward(*v1).values, model.target.forward(*v2).values
+        # and MoCo run the same views through the EMA copy. Each view's
+        # prediction is scored against the other view's target.
+        target = z.values if model.target is None else model.target.forward(*views).values
 
         feeds = []
-        loss = _mean_loss([_term(party, variant, "local_a", p1, t2, feeds),
-                           _term(party, variant, "local_b", p2, t1, feeds)])
+        loss = T.affine(T.slice_sum(
+            _term(party, variant, ("local_a", "local_b"), p, target[::-1], feeds)), 0.5)
         if gamma > 0:
-            zc1, zc2 = model.cross.encode(*v1).values, model.cross.encode(*v2).values
-            guide = T.add(_term(party, variant, "guide_a", p1, zc1, feeds),
-                          _term(party, variant, "guide_b", p2, zc2, feeds))
+            with T.no_grad():  # the guidance is only read
+                anchors = model.cross.encode(*views).values
+            guide = T.slice_sum(_term(party, variant, ("guide_a", "guide_b"), p, anchors, feeds))
             loss = T.add(loss, T.affine(guide, gamma))
         loss.backward()
         optimizer.step()

@@ -18,10 +18,13 @@ def iso_perturb(d, lam, rng):
     """d + N(0, sigma^2) elementwise, sigma = lam * max row 2-norm / sqrt(m).
 
     lam == 0 is an exact pass-through that consumes no rng draws (rng may
-    be None), so a lam=0 run is bit-identical to one without noise.
+    be None), so a lam=0 run is bit-identical to one without noise; a
+    lam > 0 without an rng is refused before any arithmetic.
     """
     if not 0 <= lam < math.inf:
         raise ValidationError("lambda must be finite and non-negative")
+    if lam > 0 and rng is None:
+        raise ValidationError("ISO noise at lambda > 0 needs a generator, got rng None")
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
     if lam == 0.0:
         return d.copy()

@@ -50,8 +50,13 @@ def ssl_loss(variant: str, p: T.Tensor, target: np.ndarray, queue=None) -> T.Ten
     """The loss of ``variant``, a name in ``VARIANTS``, of ``p`` against the
     constant ``target`` of the same shape. SimSiam is the mean negative
     cosine; BYOL is 2 - 2*cos, the mean squared distance of unit vectors;
-    MoCo is InfoNCE with ``queue``'s rows as negatives at ``MOCO_TEMPERATURE``."""
+    MoCo is InfoNCE with ``queue``'s rows as negatives at ``MOCO_TEMPERATURE``.
+    A stacked ``p`` (S, n, d) gives one loss per slice, and MoCo then takes
+    a sequence of S queues, slice s drawing its negatives from queue s."""
     if variant == "moco":
-        return T.info_nce(p, target, queue.as_matrix(), MOCO_TEMPERATURE)
+        if p.values.ndim == 2:
+            return T.info_nce(p, target, queue.as_matrix(), MOCO_TEMPERATURE)
+        held = [q.as_matrix() for q in queue]
+        return T.info_nce(p, target, None if held[0] is None else np.stack(held), MOCO_TEMPERATURE)
     loss = T.neg_cosine(p, target)
     return T.affine(loss, 2.0, 2.0) if variant == "byol" else loss

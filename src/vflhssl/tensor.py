@@ -1,4 +1,6 @@
-"""Reverse-mode autodiff over dense 2-D float64 arrays.
+"""Reverse-mode autodiff over dense float64 arrays: 2-D ``(n, m)``, or
+stacked ``(S, n, m)``, whose leading axis holds S batches that share
+every parameter they meet.
 
 Small tape-free engine: every operation records its parents and a
 backward closure on the output node; ``Tensor.backward`` topologically
@@ -8,17 +10,28 @@ graph is backpropagated once: a later ``backward()`` that reaches it raises.
 Sufficient for MLPs, embedding lookups, the contrastive losses and
 cross-entropy used elsewhere in the package. Everything is float64.
 
+A stacked value runs through ``dense``, ``embed_concat``, ``affine``,
+``relu``, ``neg_cosine`` and ``info_nce`` as S separate batches would, bit
+for bit: each slice makes the same BLAS call and the same reductions as a
+2-D call, and a 2-D operand that the slices share receives their
+gradients added in slice order, as S separate calls would accumulate
+them. The two losses give one value per slice, and ``slice_sum`` adds
+them. The other ops are for 2-D values; ``matmul`` and
+``softmax_cross_entropy`` refuse stacked ones.
+
 Inside ``with no_grad():`` op outputs record no graph, so a forward
 whose result is only read frees each layer's input as soon as the next
 layer has run. Fine-tuning's evaluation forward
 (``vfl.SplitTrainer.logits``) and the attack's frozen features and head
-evaluation (``privacy.mc_attack``) run so; every training step and all
-of pretraining record their graph as usual.
+evaluation (``privacy.mc_attack``) run so, as do step 1's exchange
+forward and step 2's guidance encoder (``hssl``); every training step
+records its graph as usual.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -45,14 +58,14 @@ class no_grad:
 
 
 class Tensor:
-    """A 2-D float64 array node in a dynamically built autodiff graph."""
+    """A 2-D or stacked 3-D float64 array node in a dynamically built autodiff graph."""
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, values, requires_grad=False):
         v = np.asarray(values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ShapeError(f"tensors are 2-D, got ndim={v.ndim}")
+        if v.ndim not in (2, 3):
+            raise ShapeError(f"tensors are 2-D or stacked 3-D, got ndim={v.ndim}")
         self.values = v
         self.grad = None
         self.requires_grad = requires_grad
@@ -62,11 +75,11 @@ class Tensor:
     # -- introspection -------------------------------------------------
     @property
     def rows(self):
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def cols(self):
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     @property
     def shape(self):
@@ -130,7 +143,7 @@ class Tensor:
 def _result(values, parents, backward):
     """The output node of an op.
 
-    Ops pass 2-D float64 ``values`` and a tuple of ``parents``, so the
+    Ops pass 2-D or 3-D float64 ``values`` and a tuple of ``parents``, so the
     node is built directly, without ``Tensor.__init__``'s input checks.
     Under ``no_grad`` it is a constant: no parents, no closure.
     """
@@ -152,8 +165,14 @@ def _result(values, parents, backward):
 
 # -- operations ---------------------------------------------------------
 
+def _fold(a):
+    """A stacked gradient's slices added in slice order: what S separate
+    calls accumulate into the 2-D operand they share. A 2-D ``a`` as it is."""
+    return reduce(np.add, a) if a.ndim == 3 else a
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
+    if a.values.ndim != 2 or b.values.ndim != 2 or a.cols != b.rows:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
     out_values = a.values @ b.values
 
@@ -182,9 +201,10 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor, relu: bool) -> Tensor:
     """``x @ weight + bias``, then ReLU if ``relu``, as one node.
 
     Values and gradients equal the ``matmul -> add -> relu`` composition
-    bit for bit; ``bias`` is a (1, m) row.
+    bit for bit; ``bias`` is a (1, m) row. A stacked ``x`` shares ``weight``
+    and ``bias`` across its slices.
     """
-    if x.cols != weight.rows or bias.shape != (1, weight.cols):
+    if weight.values.ndim != 2 or x.cols != weight.rows or bias.shape != (1, weight.cols):
         raise ShapeError(f"dense shapes disagree: {x.shape} x {weight.shape} + {bias.shape}")
     out_values = x.values @ weight.values
     out_values += bias.values
@@ -196,12 +216,12 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor, relu: bool) -> Tensor:
         if relu:
             g = g * mask
         if bias.requires_grad:
-            gb = _reduce_to(g, bias.shape)
+            gb = _fold(g if g.shape[-2] == 1 else g.sum(axis=-2, keepdims=True))
             bias._accumulate(gb, fresh=gb is not g)
         if x.requires_grad:
             x._accumulate(g @ weight.values.T, fresh=True)
         if weight.requires_grad:
-            weight._accumulate(x.values.T @ g, fresh=True)
+            weight._accumulate(_fold(x.values.mT @ g), fresh=True)
 
     return _result(out_values, (x, weight, bias), backward)
 
@@ -277,14 +297,14 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 def _row_normalize(x):
     """``x`` with each row divided by max(||row||_2, eps); also the
     divisors and the rows where the clamp is inactive."""
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
     denom = np.maximum(norms, NORM_EPS)
     return x / denom, denom, norms > NORM_EPS
 
 
 def _row_normalize_grad(g, x, denom, live):
     """The gradient reaching ``x`` through ``_row_normalize`` from ``g``."""
-    dot = (g * x).sum(axis=1, keepdims=True)
+    dot = (g * x).sum(axis=-1, keepdims=True)
     return g / denom - np.where(live, x * dot / denom**3, 0.0)
 
 
@@ -354,14 +374,15 @@ def embed_concat(cont, tables, cats, frozen_rows) -> Tensor:
     gradients equal per-column lookups joined by ``concat_cols`` bit for
     bit: one ``np.bincount`` scatters every table's gradient, adding the
     terms of each (row, lane) in batch order from 0.0, as ``np.add.at``
-    would.
+    would. A stacked ``cont`` (S, n, m) takes (S, n, len(tables)) ``cats``;
+    its backward runs one ``np.bincount`` per slice and adds them in slice order.
     """
     cont = np.asarray(cont, dtype=np.float64)
     cats = np.asarray(cats, dtype=np.int64)
-    n, m_cont = cont.shape
-    if not tables or cats.shape != (n, len(tables)):
+    m_cont = cont.shape[-1]
+    if not tables or cats.shape != (*cont.shape[:-1], len(tables)):
         raise ShapeError(f"embed_concat needs one index column per table: "
-                         f"{len(tables)} tables, indices {cats.shape} for {n} rows")
+                         f"{len(tables)} tables, indices {cats.shape} for rows {cont.shape[:-1]}")
     d = tables[0].cols
     if any(t.cols != d for t in tables):
         raise ShapeError(f"embedding tables differ in width: {[t.cols for t in tables]}")
@@ -369,15 +390,18 @@ def embed_concat(cont, tables, cats, frozen_rows) -> Tensor:
     # Viewed as unsigned, a negative index exceeds every table size.
     if (cats.view(np.uint64) >= sizes).any():
         raise ValidationError(f"embedding index out of range of the table sizes {sizes}")
-    out_values = np.empty((n, m_cont + len(tables) * d))
-    out_values[:, :m_cont] = cont
+    out_values = np.empty((*cont.shape[:-1], m_cont + len(tables) * d))
+    out_values[..., :m_cont] = cont
     for j, t in enumerate(tables):
-        out_values[:, m_cont + j * d : m_cont + (j + 1) * d] = t.values[cats[:, j]]
+        out_values[..., m_cont + j * d : m_cont + (j + 1) * d] = t.values[cats[..., j]]
 
     def backward(g):
         starts = list(accumulate(sizes, initial=0))
-        index = ((cats + starts[:-1])[..., None] * d + np.arange(d)).ravel()
-        grads = np.bincount(index, weights=g[:, m_cont:].ravel(), minlength=starts[-1] * d)
+        slices = len(cats) if cats.ndim == 3 else 1
+        index = ((cats + starts[:-1])[..., None] * d + np.arange(d)).reshape(slices, -1)
+        lanes = g[..., m_cont:].reshape(slices, -1)
+        grads = reduce(np.add, (np.bincount(i, weights=w, minlength=starts[-1] * d)
+                                for i, w in zip(index, lanes)))
         grads = grads.reshape(starts[-1], d)
         for t, lo, hi, frozen in zip(tables, starts[:-1], starts[1:], frozen_rows):
             if t.requires_grad:
@@ -391,27 +415,32 @@ def embed_concat(cont, tables, cats, frozen_rows) -> Tensor:
 def _log_softmax_nll(logits, y, out=None):
     """The row-wise log-softmax of ``logits``, written to ``out`` (which
     may be ``logits`` itself), and the mean of its negated ``y`` entries
-    as a (1, 1) array."""
-    log_probs = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
-    log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
-    return log_probs, np.array([[-log_probs[np.arange(len(y)), y].mean()]])
+    as a (1, 1) array, or (S, 1, 1) for stacked logits."""
+    log_probs = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    for rows in log_probs if log_probs.ndim == 3 else (log_probs,):  # exp's buffer holds one slice
+        rows -= np.log(np.exp(rows).sum(axis=-1, keepdims=True))
+    # Stacked, the picked entries come out column-major: made row-major, each
+    # slice's mean (its sum over n) adds them in the order of the 2-D case.
+    picked = np.ascontiguousarray(log_probs[..., np.arange(len(y)), y])
+    return log_probs, -(picked.sum(axis=-1, keepdims=True)[..., None] / len(y))
 
 
 def _nll_grad(log_probs, y, g):
     """The gradient of that mean with respect to the logits, given ``g``
-    on it: (softmax - one-hot(y)) * g / n."""
-    probs = np.exp(log_probs)
-    probs[np.arange(len(y)), y] -= 1.0
-    probs *= g[0, 0] / len(y)
+    on it: (softmax - one-hot(y)) * g / n. It is written over ``log_probs``,
+    which only the one backward that calls this reads."""
+    probs = np.exp(log_probs, out=log_probs)
+    probs[..., np.arange(len(y)), y] -= 1.0
+    probs *= g / len(y)
     return probs
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label]."""
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n, c = logits.shape
-    if y.shape[0] != n:
-        raise ShapeError(f"{y.shape[0]} labels for {n} logit rows")
+    n, c = logits.shape[-2:]
+    if logits.values.ndim != 2 or y.shape[0] != n:
+        raise ShapeError(f"{y.shape[0]} labels for logits of shape {logits.shape}")
     if y.size and (y.min() < 0 or y.max() >= c):
         raise ValidationError(f"label out of range [0, {c})")
     log_probs, out_values = _log_softmax_nll(logits.values, y)
@@ -430,22 +459,25 @@ def info_nce(q: Tensor, k, negatives, temperature) -> Tensor:
     Rows of ``q`` and ``k`` are unit-normalised; the logits
     ``[q̂·k̂ | q̂ @ negativesᵀ]`` are divided by ``temperature``, and the
     loss is their mean cross-entropy with label 0. ``k`` (n, d) and
-    ``negatives`` (Q, d), or None for none, are constant arrays. Values
+    ``negatives`` (Q, d), or None for none, are constant arrays. A stacked
+    ``q`` (S, n, d) takes (S, n, d) ``k`` and (S, Q, d) ``negatives`` and
+    gives one loss per slice, (S, 1, 1). Values
     and the gradient of ``q`` equal the composition ``row_l2_normalize ->
     mul -> row_sum``, ``matmul``, ``concat_cols``, ``affine(1/temperature)``
     and ``softmax_cross_entropy`` bit for bit; the logits are one buffer.
     """
     k = np.asarray(k, dtype=np.float64)
-    if k.shape != q.shape or (negatives is not None and negatives.shape[1:] != (q.cols,)):
+    if k.shape != q.shape or (negatives is not None and (
+            negatives.shape[:-2] != q.shape[:-2] or negatives.shape[-1] != q.cols)):
         raise ShapeError(f"info_nce shapes disagree: q {q.shape}, k {k.shape}, "
                          f"negatives {None if negatives is None else negatives.shape}")
     n = q.rows
     qn, denom, live = _row_normalize(q.values)
     kn = _row_normalize(k)[0]
-    logits = np.empty((n, 1 if negatives is None else 1 + len(negatives)))
-    logits[:, :1] = (qn * kn).sum(axis=1, keepdims=True)
+    logits = np.empty((*q.shape[:-1], 1 if negatives is None else 1 + negatives.shape[-2]))
+    logits[..., :1] = (qn * kn).sum(axis=-1, keepdims=True)
     if negatives is not None:
-        np.matmul(qn, negatives.T, out=logits[:, 1:])
+        np.matmul(qn, negatives.mT, out=logits[..., 1:])
     scale = 1.0 / temperature
     logits *= scale
     logits += 0.0  # as affine's ``scale * x + 0.0``, which turns -0.0 into 0.0
@@ -456,9 +488,9 @@ def info_nce(q: Tensor, k, negatives, temperature) -> Tensor:
         if q.requires_grad:
             gl = _nll_grad(log_probs, y, g)
             gl *= scale
-            gqn = gl[:, :1] * kn
+            gqn = gl[..., :1] * kn
             if negatives is not None:
-                gqn += gl[:, 1:] @ negatives
+                gqn += gl[..., 1:] @ negatives
             q._accumulate(_row_normalize_grad(gqn, q.values, denom, live), fresh=True)
 
     return _result(out_values, (q,), backward)
@@ -466,7 +498,8 @@ def info_nce(q: Tensor, k, negatives, temperature) -> Tensor:
 
 def neg_cosine(p: Tensor, z) -> Tensor:
     """Minus the mean over rows of cos(p, z), with ``z`` a constant (n, d)
-    array, as one node. Values and the gradient of ``p`` equal the composition
+    array, as one node; a stacked ``p`` and ``z`` (S, n, d) give one loss
+    per slice, (S, 1, 1). Values and the gradient of ``p`` equal the composition
     ``row_l2_normalize -> mul -> row_sum -> mean_all -> affine(-1.0)`` bit for bit."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != p.shape:
@@ -474,15 +507,29 @@ def neg_cosine(p: Tensor, z) -> Tensor:
     n = p.rows
     pn, denom, live = _row_normalize(p.values)
     zn = _row_normalize(z)[0]
-    cos = (pn * zn).sum(axis=1, keepdims=True)
-    out_values = -1.0 * np.array([[cos.sum() / n]]) + 0.0  # as affine(-1.0): -0.0 becomes 0.0
+    cos = (pn * zn).sum(axis=-1, keepdims=True)
+    out_values = -1.0 * (cos.sum(axis=-2, keepdims=True) / n) + 0.0  # as affine(-1.0): -0.0 becomes 0.0
 
     def backward(g):
         if p.requires_grad:
-            gpn = (-1.0 * g[0, 0] / n) * zn
+            gpn = (-1.0 * g / n) * zn
             p._accumulate(_row_normalize_grad(gpn, p.values, denom, live), fresh=True)
 
     return _result(out_values, (p,), backward)
+
+
+def slice_sum(x: Tensor) -> Tensor:
+    """(S, n, m) -> (n, m): the slices added in slice order, as ``add``
+    would join S separate values one by one."""
+    if x.values.ndim != 3:
+        raise ShapeError(f"slice_sum needs a stacked tensor, got shape {x.shape}")
+    out_values = reduce(np.add, x.values)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(np.broadcast_to(g, x.shape).copy(), fresh=True)
+
+    return _result(out_values, (x,), backward)
 
 
 # -- optimizer ----------------------------------------------------------

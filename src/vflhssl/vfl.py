@@ -145,8 +145,9 @@ class SplitTrainer:
     """Drives FedSplitNN supervised training/fine-tuning over parties.
 
     ``lambda_f`` is the ISO strength on the gradients sent to passive
-    parties, drawn from ``noise_rng``; 0 sends them exact. The top model
-    reads the party representations concatenated in party order.
+    parties, drawn from ``noise_rng``, which a lambda_f > 0 requires; 0
+    sends them exact. The top model reads the party representations
+    concatenated in party order.
     Each party steps its ``params_finetune()`` by SGD with momentum 0.9.
     """
 
@@ -157,6 +158,8 @@ class SplitTrainer:
             raise ConfigError("party 1 must be active: it owns the top model and the labels")
         if not 0 <= lambda_f < math.inf:
             raise ConfigError("lambda_f must be finite and non-negative")
+        if lambda_f > 0 and noise_rng is None:
+            raise ConfigError("lambda_f > 0 needs a noise_rng to draw the ISO noise from")
         self.network = network
         self.lambda_f = lambda_f
         self.noise_rng = noise_rng

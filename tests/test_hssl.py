@@ -305,6 +305,124 @@ class TestGuidedLocal:
         )
 
 
+def per_view_local_epoch(party, ids, variant, gamma, corruption_fraction, optimizer,
+                         batch_size, aug_rng, shuffle_rng):
+    """Step 2 as two 2-D passes per batch, one per view: the loop that the
+    stacked pass of ``hssl.guided_local_ssl_epoch`` replaces, kept as the
+    reference it must equal bit for bit."""
+    model, block = party.model, party.block
+    losses = []
+    for batch_ids in data.batches(ids, batch_size, rng=shuffle_rng):
+        cont, cats = block.rows(batch_ids)
+        cont_std = block.cont.std(axis=0) if len(cont) == 1 else None
+        v1, v2 = (data.augment(cont, cats, block.cat_cardinalities, corruption_fraction,
+                               aug_rng, cont_std) for _ in range(2))
+        z1, z2 = model.local.forward(*v1), model.local.forward(*v2)
+        p1, p2 = model.h_l.forward(z1), model.h_l.forward(z2)
+        if model.target is None:
+            t1, t2 = z1.values, z2.values
+        else:
+            t1, t2 = model.target.forward(*v1).values, model.target.forward(*v2).values
+        feeds = []
+        loss = T.affine(T.add(hssl._term(party, variant, ("local_a",), p1, t2, feeds),
+                              hssl._term(party, variant, ("local_b",), p2, t1, feeds)), 0.5)
+        if gamma > 0:
+            zc1, zc2 = model.cross.encode(*v1).values, model.cross.encode(*v2).values
+            guide = T.add(hssl._term(party, variant, ("guide_a",), p1, zc1, feeds),
+                          hssl._term(party, variant, ("guide_b",), p2, zc2, feeds))
+            loss = T.add(loss, T.affine(guide, gamma))
+        loss.backward()
+        optimizer.step()
+        if model.ema is not None:
+            model.ema.update()
+        for queue, rows in feeds:
+            queue.enqueue(rows)
+        losses.append(loss.item())
+    return float(np.mean(losses))
+
+
+class TestStackedLocalStep:
+    @pytest.mark.parametrize("variant", ["simsiam", "byol", "moco"])
+    @pytest.mark.parametrize("cat_cardinalities", [(), (3, 5)])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_equals_two_per_view_passes(self, variant, cat_cardinalities, gamma):
+        """Parameters, EMA targets, MoCo queues and losses after two epochs,
+        the second ending on a one-row batch, are bit-identical."""
+        spec = data.SyntheticSpec(
+            latent_dim=4, classes=3, feature_dims=(6, 6), noise_scales=(0.5, 0.5),
+            cat_cardinalities=(cat_cardinalities, ()), aligned=48, unaligned=(24, 24),
+            labeled=32, test=16, seed=5,
+        )
+        ds = data.generate_synthetic(spec)
+        ids = ds.local_ids(0)
+        runs = []
+        for epoch_fn in (hssl.guided_local_ssl_epoch, per_view_local_epoch):
+            node = vfl.make_parties(ds, desk_cfg(), variant, 3)[0]
+            opt = T.SgdOptimizer(node.model.params_local(), 0.05)
+            losses = [
+                epoch_fn(node, ids, variant, gamma, 0.3, opt, batch_size=batch,
+                         aug_rng=np.random.default_rng((7, epoch)),
+                         shuffle_rng=np.random.default_rng((8, epoch)))
+                for epoch, batch in enumerate((16, len(ids) - 1))
+            ]
+            state = {name: p.values.tobytes() for name, p in node.model.named_params()}
+            state.update({name: q.rows.tobytes() for name, q in node.queues.items()})
+            runs.append((losses, state))
+        assert runs[0] == runs[1]
+        if variant == "moco":
+            names = ["local_a", "local_b"] + (["guide_a", "guide_b"] if gamma else [])
+            assert sorted(node.queues) == sorted(names)
+
+
+class TestReadOnlyForwards:
+    """Forwards whose outputs are only read build no graph nodes."""
+
+    @staticmethod
+    def record(monkeypatch, method, towers):
+        """Per tower, per call of its ``method``: whether every node the call built is graph-free."""
+        built, result = [], T._result
+
+        def recording(*args):
+            built.append(result(*args))
+            return built[-1]
+
+        def wrap(original, calls):
+            def wrapped(*args):
+                built.clear()
+                out = original(*args)
+                calls.append(all(node._parents == () and node._backward is None
+                                 for node in built))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(T, "_result", recording)
+        per_tower = [[] for _ in towers]
+        for tower, calls in zip(towers, per_tower):
+            monkeypatch.setattr(tower, method, wrap(getattr(tower, method), calls))
+        return per_tower
+
+    def test_step2_guidance(self, monkeypatch):
+        ds, nodes, _ = setup()
+        node = nodes[0]
+        [calls] = self.record(monkeypatch, "encode", [node.model.cross])
+        opt = T.SgdOptimizer(node.model.params_local(), 0.05)
+        hssl.guided_local_ssl_epoch(
+            node, ds.local_ids(0), "simsiam", 0.5, 0.3, opt, batch_size=16,
+            aug_rng=np.random.default_rng(0), shuffle_rng=np.random.default_rng(1),
+        )
+        assert calls == [True] * int(np.ceil(len(ds.local_ids(0)) / 16))
+
+    def test_step1_exchange(self, monkeypatch):
+        ds, nodes, net = setup()
+        calls = self.record(monkeypatch, "forward", [p.model.cross for p in nodes])
+        opts = {p.party_id: T.SgdOptimizer(p.model.params_cross(), 0.05) for p in nodes}
+        hssl.cross_party_ssl_epoch(nodes, net, ds.aligned_ids, "simsiam", opts,
+                                   batch_size=16, local_updates=2)
+        # Per batch: the exchange forward, then one training forward per update.
+        batches = int(np.ceil(len(ds.aligned_ids) / 16))
+        assert calls == [[True, False, False] * batches] * len(nodes)
+
+
 class TestPresets:
     def test_flag_table(self):
         cases = {

@@ -46,6 +46,13 @@ class TestIsoPerturb:
         with pytest.raises(ValidationError):
             privacy.iso_perturb(np.ones((1, 2)), -1.0, rng)
 
+    def test_noise_without_a_generator_refused(self):
+        d = np.ones((2, 3))
+        with pytest.raises(ValidationError, match="generator"):
+            privacy.iso_perturb(d, 0.5, None)
+        assert (d == 1.0).all()
+        assert privacy.iso_perturb(d, 0.0, None).tobytes() == d.tobytes()
+
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_lambda(self, rng, lam):
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 import inspect
 import weakref
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -102,6 +103,7 @@ def op_cases(rng):
     b = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     w = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     bias = T.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
+    stacked = T.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
     return {
         "matmul": lambda: T.matmul(a, w),
         "dense": lambda: T.dense(a, w, bias, True),
@@ -119,12 +121,28 @@ def op_cases(rng):
         "softmax_cross_entropy": lambda: T.softmax_cross_entropy(a, [0, 1, 2, 0]),
         "info_nce": lambda: T.info_nce(a, b.values, w.values.T, 0.5),
         "neg_cosine": lambda: T.neg_cosine(a, b.values),
+        "slice_sum": lambda: T.slice_sum(stacked),
+    }
+
+
+def stacked_op_cases(rng):
+    """One call, by name, of every op that step 2 runs on a stacked (S, n, m) value."""
+    x = T.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    bias = T.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
+    return {
+        "dense": lambda: T.dense(x, w, bias, True),
+        "affine": lambda: T.affine(x, 2, 1),
+        "embed_concat": lambda: T.embed_concat(x.values, [w], [[[0], [2], [2], [1]]] * 2, [2]),
+        "info_nce": lambda: T.info_nce(x, x.values[::-1], rng.normal(size=(2, 5, 3)), 0.5),
+        "neg_cosine": lambda: T.neg_cosine(x, x.values[::-1]),
     }
 
 
 def test_every_op_returns_2d_float64(rng):
     """Op outputs skip Tensor's input checks, so each op must itself
-    produce a 2-D float64 array; a new op without a case here fails."""
+    produce a 2-D float64 array, or a stacked 3-D one from stacked input;
+    a new op without a case here fails."""
     cases = op_cases(rng)
     public_ops = {
         name for name, fn in vars(T).items()
@@ -136,6 +154,10 @@ def test_every_op_returns_2d_float64(rng):
         out = make()
         assert isinstance(out, T.Tensor), name
         assert out.values.ndim == 2 and out.values.dtype == np.float64, name
+    for name, make in stacked_op_cases(rng).items():
+        out = make()
+        assert out.values.ndim == 3 and out.values.dtype == np.float64, name
+        assert len(out.values) == 2, name
 
 
 class TestNoGrad:
@@ -350,6 +372,158 @@ class TestEmbedConcat:
         tables = [T.Tensor(np.zeros((3, 2))), T.Tensor(np.zeros((3, 3)))]
         with pytest.raises(ShapeError, match="width"):
             T.embed_concat(np.zeros((2, 1)), tables, [[0, 1], [2, 2]], [2, 2])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def stacked_property(test):
+    """Run ``test(make, S, n)`` over hypothesis draws: S in {1, 2, 3}, n from 1
+    to 130 (past numpy's 128-element pairwise-summation block), and a seed
+    for ``make``, a numpy generator."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.example(slices=2, n=1, seed=0)
+    @hypothesis.example(slices=3, n=130, seed=1)
+    @hypothesis.given(slices=st.sampled_from([1, 2, 3]), n=st.integers(1, 130),
+                      seed=st.integers(0, 2**32 - 1))
+    def check(slices, n, seed):
+        test(np.random.default_rng(seed), slices, n)
+
+    check()
+
+
+def upstream(make, shape):
+    """An upstream gradient with some signed zeros."""
+    g = make.standard_normal(shape)
+    g[make.random(shape) < 0.2] = -0.0
+    return g
+
+
+class TestStacked:
+    """A stacked (S, n, m) call of each op step 2 runs gives, per slice, the
+    values and input gradient of a 2-D call on that slice, and leaves in a
+    shared operand the gradient that S 2-D calls accumulate in slice order,
+    all bit for bit."""
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_dense(self, relu):
+        def test(make, slices, n):
+            k, m = make.integers(1, 9, size=2)
+            xs, w, b = make.standard_normal((slices, n, k)), make.standard_normal((k, m)), \
+                make.standard_normal((1, m))
+            g = upstream(make, (slices, n, m))
+            x = T.Tensor(xs, requires_grad=True)
+            weight, bias = T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)
+            out = T.dense(x, weight, bias, relu)
+            out.backward(grad=g)
+            ref_w, ref_b = T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)
+            for s in range(slices):
+                xs_s = T.Tensor(xs[s], requires_grad=True)
+                out_s = T.dense(xs_s, ref_w, ref_b, relu)
+                out_s.backward(grad=g[s])
+                assert bits(out.values[s]) == bits(out_s.values)
+                assert bits(x.grad[s]) == bits(xs_s.grad)
+            assert bits(weight.grad) == bits(ref_w.grad)
+            assert bits(bias.grad) == bits(ref_b.grad)
+
+        stacked_property(test)
+
+    def test_embed_concat_with_frozen_rows(self):
+        def test(make, slices, n):
+            m_cont, width = make.integers(0, 4), make.integers(1, 9)
+            vocabs = list(make.integers(1, 7, size=make.integers(1, 5)))
+            cont = make.standard_normal((slices, n, m_cont))
+            arrays = [make.standard_normal((v + 1, width)) for v in vocabs]
+            # Index v, the frozen corruption row, is drawn too.
+            cats = np.stack([make.integers(0, v + 1, size=(slices, n)) for v in vocabs], axis=-1)
+            g = upstream(make, (slices, n, m_cont + width * len(vocabs)))
+            tables = [T.Tensor(a, requires_grad=True) for a in arrays]
+            out = T.embed_concat(cont, tables, cats, vocabs)
+            out.backward(grad=g)
+            refs = [T.Tensor(a, requires_grad=True) for a in arrays]
+            for s in range(slices):
+                out_s = T.embed_concat(cont[s], refs, cats[s], vocabs)
+                out_s.backward(grad=g[s])
+                assert bits(out.values[s]) == bits(out_s.values)
+            for t, ref in zip(tables, refs):
+                assert bits(t.grad) == bits(ref.grad)
+
+        stacked_property(test)
+
+    def test_neg_cosine_with_a_zero_row(self):
+        def test(make, slices, n):
+            d = make.integers(1, 17)
+            ps, z = make.standard_normal((slices, n, d)), make.standard_normal((slices, n, d))
+            ps[make.integers(slices), make.integers(n)] = 0.0
+            g = make.standard_normal((slices, 1, 1))
+            p = T.Tensor(ps, requires_grad=True)
+            out = T.neg_cosine(p, z)
+            out.backward(grad=g)
+            assert out.shape == (slices, 1, 1)
+            for s in range(slices):
+                p_s = T.Tensor(ps[s], requires_grad=True)
+                out_s = T.neg_cosine(p_s, z[s])
+                out_s.backward(grad=g[s])
+                assert bits(out.values[s]) == bits(out_s.values)
+                assert bits(p.grad[s]) == bits(p_s.grad)
+
+        stacked_property(test)
+
+    @pytest.mark.parametrize("with_negatives", [False, True])
+    def test_info_nce(self, with_negatives):
+        def test(make, slices, n):
+            d = make.integers(1, 17)
+            qs, k = make.standard_normal((slices, n, d)), make.standard_normal((slices, n, d))
+            negatives = None
+            if with_negatives:
+                negatives = make.standard_normal((slices, make.integers(1, 40), d))
+            g = make.standard_normal((slices, 1, 1))
+            q = T.Tensor(qs, requires_grad=True)
+            out = T.info_nce(q, k, negatives, 0.5)
+            out.backward(grad=g)
+            assert out.shape == (slices, 1, 1)
+            for s in range(slices):
+                q_s = T.Tensor(qs[s], requires_grad=True)
+                out_s = T.info_nce(q_s, k[s], None if negatives is None else negatives[s], 0.5)
+                out_s.backward(grad=g[s])
+                assert bits(out.values[s]) == bits(out_s.values)
+                assert bits(q.grad[s]) == bits(q_s.grad)
+
+        stacked_property(test)
+
+    def test_slice_sum_equals_adding_the_slices(self):
+        def test(make, slices, n):
+            xs = make.standard_normal((slices, n, make.integers(1, 9)))
+            xs[make.random(xs.shape) < 0.2] = -0.0
+            g = upstream(make, xs.shape[1:])
+            x = T.Tensor(xs, requires_grad=True)
+            out = T.slice_sum(x)
+            out.backward(grad=g)
+            refs = [T.Tensor(a, requires_grad=True) for a in xs]
+            ref = reduce(T.add, refs)
+            ref.backward(grad=g)
+            assert bits(out.values) == bits(ref.values)
+            for s, r in enumerate(refs):
+                assert bits(x.grad[s]) == bits(r.grad)
+
+        stacked_property(test)
+
+    @pytest.mark.parametrize("call", [
+        lambda: T.Tensor(np.zeros(3)),
+        lambda: T.Tensor(np.zeros((1, 2, 3, 4))),
+        lambda: T.matmul(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((4, 2)))),
+        lambda: T.softmax_cross_entropy(T.Tensor(np.zeros((2, 3, 4))), [0, 1, 2]),
+        lambda: T.dense(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((2, 4, 5))),
+                        T.Tensor(np.zeros((1, 5))), False),
+        lambda: T.slice_sum(T.Tensor(np.zeros((3, 4)))),
+    ])
+    def test_refused_shapes(self, call):
+        with pytest.raises(ShapeError):
+            call()
 
 
 class TestSgdOptimizer:

@@ -338,6 +338,10 @@ class TestSplitTraining:
         with pytest.raises(ConfigError, match="lambda_f"):
             make_trainer(lambda_f=lambda_f)
 
+    def test_noise_without_a_generator_refused_at_construction(self):
+        with pytest.raises(ConfigError, match="noise_rng"):
+            make_trainer(lambda_f=1.0)
+
     def test_party_one_without_top_model_rejected(self):
         ds = desk_dataset()
         cfg = desk_cfg()
