@@ -404,22 +404,25 @@ def cmd_attack(config, out_dir, checkpoint_path):
     )
     per_seed = []
     for lam in priv["lambda_f"]:
-        utilities, recoveries = [], []
+        # Each seed's fine-tune is scored as it ends and only its adversary
+        # outlives it; one attack then fits a head to every seed's adversary.
+        utilities, adversaries = [], []
         for seed in config["seeds"]:
             trainer, _, _ = _select_lr(
                 config, dataset, seed, labeled_count, checkpoint, lambda_f=float(lam)
             )
-            recovery = privacy.mc_attack(
-                trainer.parties[-1], aux_ids, dataset.test_ids, dataset.label_array,
-                dataset.num_classes, data.stream(seed, "attack_head"),
-                head_hidden_dim=priv["head_hidden_dim"], epochs=priv["attack_epochs"],
-            )
             utilities.append(trainer.accuracy(dataset.test_ids))
-            recoveries.append(recovery)
-            per_seed.append({
-                "lambda_f": float(lam), "seed": seed,
-                "test_top1": utilities[-1], "recovery_top1": recovery,
-            })
+            adversaries.append(trainer.parties[-1])
+            del trainer  # before the next seed's fine-tune
+        recoveries = privacy.mc_attack(
+            adversaries, aux_ids, dataset.test_ids, dataset.label_array, dataset.num_classes,
+            [data.stream(seed, "attack_head") for seed in config["seeds"]],
+            head_hidden_dim=priv["head_hidden_dim"], epochs=priv["attack_epochs"],
+        )
+        per_seed += [
+            {"lambda_f": float(lam), "seed": seed, "test_top1": utility, "recovery_top1": recovery}
+            for seed, utility, recovery in zip(config["seeds"], utilities, recoveries)
+        ]
         curve.add_point(float(lam), float(np.mean(utilities)), float(np.mean(recoveries)))
     out_dir = Path(out_dir)
     privacy.export_tradeoff_csv(

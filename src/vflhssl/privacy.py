@@ -46,7 +46,7 @@ class PrivacyConfig:
 
     def __post_init__(self):
         require_distinct("privacy.lambda_f", self.lambda_f)
-        # mc_attack checks this too, but only after the first fine-tune has trained.
+        # mc_attack checks this too, but only after the first lambda_f's fine-tunes have trained.
         if self.head_hidden_dim < 1:
             raise ConfigError(f"privacy.head_hidden_dim must be >= 1, got {self.head_hidden_dim}")
         if self.encoder_source != "finetuned_local":
@@ -73,39 +73,66 @@ ATTACK_LR = 0.05
 ATTACK_BATCH = 64
 
 
-def mc_attack(adversary, aux_ids, eval_ids, labels, num_classes, rng, *, head_hidden_dim, epochs):
-    """Freeze the adversary's encoder, fit a one-hidden-layer head for
-    ``epochs`` on the auxiliary labeled samples, and report label recovery
-    accuracy on the evaluation ids. The head reads ``adversary.finetune_forward``:
-    the representation the adversary sends in the split network. ``labels``
-    is the id -> class lookup, asked only for the auxiliary and evaluation
-    ids: the adversary itself holds no labels."""
+def mc_attack(adversaries, aux_ids, eval_ids, labels, num_classes, rngs, *,
+              head_hidden_dim, epochs):
+    """Freeze each adversary's encoder, fit a one-hidden-layer head to it
+    for ``epochs`` on the auxiliary labeled samples, and report each head's
+    label recovery accuracy on the evaluation ids, in adversary order. Head s
+    reads ``adversaries[s].finetune_forward``, the representation that
+    adversary sends in the split network, and draws its init and its batch
+    orders from ``rngs[s]``. ``labels`` is the id -> class lookup, asked only
+    for the auxiliary and evaluation ids: the adversaries hold no labels.
+
+    The S heads train as one: each head parameter stacks theirs along a
+    leading slice axis under one optimizer, and a step runs every head on
+    its own batch. Slices share nothing, so head s ends bit-equal to a fit
+    on its own, whatever the other adversaries' features hold."""
     aux_ids = np.asarray(aux_ids)
     eval_ids = np.asarray(eval_ids)
     if set(map(int, aux_ids)) & set(map(int, eval_ids)):
         raise ConfigError("auxiliary and evaluation ids must be disjoint")
     if len(aux_ids) < num_classes:
         raise ConfigError("need at least one auxiliary sample per class")
+    if not adversaries or len(rngs) != len(adversaries):
+        raise ValidationError(f"one rng per adversary: {len(adversaries)} adversaries, "
+                              f"{len(rngs)} rngs")
 
-    # Encoder outputs are computed once as constants, recording no graph:
-    # the encoder is frozen by construction, only the head trains.
+    # Encoder outputs are computed as constants, recording no graph: the
+    # encoders are frozen by construction, only the heads train.
     with T.no_grad():
-        x_aux = adversary.finetune_forward(aux_ids).values
-        x_eval = adversary.finetune_forward(eval_ids).values
+        x_aux = np.stack([adv.finetune_forward(aux_ids).values for adv in adversaries])
     y_aux = labels(aux_ids)
     y_eval = labels(eval_ids)
 
-    head = MLP([x_aux.shape[1], head_hidden_dim, num_classes], rng)
-    opt = T.SgdOptimizer(head.params(), ATTACK_LR, momentum=0.9)
+    heads = (MLP([x_aux.shape[-1], head_hidden_dim, num_classes], rng).layers for rng in rngs)
+    # Layer i of the stacked head holds every head's layer i, slice s being head s's.
+    layers = [(T.Tensor(np.stack([layer.weight.values for layer in same]), requires_grad=True),
+               T.Tensor(np.stack([layer.bias.values for layer in same]), requires_grad=True),
+               same[0].relu) for same in zip(*heads)]
+    opt = T.SgdOptimizer([p for w, b, _ in layers for p in (w, b)], ATTACK_LR, momentum=0.9)
+    heads_axis = np.arange(len(adversaries))[:, None]
     for _ in range(epochs):
-        for sel in batches(np.arange(len(aux_ids)), ATTACK_BATCH, rng=rng):
-            loss = T.softmax_cross_entropy(head.forward(T.Tensor(x_aux[sel])), y_aux[sel])
+        orders = [batches(np.arange(len(aux_ids)), ATTACK_BATCH, rng=rng) for rng in rngs]
+        for sel in map(np.stack, zip(*orders)):
+            logits = _head(T.Tensor(x_aux[heads_axis, sel]), layers)
+            loss = T.softmax_cross_entropy(logits, y_aux[sel])
             loss.backward()
             opt.step()
 
+    recoveries = []
     with T.no_grad():
-        recovered = head.forward(T.Tensor(x_eval)).values.argmax(axis=1)
-    return metric_top1(recovered, y_eval)
+        for s, adv in enumerate(adversaries):
+            head_s = [(T.Tensor(w.values[s]), T.Tensor(b.values[s]), relu) for w, b, relu in layers]
+            logits = _head(adv.finetune_forward(eval_ids), head_s)
+            recoveries.append(metric_top1(logits.values.argmax(axis=1), y_eval))
+    return recoveries
+
+
+def _head(x, layers):
+    """``x`` through (weight, bias, relu) ``layers`` of ``dense``."""
+    for weight, bias, relu in layers:
+        x = T.dense(x, weight, bias, relu)
+    return x
 
 
 # -- CAP ------------------------------------------------------------------

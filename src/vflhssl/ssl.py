@@ -57,6 +57,6 @@ def ssl_loss(variant: str, p: T.Tensor, target: np.ndarray, queue=None) -> T.Ten
         if p.values.ndim == 2:
             return T.info_nce(p, target, queue.as_matrix(), MOCO_TEMPERATURE)
         held = [q.as_matrix() for q in queue]
-        return T.info_nce(p, target, None if held[0] is None else np.stack(held), MOCO_TEMPERATURE)
+        return T.info_nce(p, target, None if held[0] is None else held, MOCO_TEMPERATURE)
     loss = T.neg_cosine(p, target)
     return T.affine(loss, 2.0, 2.0) if variant == "byol" else loss

@@ -1,23 +1,26 @@
 """Reverse-mode autodiff over dense float64 arrays: 2-D ``(n, m)``, or
-stacked ``(S, n, m)``, whose leading axis holds S batches that share
-every parameter they meet.
+stacked ``(S, n, m)``, whose leading axis holds S batches.
 
 Small tape-free engine: every operation records its parents and a
 backward closure on the output node; ``Tensor.backward`` topologically
 sorts the reachable subgraph and runs the closures in reverse order.
-A node drops its closure and parents once its closure has run, so a
-graph is backpropagated once: a later ``backward()`` that reaches it raises.
-Sufficient for MLPs, embedding lookups, the contrastive losses and
-cross-entropy used elsewhere in the package. Everything is float64.
+A node drops its closure, its parents and its gradient once its closure
+has run: a graph is backpropagated once (a later ``backward()`` that
+reaches it raises), and an activation's gradient dies once the ops below
+it have read it. Leaves keep their gradients, and the node ``backward``
+starts from its seed. Sufficient for MLPs, embedding lookups, the
+contrastive losses and cross-entropy used elsewhere in the package.
+Everything is float64.
 
 A stacked value runs through ``dense``, ``embed_concat``, ``affine``,
-``relu``, ``neg_cosine`` and ``info_nce`` as S separate batches would, bit
-for bit: each slice makes the same BLAS call and the same reductions as a
-2-D call, and a 2-D operand that the slices share receives their
-gradients added in slice order, as S separate calls would accumulate
-them. The two losses give one value per slice, and ``slice_sum`` adds
-them. The other ops are for 2-D values; ``matmul`` and
-``softmax_cross_entropy`` refuse stacked ones.
+``relu``, ``softmax_cross_entropy``, ``neg_cosine`` and ``info_nce`` as S
+separate batches would, bit for bit: each slice makes the same BLAS call
+and the same reductions as a 2-D call. A 2-D operand that the slices
+share receives their gradients added in slice order, as S separate calls
+would accumulate them; ``dense`` also takes per-slice (S, k, m) weights
+and (S, 1, m) biases, whose slice s takes slice s's gradient alone. The
+losses give one value per slice, and ``slice_sum`` adds them. The other
+ops are for 2-D values; ``matmul`` refuses stacked ones.
 
 Inside ``with no_grad():`` op outputs record no graph, so a forward
 whose result is only read frees each layer's input as soon as the next
@@ -138,6 +141,8 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 node._parents, node._backward = (), False  # released: its buffers die here
+                if node is not self:
+                    node.grad = None  # read by its closure alone
 
 
 def _result(values, parents, backward):
@@ -165,10 +170,11 @@ def _result(values, parents, backward):
 
 # -- operations ---------------------------------------------------------
 
-def _fold(a):
-    """A stacked gradient's slices added in slice order: what S separate
-    calls accumulate into the 2-D operand they share. A 2-D ``a`` as it is."""
-    return reduce(np.add, a) if a.ndim == 3 else a
+def _fold(a, param):
+    """A stacked gradient's slices added in slice order, when ``param`` is a
+    2-D operand the slices share: what S separate calls accumulate into it.
+    Otherwise ``a`` as it is."""
+    return reduce(np.add, a) if a.ndim > param.values.ndim else a
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -201,10 +207,12 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor, relu: bool) -> Tensor:
     """``x @ weight + bias``, then ReLU if ``relu``, as one node.
 
     Values and gradients equal the ``matmul -> add -> relu`` composition
-    bit for bit; ``bias`` is a (1, m) row. A stacked ``x`` shares ``weight``
-    and ``bias`` across its slices.
+    bit for bit; ``bias`` is a (1, m) row. A stacked ``x`` (S, n, k) shares a
+    (k, m) ``weight`` and (1, m) ``bias`` across its slices, or takes one per
+    slice, (S, k, m) and (S, 1, m).
     """
-    if weight.values.ndim != 2 or x.cols != weight.rows or bias.shape != (1, weight.cols):
+    if (x.cols != weight.rows or bias.shape != (*weight.shape[:-2], 1, weight.cols)
+            or weight.values.ndim == 3 and x.shape[:-2] != weight.shape[:-2]):
         raise ShapeError(f"dense shapes disagree: {x.shape} x {weight.shape} + {bias.shape}")
     out_values = x.values @ weight.values
     out_values += bias.values
@@ -216,12 +224,12 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor, relu: bool) -> Tensor:
         if relu:
             g = g * mask
         if bias.requires_grad:
-            gb = _fold(g if g.shape[-2] == 1 else g.sum(axis=-2, keepdims=True))
+            gb = _fold(g if g.shape[-2] == 1 else g.sum(axis=-2, keepdims=True), bias)
             bias._accumulate(gb, fresh=gb is not g)
         if x.requires_grad:
-            x._accumulate(g @ weight.values.T, fresh=True)
+            x._accumulate(g @ weight.values.mT, fresh=True)
         if weight.requires_grad:
-            weight._accumulate(_fold(x.values.mT @ g), fresh=True)
+            weight._accumulate(_fold(x.values.mT @ g, weight), fresh=True)
 
     return _result(out_values, (x, weight, bias), backward)
 
@@ -412,17 +420,29 @@ def embed_concat(cont, tables, cats, frozen_rows) -> Tensor:
     return _result(out_values, tuple(tables), backward)
 
 
+def _slices(a):
+    """The 2-D slices of ``a``: a stacked array's S, or a 2-D one itself."""
+    return a if a.ndim == 3 else (a,)
+
+
+def _picks(y):
+    """The index of entry ``y[i]`` of each row i: (n,) labels pick in every
+    slice alike, (S, n) labels hold one row of labels per slice."""
+    rows = np.arange(y.shape[-1])
+    return (..., rows, y) if y.ndim == 1 else (np.arange(len(y))[:, None], rows, y)
+
+
 def _log_softmax_nll(logits, y, out=None):
     """The row-wise log-softmax of ``logits``, written to ``out`` (which
     may be ``logits`` itself), and the mean of its negated ``y`` entries
-    as a (1, 1) array, or (S, 1, 1) for stacked logits."""
+    (``_picks``) as a (1, 1) array, or (S, 1, 1) for stacked logits."""
     log_probs = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
-    for rows in log_probs if log_probs.ndim == 3 else (log_probs,):  # exp's buffer holds one slice
+    for rows in _slices(log_probs):  # exp's buffer holds one slice
         rows -= np.log(np.exp(rows).sum(axis=-1, keepdims=True))
-    # Stacked, the picked entries come out column-major: made row-major, each
-    # slice's mean (its sum over n) adds them in the order of the 2-D case.
-    picked = np.ascontiguousarray(log_probs[..., np.arange(len(y)), y])
-    return log_probs, -(picked.sum(axis=-1, keepdims=True)[..., None] / len(y))
+    # Picked by shared labels, the entries come out column-major: made row-major,
+    # each slice's mean (its sum over n) adds them in the order of the 2-D case.
+    picked = np.ascontiguousarray(log_probs[_picks(y)])
+    return log_probs, -(picked.sum(axis=-1, keepdims=True)[..., None] / y.shape[-1])
 
 
 def _nll_grad(log_probs, y, g):
@@ -430,19 +450,22 @@ def _nll_grad(log_probs, y, g):
     on it: (softmax - one-hot(y)) * g / n. It is written over ``log_probs``,
     which only the one backward that calls this reads."""
     probs = np.exp(log_probs, out=log_probs)
-    probs[..., np.arange(len(y)), y] -= 1.0
-    probs *= g / len(y)
+    probs[_picks(y)] -= 1.0
+    probs *= g / y.shape[-1]
     return probs
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over the batch of -log softmax(logits)[label]."""
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n, c = logits.shape[-2:]
-    if logits.values.ndim != 2 or y.shape[0] != n:
-        raise ShapeError(f"{y.shape[0]} labels for logits of shape {logits.shape}")
-    if y.size and (y.min() < 0 or y.max() >= c):
-        raise ValidationError(f"label out of range [0, {c})")
+    """Mean over the batch of -log softmax(logits)[label]. Stacked logits
+    (S, n, c) take (S, n) labels, a row per slice, and give one loss per
+    slice, (S, 1, 1)."""
+    y = np.asarray(labels, dtype=np.int64)
+    if logits.values.ndim == 2:
+        y = y.reshape(-1)
+    if y.shape != logits.shape[:-1]:
+        raise ShapeError(f"labels of shape {y.shape} for logits of shape {logits.shape}")
+    if y.size and (y.min() < 0 or y.max() >= logits.cols):
+        raise ValidationError(f"label out of range [0, {logits.cols})")
     log_probs, out_values = _log_softmax_nll(logits.values, y)
 
     def backward(g):
@@ -460,24 +483,29 @@ def info_nce(q: Tensor, k, negatives, temperature) -> Tensor:
     ``[q̂·k̂ | q̂ @ negativesᵀ]`` are divided by ``temperature``, and the
     loss is their mean cross-entropy with label 0. ``k`` (n, d) and
     ``negatives`` (Q, d), or None for none, are constant arrays. A stacked
-    ``q`` (S, n, d) takes (S, n, d) ``k`` and (S, Q, d) ``negatives`` and
-    gives one loss per slice, (S, 1, 1). Values
-    and the gradient of ``q`` equal the composition ``row_l2_normalize ->
-    mul -> row_sum``, ``matmul``, ``concat_cols``, ``affine(1/temperature)``
-    and ``softmax_cross_entropy`` bit for bit; the logits are one buffer.
+    ``q`` (S, n, d) takes (S, n, d) ``k`` and a sequence of S (Q, d)
+    ``negatives``, slice s scored against the s-th, and gives one loss per
+    slice, (S, 1, 1). Values and the gradient of ``q`` equal the
+    composition ``row_l2_normalize -> mul -> row_sum``, ``matmul``,
+    ``concat_cols``, ``affine(1/temperature)`` and ``softmax_cross_entropy``
+    bit for bit; the logits are one buffer, which each slice's negatives
+    multiply into where they are held.
     """
     k = np.asarray(k, dtype=np.float64)
-    if k.shape != q.shape or (negatives is not None and (
-            negatives.shape[:-2] != q.shape[:-2] or negatives.shape[-1] != q.cols)):
-        raise ShapeError(f"info_nce shapes disagree: q {q.shape}, k {k.shape}, "
-                         f"negatives {None if negatives is None else negatives.shape}")
+    negs = None if negatives is None else list(negatives) if q.values.ndim == 3 else [negatives]
+    if k.shape != q.shape or negs is not None and (
+            len(negs) != len(_slices(q.values))
+            or {ng.shape for ng in negs} != {(len(negs[0]), q.cols)}):
+        raise ShapeError(f"info_nce shapes disagree: q {q.shape}, k {k.shape}, negatives "
+                         f"{None if negs is None else [ng.shape for ng in negs]}")
     n = q.rows
     qn, denom, live = _row_normalize(q.values)
     kn = _row_normalize(k)[0]
-    logits = np.empty((*q.shape[:-1], 1 if negatives is None else 1 + negatives.shape[-2]))
+    logits = np.empty((*q.shape[:-1], 1 if negs is None else 1 + len(negs[0])))
     logits[..., :1] = (qn * kn).sum(axis=-1, keepdims=True)
-    if negatives is not None:
-        np.matmul(qn, negatives.mT, out=logits[..., 1:])
+    if negs is not None:
+        for qs, ng, out in zip(_slices(qn), negs, _slices(logits)):
+            np.matmul(qs, ng.T, out=out[:, 1:])
     scale = 1.0 / temperature
     logits *= scale
     logits += 0.0  # as affine's ``scale * x + 0.0``, which turns -0.0 into 0.0
@@ -489,8 +517,9 @@ def info_nce(q: Tensor, k, negatives, temperature) -> Tensor:
             gl = _nll_grad(log_probs, y, g)
             gl *= scale
             gqn = gl[..., :1] * kn
-            if negatives is not None:
-                gqn += gl[..., 1:] @ negatives
+            if negs is not None:
+                for gs, ng, gq in zip(_slices(gl), negs, _slices(gqn)):
+                    gq += gs[:, 1:] @ ng
             q._accumulate(_row_normalize_grad(gqn, q.values, denom, live), fresh=True)
 
     return _result(out_values, (q,), backward)

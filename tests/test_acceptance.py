@@ -363,9 +363,9 @@ def test_criterion_9_recovery_and_utility_non_increasing_in_lambda():
             restore_params(nodes, snap)
             trainer, _ = finetune_and_score(ds, nodes, seed, 0, lr=0.003, lambda_f=lam)
             utility = trainer.accuracy(ds.test_ids)
-            recovery = privacy.mc_attack(
-                trainer.parties[-1], ds.labeled_ids[:80], ds.test_ids, ds.label_array, 10,
-                np.random.default_rng((seed, 7)), head_hidden_dim=32, epochs=60,
+            [recovery] = privacy.mc_attack(
+                [trainer.parties[-1]], ds.labeled_ids[:80], ds.test_ids, ds.label_array, 10,
+                [np.random.default_rng((seed, 7))], head_hidden_dim=32, epochs=60,
             )
             per_lambda[lam].append((utility, recovery))
     for lam in lambdas:

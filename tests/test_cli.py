@@ -696,6 +696,33 @@ class TestFinetuneAndAttack:
             curve.add_point(float(lam), float(util), float(rec))
         assert attack["cap"] == pytest.approx(privacy.cap(curve), abs=1e-12)
 
+    def test_traced_attack_fits_every_seed_in_one_call_per_lambda(self, tmp_path, monkeypatch):
+        # perfbench times the head fits as the privacy.mc_attack span; wrapped
+        # as its tracer wraps it, the span must see one call per lambda_f,
+        # each over every seed's adversary.
+        cfg = {**TINY, "seeds": [0, 1]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        self.run_pretrain(str(path), out)
+        tracer_module = load_perfbench("tracer", monkeypatch)
+        tracer = tracer_module.Tracer()
+        owner, attr, mc_attack = tracer_module._resolve("privacy:mc_attack")
+        heads = []
+
+        def counted(adversaries, *args, **kwargs):
+            heads.append(len(adversaries))
+            return mc_attack(adversaries, *args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, tracer._span("privacy.mc_attack", counted))
+        assert cli.main(["attack", "--config", str(path), "--preset", "fedhssl-simsiam",
+                         "--out", str(out), "--checkpoint", str(out / "checkpoint.bin")]) == 0
+        assert tracer.calls["privacy.mc_attack"] == len(TINY["privacy"]["lambda_f"])
+        assert heads == [2] * len(TINY["privacy"]["lambda_f"])
+        per_seed = json.loads((out / "attack.json").read_text())["per_seed"]
+        assert [(row["lambda_f"], row["seed"]) for row in per_seed] == [
+            (lam, seed) for lam in TINY["privacy"]["lambda_f"] for seed in (0, 1)]
+
     def test_near_equal_lambdas_are_two_points(self, tmp_path):
         # The config refuses only exact repeats, so two distinct floats
         # one ulp apart each get their point on the curve.

@@ -145,13 +145,77 @@ class IdentityAdversary:
         return T.Tensor(cont)
 
 
+def per_head_attack(adversary, aux_ids, eval_ids, labels, num_classes, rng, *,
+                    head_hidden_dim, epochs):
+    """One head fitted on its own: the loop that the stacked ``mc_attack``
+    replaces, kept as the reference it must equal bit for bit. Returns the
+    recovery and the head's parameters."""
+    with T.no_grad():
+        x_aux = adversary.finetune_forward(aux_ids).values
+        x_eval = adversary.finetune_forward(eval_ids).values
+    y_aux = labels(aux_ids)
+    head = nn.MLP([x_aux.shape[1], head_hidden_dim, num_classes], rng)
+    opt = T.SgdOptimizer(head.params(), privacy.ATTACK_LR, momentum=0.9)
+    for _ in range(epochs):
+        for sel in data.batches(np.arange(len(aux_ids)), privacy.ATTACK_BATCH, rng=rng):
+            loss = T.softmax_cross_entropy(head.forward(T.Tensor(x_aux[sel])), y_aux[sel])
+            loss.backward()
+            opt.step()
+    with T.no_grad():
+        recovered = head.forward(T.Tensor(x_eval)).values.argmax(axis=1)
+    return privacy.metric_top1(recovered, labels(eval_ids)), [p.values for p in head.params()]
+
+
+class NoisyAdversary(IdentityAdversary):
+    """Raw features plus fixed noise of scale ``sigma``; NaN for a diverged fine-tune."""
+
+    def __init__(self, dataset, sigma, seed):
+        super().__init__(dataset)
+        self.sigma, self.seed = sigma, seed
+
+    def finetune_forward(self, ids):
+        cont = super().finetune_forward(ids).values
+        noise = np.random.default_rng((self.seed, len(ids))).standard_normal(cont.shape)
+        return T.Tensor(cont + self.sigma * noise)
+
+
 class TestMcAttack:
+    def test_stacked_heads_equal_per_head_fits(self, monkeypatch):
+        ds = adversary_dataset(classes=3, sep=1.0)
+        # 70 auxiliary ids: one full batch of 64 and a partial one per epoch.
+        aux_ids, eval_ids = ds.labeled_ids[:70], ds.test_ids
+        sigmas = [0.0, 2.0, np.nan, 0.5]  # the NaN slice stands for a diverged lambda_f = 25
+        adversaries = [NoisyAdversary(ds, sigma, seed) for seed, sigma in enumerate(sigmas)]
+        seeds = [(s, 7) for s in range(len(sigmas))]
+        kwargs = dict(head_hidden_dim=16, epochs=12)
+        packed = []
+
+        class Spy(T.SgdOptimizer):
+            def __init__(self, params, *args, **kw):
+                super().__init__(params, *args, **kw)
+                packed.append(self.params)
+
+        monkeypatch.setattr(T, "SgdOptimizer", Spy)
+        recoveries = privacy.mc_attack(adversaries, aux_ids, eval_ids, ds.label_array, 3,
+                                       [np.random.default_rng(s) for s in seeds], **kwargs)
+        monkeypatch.undo()
+        [stacked] = packed
+        for s, (adversary, seed) in enumerate(zip(adversaries, seeds)):
+            recovery, params = per_head_attack(adversary, aux_ids, eval_ids, ds.label_array, 3,
+                                               np.random.default_rng(seed), **kwargs)
+            assert recoveries[s] == recovery, s
+            assert len(stacked) == len(params)
+            for p, ref in zip(stacked, params):
+                assert p.values[s].tobytes() == ref.tobytes(), s
+            assert np.isnan(params[0]).all() == (s == 2)
+        assert recoveries[0] > 0.6  # the heads learned something
+
     def test_separable_oracle_recovers_labels(self):
         ds = adversary_dataset()
         adv = IdentityAdversary(ds)
-        rec = privacy.mc_attack(
-            adv, ds.labeled_ids[:80], ds.test_ids, ds.label_array, ds.num_classes,
-            np.random.default_rng(0), head_hidden_dim=32, epochs=60,
+        [rec] = privacy.mc_attack(
+            [adv], ds.labeled_ids[:80], ds.test_ids, ds.label_array, ds.num_classes,
+            [np.random.default_rng(0)], head_hidden_dim=32, epochs=60,
         )
         assert rec > 0.9
 
@@ -161,8 +225,8 @@ class TestMcAttack:
         keys = list(ds.labels)
         ds.labels = {k: int(shuffler.integers(4)) for k in keys}
         adv = IdentityAdversary(ds)
-        rec = privacy.mc_attack(
-            adv, ds.labeled_ids[:80], ds.test_ids, ds.label_array, 4, np.random.default_rng(0),
+        [rec] = privacy.mc_attack(
+            [adv], ds.labeled_ids[:80], ds.test_ids, ds.label_array, 4, [np.random.default_rng(0)],
             head_hidden_dim=32, epochs=60,
         )
         p = 0.25
@@ -179,7 +243,7 @@ class TestMcAttack:
         adv = nodes[1]
         before = {name: p.values.copy() for name, p in adv.model.named_params()}
         privacy.mc_attack(
-            adv, ds.labeled_ids[:40], ds.test_ids, ds.label_array, 2, np.random.default_rng(0),
+            [adv], ds.labeled_ids[:40], ds.test_ids, ds.label_array, 2, [np.random.default_rng(0)],
             head_hidden_dim=32, epochs=3,
         )
         for name, p in adv.model.named_params():
@@ -195,24 +259,32 @@ class TestMcAttack:
             return ds.label_array(ids)
 
         privacy.mc_attack(
-            IdentityAdversary(ds), aux_ids, eval_ids, spy, 2, np.random.default_rng(0),
+            [IdentityAdversary(ds)], aux_ids, eval_ids, spy, 2, [np.random.default_rng(0)],
             head_hidden_dim=8, epochs=1,
         )
         assert sorted(asked) == sorted([sorted(map(int, aux_ids)), sorted(map(int, eval_ids))])
+
+    def test_one_rng_per_adversary(self):
+        ds = adversary_dataset()
+        adv = IdentityAdversary(ds)
+        for adversaries, rngs in (([adv, adv], [np.random.default_rng(0)]), ([], [])):
+            with pytest.raises(ValidationError, match="one rng per adversary"):
+                privacy.mc_attack(adversaries, ds.labeled_ids[:10], ds.test_ids, ds.label_array,
+                                  2, rngs, head_hidden_dim=4, epochs=1)
 
     def test_overlapping_ids_rejected(self):
         ds = adversary_dataset()
         adv = IdentityAdversary(ds)
         with pytest.raises(ConfigError, match="disjoint"):
             privacy.mc_attack(
-                adv, ds.labeled_ids[:10], ds.labeled_ids[5:15], ds.label_array, 2,
-                np.random.default_rng(0), head_hidden_dim=32, epochs=100,
+                [adv], ds.labeled_ids[:10], ds.labeled_ids[5:15], ds.label_array, 2,
+                [np.random.default_rng(0)], head_hidden_dim=32, epochs=100,
             )
 
     def test_deterministic(self):
         ds = adversary_dataset()
         adv = IdentityAdversary(ds)
-        args = (adv, ds.labeled_ids[:40], ds.test_ids, ds.label_array, 2)
-        a = privacy.mc_attack(*args, np.random.default_rng(3), head_hidden_dim=32, epochs=10)
-        b = privacy.mc_attack(*args, np.random.default_rng(3), head_hidden_dim=32, epochs=10)
+        args = ([adv], ds.labeled_ids[:40], ds.test_ids, ds.label_array, 2)
+        a = privacy.mc_attack(*args, [np.random.default_rng(3)], head_hidden_dim=32, epochs=10)
+        b = privacy.mc_attack(*args, [np.random.default_rng(3)], head_hidden_dim=32, epochs=10)
         assert a == b

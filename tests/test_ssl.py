@@ -225,6 +225,21 @@ class TestDispatch:
         z = rng.normal(size=(3, 4))
         assert ssl.ssl_loss("simsiam", p, z).item() == T.neg_cosine(p, z).item()
 
+    def test_stacked_moco_reads_each_queue_where_it_is_held(self, rng, monkeypatch):
+        queues = [ssl.NegativeQueue(8) for _ in range(2)]
+        for queue in queues:
+            queue.enqueue(rng.normal(size=(5, 4)))
+        p, z = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
+        info_nce, passed = T.info_nce, []
+        monkeypatch.setattr(T, "info_nce", lambda q, k, negatives, temperature: (
+            passed.append(negatives) or info_nce(q, k, negatives, temperature)))
+        loss = ssl.ssl_loss("moco", T.Tensor(p), z, queue=queues)
+        [negatives] = passed
+        assert all(held is queue.rows for held, queue in zip(negatives, queues, strict=True))
+        for s, queue in enumerate(queues):
+            alone = ssl.ssl_loss("moco", T.Tensor(p[s]), z[s], queue=queue)
+            assert loss.values[s].tobytes() == alone.values.tobytes()
+
     @pytest.mark.parametrize("kind", ["simsiam", "byol", "moco"])
     def test_tensor_target_refused(self, kind, rng):
         # A target is a constant array: a Tensor, which could carry a graph, is refused.

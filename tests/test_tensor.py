@@ -126,12 +126,17 @@ def op_cases(rng):
 
 
 def stacked_op_cases(rng):
-    """One call, by name, of every op that step 2 runs on a stacked (S, n, m) value."""
+    """One call, by name, of every op that step 2 or the attack runs on a
+    stacked (S, n, m) value."""
     x = T.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
     w = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     bias = T.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
+    ws = T.Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
+    biases = T.Tensor(rng.normal(size=(2, 1, 2)), requires_grad=True)
     return {
         "dense": lambda: T.dense(x, w, bias, True),
+        "dense, per-slice parameters": lambda: T.dense(x, ws, biases, True),
+        "softmax_cross_entropy": lambda: T.softmax_cross_entropy(x, [[0, 1, 2, 0], [2, 2, 1, 0]]),
         "affine": lambda: T.affine(x, 2, 1),
         "embed_concat": lambda: T.embed_concat(x.values, [w], [[[0], [2], [2], [1]]] * 2, [2]),
         "info_nce": lambda: T.info_nce(x, x.values[::-1], rng.normal(size=(2, 5, 3)), 0.5),
@@ -185,6 +190,11 @@ class TestNoGrad:
 
 
 class TestGraphRelease:
+    """``backward()`` releases each op node it runs: the node drops its
+    closure and parents, so a second pass raises, and its gradient, which
+    only its own closure reads. Leaves keep their gradients, and the node
+    the pass starts from keeps its seed."""
+
     def graph(self, rng):
         """A dense layer into MoCo's InfoNCE against 5 negatives; every op
         node of it, root last, and the leaves."""
@@ -204,6 +214,16 @@ class TestGraphRelease:
             assert node._parents == () and not callable(node._backward)
         assert all(leaf.grad is not None for leaf in leaves)
         assert np.isfinite(nodes[-1].item())  # values stay readable
+
+    def test_intermediate_grads_dropped_leaf_and_root_grads_kept(self, rng):
+        nodes, leaves = self.graph(rng)
+        h, z, loss = nodes
+        seed = np.array([[0.75]])
+        loss.backward(grad=seed)
+        assert h.grad is None and z.grad is None
+        assert loss.grad.tobytes() == seed.tobytes()
+        for leaf in leaves:
+            assert leaf.grad.shape == leaf.shape and np.isfinite(leaf.grad).all()
 
     def test_logits_buffer_dies_with_the_backward_not_the_loss(self, rng):
         nodes, _ = self.graph(rng)
@@ -404,9 +424,10 @@ def upstream(make, shape):
 
 
 class TestStacked:
-    """A stacked (S, n, m) call of each op step 2 runs gives, per slice, the
-    values and input gradient of a 2-D call on that slice, and leaves in a
-    shared operand the gradient that S 2-D calls accumulate in slice order,
+    """A stacked (S, n, m) call of each op step 2 or the attack runs gives,
+    per slice, the values and input gradient of a 2-D call on that slice,
+    leaves in a shared operand the gradient that S 2-D calls accumulate in
+    slice order, and in a per-slice parameter each slice's own gradient,
     all bit for bit."""
 
     @pytest.mark.parametrize("relu", [False, True])
@@ -429,6 +450,71 @@ class TestStacked:
                 assert bits(x.grad[s]) == bits(xs_s.grad)
             assert bits(weight.grad) == bits(ref_w.grad)
             assert bits(bias.grad) == bits(ref_b.grad)
+
+        stacked_property(test)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_dense_with_per_slice_parameters(self, relu):
+        def test(make, slices, n):
+            k, m = make.integers(1, 9, size=2)
+            xs, w, b = make.standard_normal((slices, n, k)), make.standard_normal((slices, k, m)), \
+                make.standard_normal((slices, 1, m))
+            g = upstream(make, (slices, n, m))
+            x = T.Tensor(xs, requires_grad=True)
+            weight, bias = T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)
+            out = T.dense(x, weight, bias, relu)
+            out.backward(grad=g)
+            for s in range(slices):
+                xs_s = T.Tensor(xs[s], requires_grad=True)
+                w_s, b_s = T.Tensor(w[s], requires_grad=True), T.Tensor(b[s], requires_grad=True)
+                out_s = T.dense(xs_s, w_s, b_s, relu)
+                out_s.backward(grad=g[s])
+                assert bits(out.values[s]) == bits(out_s.values)
+                assert bits(x.grad[s]) == bits(xs_s.grad)
+                assert bits(weight.grad[s]) == bits(w_s.grad)
+                assert bits(bias.grad[s]) == bits(b_s.grad)
+
+        stacked_property(test)
+
+    def test_softmax_cross_entropy_with_per_slice_labels(self):
+        def test(make, slices, n):
+            c = make.integers(1, 9)
+            zs = make.standard_normal((slices, n, c)) * 10.0
+            y = make.integers(0, c, size=(slices, n))
+            g = make.standard_normal((slices, 1, 1))
+            logits = T.Tensor(zs, requires_grad=True)
+            out = T.softmax_cross_entropy(logits, y)
+            out.backward(grad=g)
+            assert out.shape == (slices, 1, 1)
+            for s in range(slices):
+                z_s = T.Tensor(zs[s], requires_grad=True)
+                out_s = T.softmax_cross_entropy(z_s, y[s])
+                out_s.backward(grad=g[s])
+                assert bits(out.values[s]) == bits(out_s.values)
+                assert bits(logits.grad[s]) == bits(z_s.grad)
+
+        stacked_property(test)
+
+    def test_sgd_over_stacked_parameters_equals_per_slice_optimizers(self):
+        def test(make, slices, n):
+            shapes = [(slices, *make.integers(1, 9, size=2)) for _ in range(make.integers(1, 4))]
+            init = [make.standard_normal(shape) for shape in shapes]
+            stacked = [T.Tensor(a.copy(), requires_grad=True) for a in init]
+            per_slice = [[T.Tensor(a[s].copy(), requires_grad=True) for a in init]
+                         for s in range(slices)]
+            lr, momentum = make.uniform(1e-4, 1.0), make.uniform(0.0, 0.99)
+            opts = [T.SgdOptimizer(stacked, lr, momentum)]
+            opts += [T.SgdOptimizer(params, lr, momentum) for params in per_slice]
+            for _ in range(1 + n % 4):
+                for i, p in enumerate(stacked):
+                    p.grad = make.standard_normal(p.shape)
+                    for s in range(slices):
+                        per_slice[s][i].grad = p.grad[s].copy()
+                for opt in opts:
+                    opt.step()
+                for i, p in enumerate(stacked):
+                    for s in range(slices):
+                        assert bits(p.values[s]) == bits(per_slice[s][i].values)
 
         stacked_property(test)
 
@@ -519,6 +605,22 @@ class TestStacked:
         lambda: T.softmax_cross_entropy(T.Tensor(np.zeros((2, 3, 4))), [0, 1, 2]),
         lambda: T.dense(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((2, 4, 5))),
                         T.Tensor(np.zeros((1, 5))), False),
+        # Per-slice parameters: a slice-count mismatch, and a 2-D x.
+        lambda: T.dense(T.Tensor(np.zeros((3, 3, 4))), T.Tensor(np.zeros((2, 4, 5))),
+                        T.Tensor(np.zeros((2, 1, 5))), False),
+        lambda: T.dense(T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros((2, 4, 5))),
+                        T.Tensor(np.zeros((2, 1, 5))), False),
+        lambda: T.dense(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((2, 4, 5))),
+                        T.Tensor(np.zeros((3, 1, 5))), False),
+        # One negatives matrix per slice, all of one shape.
+        lambda: T.info_nce(T.Tensor(np.ones((2, 3, 4))), np.ones((2, 3, 4)),
+                           [np.ones((5, 4))] * 3, 0.5),
+        lambda: T.info_nce(T.Tensor(np.ones((2, 3, 4))), np.ones((2, 3, 4)),
+                           [np.ones((5, 4)), np.ones((6, 4))], 0.5),
+        # Stacked logits take one row of labels per slice.
+        lambda: T.softmax_cross_entropy(T.Tensor(np.zeros((2, 3, 4))), np.zeros((3, 3))),
+        lambda: T.softmax_cross_entropy(T.Tensor(np.zeros((2, 3, 4))), np.zeros((2, 3, 1))),
+        lambda: T.softmax_cross_entropy(T.Tensor(np.zeros((2, 3, 4))), np.zeros(6)),
         lambda: T.slice_sum(T.Tensor(np.zeros((3, 4)))),
     ])
     def test_refused_shapes(self, call):
