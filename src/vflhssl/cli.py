@@ -1,10 +1,10 @@
 """Config-driven experiment runner.
 
 Subcommands: gen-data, pretrain, finetune, attack, report. A single
-JSON config document drives every command; ``--preset`` expands a named
-method configuration, ``--sweep k=v1,v2`` fans a command out over
-parameter values, and outputs are written atomically so interrupted
-runs never leave half-written artifacts.
+JSON config document drives every command, and ``--preset`` expands a
+named method configuration; a run at another parameter value is a run of
+another config file. Outputs are written atomically so interrupted runs
+never leave half-written artifacts.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 runtime error.
 """
@@ -40,8 +40,6 @@ CLI_PRESETS = {
     "fedgssl": ("FedGSSL", "simsiam", "concat"),
     "fedsplitnn": (None, "simsiam", "local"),
 }
-
-SWEEP_KEYS = {"gamma": ("pipeline", "gamma"), "aligned": ("pipeline", "aligned_fraction")}
 
 # nn.ModelConfig fields that the dataset sets rather than the model section
 DATASET_FIELDS = ("input_dim", "num_classes", "num_parties", "cat_cardinalities")
@@ -395,6 +393,9 @@ def auxiliary_ids(priv, dataset):
 def cmd_attack(config, out_dir, checkpoint_path):
     priv = config["privacy"]
     dataset = build_scored_dataset(config)
+    if dataset.num_parties < 2:
+        raise ConfigError("attack needs two or more parties: the last one is the adversary "
+                          "and must not own the labels")
     checkpoint = _load_checkpoint(config, checkpoint_path)
     labeled_count = config["finetune"]["labeled_counts"][0]
     aux_ids = auxiliary_ids(priv, dataset)
@@ -470,23 +471,6 @@ def cmd_report(out_dir):
 
 # -- argument plumbing ----------------------------------------------------
 
-def parse_sweep(text):
-    if "=" not in text:
-        raise ConfigError("sweep must look like key=v1,v2,...")
-    key, _, values = text.partition("=")
-    if key not in SWEEP_KEYS:
-        raise ConfigError(f"unknown sweep key {key!r}; choose from {sorted(SWEEP_KEYS)}")
-    try:
-        parsed = [float(v) for v in values.split(",") if v != ""]
-    except ValueError as exc:
-        raise ConfigError(f"non-numeric sweep value in {values!r}") from exc
-    if not parsed:
-        raise ConfigError("sweep needs at least one value")
-    if not all(map(math.isfinite, parsed)):
-        raise ConfigError(f"sweep values must be finite, got {values!r}")
-    return key, parsed
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="vflhssl",
@@ -500,7 +484,6 @@ def build_parser():
         p.add_argument("--preset", default=None, choices=sorted(CLI_PRESETS))
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--sweep", default=None, help="key=v1,v2,... parameter sweep")
         if name in ("finetune", "attack"):
             p.add_argument("--checkpoint", default=None,
                            help="checkpoint from a pretrain run")
@@ -509,14 +492,6 @@ def build_parser():
 
 COMMANDS = {"gen-data": cmd_gen_data, "pretrain": cmd_pretrain,
             "finetune": cmd_finetune, "attack": cmd_attack}
-
-
-@np.errstate(all="ignore")  # pretrain refuses a diverged model, and _select_lr reports one
-def _run_one(args, config, out_dir):
-    if args.command == "report":
-        return cmd_report(out_dir)
-    checkpoint = (args.checkpoint,) if args.command in ("finetune", "attack") else ()
-    return COMMANDS[args.command](config, out_dir, *checkpoint)
 
 
 def main(argv=None):
@@ -528,23 +503,11 @@ def main(argv=None):
                 raise ConfigError(f"--seed must be non-negative, got {args.seed}")
             config["seeds"] = [args.seed]
         out_dir = args.out or config["output_dir"]
-        if args.sweep:
-            key, values = parse_sweep(args.sweep)
-            section, field = SWEEP_KEYS[key]
-            sub_dirs = [Path(out_dir) / f"sweep_{key}_{value:g}" for value in values]
-            if len(set(sub_dirs)) != len(sub_dirs):
-                raise ConfigError(f"--sweep values {values} name one output directory twice "
-                                  f"(sweep_{key}_<value:g>)")
-            for value in values:  # every swept pipeline is checked before any runs
-                hssl.PipelineConfig(**{**config[section], field: value})
-            code = 0
-            for value, sub_dir in zip(values, sub_dirs):
-                swept = copy.deepcopy(config)
-                swept[section][field] = value
-                print(f"[sweep {key}={value:g}]")
-                code = max(code, _run_one(args, swept, sub_dir))
-            return code
-        return _run_one(args, config, out_dir)
+        with np.errstate(all="ignore"):  # pretrain refuses a diverged model, _select_lr reports one
+            if args.command == "report":
+                return cmd_report(out_dir)
+            checkpoint = (args.checkpoint,) if args.command in ("finetune", "attack") else ()
+            return COMMANDS[args.command](config, out_dir, *checkpoint)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

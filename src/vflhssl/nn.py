@@ -319,7 +319,6 @@ class EncoderStack:
 
 @dataclass
 class Checkpoint:
-    version: int
     config_fingerprint: str
     seeds: list
     party_params: list  # list of {name: ndarray} dicts, one per party
@@ -416,9 +415,4 @@ def load_checkpoint(path, expect_fingerprint=None) -> Checkpoint:
         party_params.append(blob)
     if offset != len(raw):
         raise FormatError("trailing bytes in checkpoint")
-    return Checkpoint(
-        version=version,
-        config_fingerprint=header["config_fingerprint"],
-        seeds=header["seeds"],
-        party_params=party_params,
-    )
+    return Checkpoint(header["config_fingerprint"], header["seeds"], party_params)

@@ -1,6 +1,8 @@
 import csv
 import importlib.util
 import json
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -139,20 +141,23 @@ class TestConfig:
             shapes = cli.CSV_SHAPES if section == "data.csv" else cli.DEFAULT_CONFIG[section]
             assert key in shapes, name
 
-    def test_parse_sweep(self):
-        assert cli.parse_sweep("gamma=0,0.5,1.0") == ("gamma", [0.0, 0.5, 1.0])
-        assert cli.parse_sweep("aligned=0.2,0.4") == ("aligned", [0.2, 0.4])
-        with pytest.raises(ConfigError):
-            cli.parse_sweep("gamma")
-        with pytest.raises(ConfigError):
-            cli.parse_sweep("epochs=3")
-        with pytest.raises(ConfigError):
-            cli.parse_sweep("gamma=a,b")
 
-    @pytest.mark.parametrize("values", ["inf", "nan", "0.5,-inf", "NaN,0.5"])
-    def test_parse_sweep_rejects_non_finite(self, values):
-        with pytest.raises(ConfigError, match="finite"):
-            cli.parse_sweep(f"gamma={values}")
+def test_readme_cli_commands_parse():
+    # A flag removed or renamed in cli must leave the README's examples too.
+    # The commands are only parsed, never run.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    lines = "".join(re.findall(r"```bash\n(.*?)```", section, re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line) for line in lines.splitlines()
+                if line.lstrip().startswith("vflhssl ")]
+    assert {argv[1] for argv in commands} == {"gen-data", "pretrain", "finetune", "attack",
+                                              "report"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
 
 def _report_text(mean, std, seeds, extra_run=None, repeat_summary=False):
@@ -222,6 +227,8 @@ class TestExitCodes:
         ("gen-data", "data", {"synthetic": {"feature_dims": [0, 16]}}),
         ("pretrain", "data", {"synthetic": {"feature_dims": [0, 16]}}),
         ("pretrain", "data", {"csv": {"paths": ["p1.csv", "p2.csv"], "labeled_count": 0}}),
+        ("finetune", "pipeline", {"aligned_fraction": 0}),
+        ("pretrain", "pipeline", {"gamma": float("nan")}),
     ], ids=["csv-unknown-key", "csv-no-paths", "negative-lambda-p", "negative-lambda-f",
             "encoder-source", "csv-not-object", "string-lambda-p", "scalar-lambda-f",
             "star-preset", "null-preset-with-pretrain", "method-without-pretrain",
@@ -235,7 +242,8 @@ class TestExitCodes:
             "repeated-lr-candidate", "synthetic-and-csv", "csv-string-cat-cols",
             "csv-scalar-level-list", "more-cardinalities-than-columns", "string-cardinality",
             "float-cardinality", "zero-cardinality", "bool-cardinality",
-            "zero-feature-dim-gen-data", "zero-feature-dim-pretrain", "csv-labeled-count-zero"])
+            "zero-feature-dim-gen-data", "zero-feature-dim-pretrain", "csv-labeled-count-zero",
+            "zero-aligned-fraction", "nan-gamma"])
     def test_malformed_section_is_2(self, tmp_path, capsys, command, section, value):
         cfg = json.loads(json.dumps(TINY))
         merge = isinstance(value, dict) and section != "data"
@@ -275,6 +283,23 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith(message) and "Traceback" not in err
         assert not out.exists()
+
+    def test_one_party_attack_is_2_before_any_training(self, tmp_path, capsys, monkeypatch):
+        # With one party, the adversary parties[-1] would be the label owner.
+        def train_step(self, ids):
+            raise AssertionError("a fine-tune trained before the one-party attack failed")
+
+        monkeypatch.setattr(vfl.SplitTrainer, "train_step", train_step)
+        synthetic = {**TINY["data"]["synthetic"], "parties": 1, "feature_dims": [8],
+                     "unaligned": [40], "noise_scales": [1.0], "cat_cardinalities": [[]]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "data": {"synthetic": synthetic}}))
+        out = tmp_path / "o"
+        assert cli.main(["attack", "--preset", "fedsplitnn", "--config", str(path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: attack needs two or more parties")
+        assert "Traceback" not in err and not out.exists()
 
     def test_negative_cli_seed_is_2(self, tmp_path, capsys):
         assert cli.main(["pretrain", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
@@ -860,72 +885,36 @@ def test_select_lr_candidates_share_batches_and_validation(cfg_path, monkeypatch
     assert len(train_ids) == 32 - len(val_ids) and not train_ids & set(val_ids)
     assert train_ids | set(val_ids) <= set(dataset.labeled_ids.tolist())
 
-class TestSweep:
-    def test_gamma_sweep_creates_subdirs(self, cfg_path, tmp_path):
-        out = tmp_path / "out"
-        code = cli.main([
-            "pretrain", "--config", cfg_path, "--preset", "fedhssl-simsiam",
-            "--out", str(out), "--sweep", "gamma=0.25,0.75",
-        ])
-        assert code == 0
-        assert (out / "sweep_gamma_0.25" / "checkpoint.bin").exists()
-        assert (out / "sweep_gamma_0.75" / "trace.json").exists()
 
-    def test_gamma_sweep_changes_local_tower(self, cfg_path, tmp_path):
+def _pretrain_at_gamma(tmp_path, gamma, *args):
+    """Every party's parameters after one pretrain of a config file that
+    sets pipeline.gamma; a comparison over gamma is one file per value."""
+    path = tmp_path / f"gamma_{gamma}.json"
+    path.write_text(json.dumps({**TINY, "pipeline": {**TINY["pipeline"], "gamma": gamma}}))
+    out = tmp_path / f"gamma_{gamma}"
+    assert cli.main(["pretrain", "--config", str(path), "--out", str(out), *args]) == 0
+    return nn.load_checkpoint(str(out / "checkpoint.bin")).party_params
+
+
+class TestSweep:
+    def test_gamma_sweep_changes_local_tower(self, tmp_path):
         # A preset picks the steps; pipeline.gamma is the guidance weight.
-        out = tmp_path / "out"
-        code = cli.main([
-            "pretrain", "--config", cfg_path, "--out", str(out), "--sweep", "gamma=0,0.5,2",
-        ])
-        assert code == 0
-        params = {
-            g: nn.load_checkpoint(str(out / f"sweep_gamma_{g}" / "checkpoint.bin")).party_params[0]
-            for g in ("0", "0.5", "2")
-        }
+        params = {g: _pretrain_at_gamma(tmp_path, g)[0] for g in (0, 0.5, 2)}
         local = {
-            name for name in params["0.5"]
+            name for name in params[0.5]
             if name.startswith(("f_lb.", "f_lt.", "projector_l.", "h_l."))
         }
-        for g in ("0", "2"):
+        for g in (0, 2):
             changed = {
                 name for name, values in params[g].items()
-                if not np.array_equal(values, params["0.5"][name])
+                if not np.array_equal(values, params[0.5][name])
             }
             assert changed == local  # the cross tower and top model never see gamma
 
-    def test_gamma_sweep_default_value_reproduces_checkpoint(self, cfg_path, tmp_path):
-        assert cli.main(["pretrain", "--config", cfg_path, "--out", str(tmp_path / "plain")]) == 0
-        assert cli.main([
-            "pretrain", "--config", cfg_path, "--out", str(tmp_path / "swept"),
-            "--sweep", "gamma=0.5",
-        ]) == 0
-        plain = (tmp_path / "plain" / "checkpoint.bin").read_bytes()
-        assert (tmp_path / "swept" / "sweep_gamma_0.5" / "checkpoint.bin").read_bytes() == plain
-
-    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
-    def test_bad_swept_value_is_2_before_any_run(self, cfg_path, tmp_path, capsys, command):
-        out = tmp_path / "out"
-        assert cli.main([command, "--config", cfg_path, "--out", str(out),
-                         "--sweep", "aligned=0.5,0"]) == 2
-        assert "aligned_fraction" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("sweep", ["gamma=0.5,0.5", "gamma=0.1,0.1000001"])
-    def test_colliding_swept_values_are_2_before_any_run(self, cfg_path, tmp_path, capsys,
-                                                         sweep):
-        out = tmp_path / "out"
-        assert cli.main(["pretrain", "--config", cfg_path, "--out", str(out),
-                         "--sweep", sweep]) == 2
-        assert "name one output directory twice" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("sweep", ["gamma=inf", "gamma=0.5,nan", "aligned=nan"])
-    def test_non_finite_swept_value_is_2(self, cfg_path, tmp_path, capsys, sweep):
-        out = tmp_path / "out"
-        assert cli.main(["pretrain", "--config", cfg_path, "--out", str(out),
-                         "--sweep", sweep]) == 2
-        assert "finite" in capsys.readouterr().err
-        assert not out.exists()
+    def test_sweep_flag_is_gone(self, cfg_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pretrain", "--config", cfg_path, "--sweep", "gamma=0.5"])
+        assert exc.value.code == 2 and "--sweep" in capsys.readouterr().err
 
     def test_pipeline_gamma_overrides_preset(self, tmp_path):
         # A preset picks the method, variant and fine-tune encoders; the
@@ -936,14 +925,9 @@ class TestSweep:
             config = cli.load_config(str(path), preset=preset)
             assert hssl.PipelineConfig(**config["pipeline"]).gamma == 0.25
 
-    def test_local_method_ignores_gamma(self, cfg_path, tmp_path):
-        out = tmp_path / "out"
-        assert cli.main(["pretrain", "--config", cfg_path, "--preset", "fedlocal-simsiam",
-                         "--out", str(out), "--sweep", "gamma=0,2"]) == 0
-        zero, two = (
-            nn.load_checkpoint(str(out / f"sweep_gamma_{g}" / "checkpoint.bin")).party_params
-            for g in ("0", "2")
-        )
+    def test_local_method_ignores_gamma(self, tmp_path):
+        zero, two = (_pretrain_at_gamma(tmp_path, g, "--preset", "fedlocal-simsiam")
+                     for g in (0, 2))
         for a, b in zip(zero, two, strict=True):
             assert a.keys() == b.keys()
             for name in a:

@@ -149,7 +149,7 @@ def test_writers_write_through_packed_views():
             np.testing.assert_array_equal(p.values, expected[name], err_msg=name)
 
     blob = {name: p.values + 1.0 for name, p in node.model.named_params()}
-    nn.Checkpoint(1, "fp", [0], [blob]).restore_into([node.model])
+    nn.Checkpoint("fp", [0], [blob]).restore_into([node.model])
     assert_written_through(blob)
 
     hssl._unflatten_pma(node.model, 2.0 * hssl._flatten_pma(node.model))
