@@ -916,6 +916,29 @@ class TestSweep:
             cli.main(["pretrain", "--config", cfg_path, "--sweep", "gamma=0.5"])
         assert exc.value.code == 2 and "--sweep" in capsys.readouterr().err
 
+    def test_default_gamma_in_config_reproduces_checkpoint(self, cfg_path, tmp_path):
+        # TINY leaves gamma out; a file that names its default writes the same bytes.
+        assert "gamma" not in TINY["pipeline"]
+        assert cli.main(["pretrain", "--config", cfg_path, "--out", str(tmp_path / "plain")]) == 0
+        _pretrain_at_gamma(tmp_path, hssl.PipelineConfig.gamma)
+        plain = (tmp_path / "plain" / "checkpoint.bin").read_bytes()
+        assert (tmp_path / "gamma_0.5" / "checkpoint.bin").read_bytes() == plain
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    @pytest.mark.parametrize("key, value", [
+        ("aligned_fraction", 0), ("aligned_fraction", float("nan")),
+        ("gamma", float("-inf")), ("gamma", float("nan")),
+    ], ids=["aligned-zero", "aligned-nan", "gamma-minus-inf", "gamma-nan"])
+    def test_bad_pipeline_value_is_2_before_any_run(self, tmp_path, capsys, command, key,
+                                                    value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "pipeline": {**TINY["pipeline"], key: value}}))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"pipeline.{key}" in err
+        assert not out.exists()
+
     def test_pipeline_gamma_overrides_preset(self, tmp_path):
         # A preset picks the method, variant and fine-tune encoders; the
         # config's gamma holds under every preset.
