@@ -305,17 +305,21 @@ def _select_lr(config, dataset, seed, labeled_count, checkpoint, lambda_f=0.0):
     (trainer, val_acc, lr) of the best by validation accuracy. The
     candidates differ in their lr alone: one labeled subset less a 20%
     validation cut, one batch order and one stream of ISO noise (lambda_f)
-    serve them all. A diverged candidate (non-finite validation logits)
-    ranks last: its argmax predicts class 0, and that share is no score."""
+    serve them all. Each party's rows of the training ids and party 1's
+    labels of them are gathered once into a ``vfl.FinetunePool``, and every
+    step of every candidate slices its batch from it by position. A
+    diverged candidate (non-finite validation logits) ranks last: its
+    argmax predicts class 0, and that share is no score."""
     ft = config["finetune"]
-    pool = dataset.labeled_ids
-    chosen = pool[data.stream(seed, "labeled_subset").permutation(len(pool))][:labeled_count]
+    labeled = dataset.labeled_ids
+    chosen = labeled[data.stream(seed, "labeled_subset").permutation(len(labeled))][:labeled_count]
     n_val = max(1, int(round(0.2 * len(chosen))))
     val_ids, train_ids = chosen[:n_val], chosen[n_val:]
     val_labels = dataset.label_array(val_ids)
+    pool = vfl.FinetunePool(dataset.parties, dataset.label_array, train_ids)
     shuffle = data.stream(seed, "finetune_shuffle")
-    schedule = [batch for _ in range(ft["epochs"])
-                for batch in data.batches(train_ids, ft["batch_size"], rng=shuffle)]
+    schedule = [pool[pos] for _ in range(ft["epochs"])
+                for pos in data.batches(np.arange(len(train_ids)), ft["batch_size"], rng=shuffle)]
     best, best_rank = None, None
     for lr in ft["lr_candidates"]:
         trainer = vfl.SplitTrainer(_restore_parties(config, dataset, seed, checkpoint),

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import stream
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, ValidationError
 from .nn import EncoderStack
 from .privacy import iso_perturb, metric_top1
 from .ssl import QUEUE_CAPACITY, NegativeQueue
@@ -141,6 +141,22 @@ def make_parties(dataset, cfg, variant, seed):
     return parties
 
 
+class FinetunePool:
+    """A fine-tune's training ids, each party's rows of them gathered once
+    from its own block (``blocks`` in party order), and their labels from
+    party 1's lookup. A batch is ``pool[pos]``, the (pool, positions) pair
+    of the ids at positions ``pos``."""
+
+    def __init__(self, blocks, labels, ids):
+        self.ids = np.asarray(ids)
+        self.blocks = tuple(blocks)
+        self.rows = [block.rows(self.ids) for block in self.blocks]
+        self.labels = labels(self.ids)
+
+    def __getitem__(self, pos):
+        return self, pos
+
+
 class SplitTrainer:
     """Drives FedSplitNN supervised training/fine-tuning over parties.
 
@@ -166,13 +182,18 @@ class SplitTrainer:
         self.optimizers = [T.SgdOptimizer(p.model.params_finetune(), learning_rate)
                            for p in self.parties]
 
-    def train_step(self, ids):
-        """One synchronized forward/backward/update over a labeled batch."""
+    def train_step(self, batch):
+        """One synchronized forward/backward/update over ``batch``, whose
+        rows and labels each party slices from a FinetunePool by position."""
+        pool, pos = batch
+        if [id(b) for b in pool.blocks] != [id(p.block) for p in self.parties]:
+            raise ValidationError("the batch's pool was gathered from other blocks "
+                                  "than these parties hold")
         active = self.parties[0]
-        labels = active.labels(ids)
         rnd = self.network.next_round()
 
-        reps = [p.finetune_forward(ids) for p in self.parties]
+        reps = [p.model.finetune_repr(cont[pos], cats[pos])
+                for p, (cont, cats) in zip(self.parties, pool.rows)]
         received = [
             T.Tensor(self.network.send(p.party_id, 1, MSG_REPR, rnd, z.values), requires_grad=True)
             for p, z in zip(self.parties[1:], reps[1:])
@@ -180,7 +201,7 @@ class SplitTrainer:
 
         joined = T.concat_cols([reps[0]] + received)
         logits = active.model.top_model.forward(joined)
-        loss = T.softmax_cross_entropy(logits, labels)
+        loss = T.softmax_cross_entropy(logits, pool.labels[pos])
         loss.backward()
 
         for p, r, z in zip(self.parties[1:], received, reps[1:]):

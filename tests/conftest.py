@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vflhssl import tensor as T
+from vflhssl import tensor as T, vfl
 
 
 # A config small enough for a CLI test to run pretrain, finetune and attack.
@@ -17,6 +17,13 @@ TINY = {
                 "attack_epochs": 5},
     "seeds": [0],
 }
+
+
+def whole_batch(trainer, ids):
+    """``ids`` in order as one batch of a FinetunePool gathered from the
+    trainer's own parties: what ``train_step`` reads."""
+    blocks = [p.block for p in trainer.parties]
+    return vfl.FinetunePool(blocks, trainer.parties[0].labels, ids)[np.arange(len(ids))]
 
 
 def finite_diff_grad(fn, x, h=1e-5):

@@ -16,7 +16,7 @@ import pytest
 
 from vflhssl import cli, data, hssl, nn, privacy, ssl, tensor as T, vfl
 
-from conftest import finite_diff_grad, rel_err
+from conftest import finite_diff_grad, rel_err, whole_batch
 
 
 # -- shared benchmark setup ------------------------------------------------
@@ -64,10 +64,11 @@ def finetune_and_score(ds, nodes, seed, restart, epochs=10, lr=0.01, lambda_f=0.
         lambda_f=lambda_f, noise_rng=np.random.default_rng((seed, 5)),
     )
     rng = np.random.default_rng((seed, 100, restart))
+    pool = vfl.FinetunePool(ds.parties, ds.label_array, ds.labeled_ids)
     tail = []
     for epoch in range(epochs):
-        for batch in data.batches(ds.labeled_ids, 64, rng=rng):
-            trainer.train_step(batch)
+        for pos in data.batches(np.arange(len(ds.labeled_ids)), 64, rng=rng):
+            trainer.train_step(pool[pos])
         if epoch >= epochs - 3:
             tail.append(trainer.accuracy(ds.test_ids))
     return trainer, float(np.mean(tail))
@@ -165,7 +166,7 @@ def test_criterion_2_split_training_matches_monolithic_oracle():
     rng = np.random.default_rng(0)
     for _ in range(20):
         ids = rng.choice(ds.labeled_ids, size=32, replace=False)
-        loss_split = trainer.train_step(ids)
+        loss_split = trainer.train_step(whole_batch(trainer, ids))
 
         labels = ds.label_array(ids)
         reps = [p.finetune_forward(ids) for p in mono_nodes]

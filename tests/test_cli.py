@@ -1,9 +1,11 @@
 import csv
 import importlib.util
 import json
+import math
 import re
 import shlex
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -866,14 +868,19 @@ def test_select_lr_candidates_share_batches_and_validation(cfg_path, monkeypatch
     dataset = cli.build_dataset(config)
     seen = {}  # trainer -> {"train": [batch ids...], "val": [scored ids...]}
 
-    def spy(method, key):
-        def wrapped(self, ids):
-            seen.setdefault(self, {"train": [], "val": []})[key].append(np.asarray(ids).tolist())
-            return method(self, ids)
+    def spy(method, key, read_ids):
+        def wrapped(self, arg):
+            seen.setdefault(self, {"train": [], "val": []})[key].append(read_ids(arg).tolist())
+            return method(self, arg)
         return wrapped
 
-    monkeypatch.setattr(vfl.SplitTrainer, "train_step", spy(vfl.SplitTrainer.train_step, "train"))
-    monkeypatch.setattr(vfl.SplitTrainer, "logits", spy(vfl.SplitTrainer.logits, "val"))
+    def batch_ids(batch):
+        pool, pos = batch
+        return pool.ids[pos]
+
+    monkeypatch.setattr(vfl.SplitTrainer, "train_step",
+                        spy(vfl.SplitTrainer.train_step, "train", batch_ids))
+    monkeypatch.setattr(vfl.SplitTrainer, "logits", spy(vfl.SplitTrainer.logits, "val", np.asarray))
     cli._select_lr(config, dataset, 0, 32, None)
     assert len(seen) == 3
     first = next(iter(seen.values()))
@@ -884,6 +891,72 @@ def test_select_lr_candidates_share_batches_and_validation(cfg_path, monkeypatch
     assert len(val_ids) == len(set(val_ids)) == max(1, round(0.2 * 32))
     assert len(train_ids) == 32 - len(val_ids) and not train_ids & set(val_ids)
     assert train_ids | set(val_ids) <= set(dataset.labeled_ids.tolist())
+
+
+def test_select_lr_gathers_training_rows_and_labels_once(cfg_path, monkeypatch):
+    # The training ids' rows and labels are gathered once per _select_lr.
+    # Validation scoring (SplitTrainer.logits) looks its ids up per
+    # candidate, so calls made inside it are not counted.
+    config = cli.load_config(cfg_path)
+    dataset = cli.build_dataset(config)
+    counts, scoring = Counter(), []
+
+    def counted(method):
+        def wrapped(self, ids):
+            counts[method.__name__] += not scoring
+            return method(self, ids)
+        return wrapped
+
+    def logits(self, ids):
+        scoring.append(ids)
+        try:
+            return vfl_logits(self, ids)
+        finally:
+            scoring.pop()
+
+    vfl_logits = vfl.SplitTrainer.logits
+    monkeypatch.setattr(data.PartyBlock, "rows", counted(data.PartyBlock.rows))
+    monkeypatch.setattr(data.VerticalDataset, "label_array",
+                        counted(data.VerticalDataset.label_array))
+    monkeypatch.setattr(vfl.SplitTrainer, "logits", logits)
+
+    def select(epochs, lr_candidates):
+        config["finetune"].update(epochs=epochs, lr_candidates=lr_candidates, batch_size=8)
+        counts.clear()
+        cli._select_lr(config, dataset, 0, 32, None, lambda_f=1.0)
+        return dict(counts)
+
+    # Each party's rows once; the labels of the validation cut and of the pool.
+    once = {"rows": dataset.num_parties, "label_array": 2}
+    assert select(1, [0.03]) == once
+    assert select(3, [0.03]) == once
+    assert select(1, [0.005, 0.01, 0.03]) == once
+    assert select(3, [0.005, 0.01, 0.03]) == once
+
+
+def test_benchmark_ledger_counts_every_candidates_steps(tmp_path, monkeypatch):
+    # perfbench/round.py's Ledger wraps SplitTrainer.train_step and
+    # vfl.encode_message; a fine-tune that stops stepping through them
+    # fails here before it fails in the benchmark.
+    round_module = load_perfbench("round", monkeypatch)
+    monkeypatch.setattr(vfl, "encode_message", vfl.encode_message)
+    monkeypatch.setattr(vfl.SplitTrainer, "train_step", vfl.SplitTrainer.train_step)
+    ledger = round_module.Ledger(vfl)
+    cfg = {**TINY, "seeds": [0, 1],
+           "finetune": {**TINY["finetune"], "lr_candidates": [0.01, 0.03], "batch_size": 8}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["finetune", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    taken = ledger.take()
+    ft = cfg["finetune"]
+    [labeled_count] = ft["labeled_counts"]
+    train = labeled_count - max(1, round(0.2 * labeled_count))
+    steps = ft["epochs"] * math.ceil(train / ft["batch_size"])
+    trainers = len(cfg["seeds"]) * len(ft["lr_candidates"])
+    assert taken["trainers"] == [[steps, 0]] * trainers
+    parties = cli.build_dataset(cli.load_config(str(path))).num_parties
+    frames = trainers * steps * (parties - 1)
+    assert taken["frames"] == {"Repr": frames, "Grad": frames}
 
 
 def _pretrain_at_gamma(tmp_path, gamma, *args):

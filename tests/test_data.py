@@ -391,6 +391,33 @@ class TestBatches:
             list(data.batches(np.arange(4), 0))
 
 
+def test_positional_batches_pick_the_id_batches():
+    # Fine-tuning draws its batches as positions into the training ids:
+    # the same permutation draw, so the same batches and generator state.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        n=st.integers(0, 150),
+        batch_size=st.integers(1, 160),
+        epochs=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(n, batch_size, epochs, seed):
+        ids = np.random.default_rng(seed).choice(10 * n + 1, size=n, replace=False)
+        by_id, by_pos = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for _ in range(epochs):
+            got = list(data.batches(ids, batch_size, rng=by_id))
+            want = [ids[pos] for pos in data.batches(np.arange(n), batch_size, rng=by_pos)]
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        assert by_id.bit_generator.state == by_pos.bit_generator.state
+
+    check()
+
+
 def test_model_streams_come_only_from_the_stream_table():
     # Every model-side stream is a STREAMS family built by data.stream;
     # only the dataset builders seed a generator of their own.

@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vflhssl import cli, data, nn, tensor as T, vfl
+from vflhssl import cli, data, nn, privacy, tensor as T, vfl
 from vflhssl.errors import ConfigError, ProtocolError, ValidationError
 
+from conftest import whole_batch
 from test_data import HSSL_UNALIGNED
 
 
@@ -19,11 +20,11 @@ def desk_cfg(**kw):
     return nn.ModelConfig(**base)
 
 
-def desk_dataset(parties=2, seed=5):
+def desk_dataset(parties=2, seed=5, cat_cardinalities=()):
     spec = data.SyntheticSpec(
         latent_dim=4, classes=3, parties=parties,
         feature_dims=tuple([6] * parties), noise_scales=tuple([0.5] * parties),
-        cat_cardinalities=tuple([()] * parties),
+        cat_cardinalities=tuple([cat_cardinalities] * parties),
         aligned=60, unaligned=tuple([30] * parties), labeled=40, test=20, seed=seed,
     )
     return data.generate_synthetic(spec)
@@ -220,6 +221,75 @@ class MonolithicMirror:
         return loss.item()
 
 
+class PerIdGatherTrainer(vfl.SplitTrainer):
+    """The step that looks its batch's ids up in every party's block and in
+    party 1's labels at every step: the reference that a step sliced from
+    a FinetunePool must equal bit for bit."""
+
+    def train_step(self, ids):
+        active = self.parties[0]
+        labels = active.labels(ids)
+        rnd = self.network.next_round()
+        reps = [p.finetune_forward(ids) for p in self.parties]
+        received = [
+            T.Tensor(self.network.send(p.party_id, 1, vfl.MSG_REPR, rnd, z.values),
+                     requires_grad=True)
+            for p, z in zip(self.parties[1:], reps[1:])
+        ]
+        logits = active.model.top_model.forward(T.concat_cols([reps[0]] + received))
+        loss = T.softmax_cross_entropy(logits, labels)
+        loss.backward()
+        for p, r, z in zip(self.parties[1:], received, reps[1:]):
+            g = privacy.iso_perturb(r.grad, self.lambda_f, self.noise_rng)
+            z.backward(grad=self.network.send(1, p.party_id, vfl.MSG_GRAD, rnd, g))
+        for opt in self.optimizers:
+            opt.step()
+        return loss.item()
+
+
+class TestFinetunePool:
+    @pytest.mark.parametrize("parties, cat_cardinalities, lambda_f", [
+        (2, (), 0.0), (2, (3, 5), 4.0), (3, (3, 5), 0.0), (3, (), 4.0),
+    ], ids=["2-parties", "2-parties-categorical-iso", "3-parties-categorical", "3-parties-iso"])
+    def test_pooled_steps_equal_per_id_gather(self, parties, cat_cardinalities, lambda_f):
+        ds = desk_dataset(parties=parties, cat_cardinalities=cat_cardinalities)
+        cfg = desk_cfg(num_parties=parties)
+        train_ids = ds.labeled_ids[5:35]
+        pool = vfl.FinetunePool(ds.parties, ds.label_array, train_ids)
+        runs = []
+        for trainer_type in (vfl.SplitTrainer, PerIdGatherTrainer):
+            nodes = vfl.make_parties(ds, cfg, "simsiam", 3)
+            net = vfl.Network()
+            trainer = trainer_type(nodes, net, 0.05, lambda_f=lambda_f,
+                                   noise_rng=np.random.default_rng(7))
+            shuffle = np.random.default_rng(11)
+            losses = []
+            for _ in range(3):
+                if trainer_type is vfl.SplitTrainer:
+                    batches = [pool[pos] for pos in
+                               data.batches(np.arange(len(train_ids)), 8, rng=shuffle)]
+                else:
+                    batches = list(data.batches(train_ids, 8, rng=shuffle))
+                losses += [trainer.train_step(batch) for batch in batches]
+            params = [p.values.tobytes() for node in nodes for _, p in node.model.named_params()]
+            runs.append((losses, params, dict(net.counts), dict(net.bytes)))
+        assert len(runs[0][0]) == 3 * 4 and all(np.isfinite(runs[0][0]))
+        assert runs[0] == runs[1]
+
+    def test_batch_from_other_blocks_refused(self):
+        ds, nodes, net, trainer = make_trainer()
+        before = [p.values.copy() for node in nodes for _, p in node.model.named_params()]
+        ids = ds.labeled_ids[:8]
+        for blocks in (desk_dataset(seed=6).parties, ds.parties[::-1], ds.parties[:1],
+                       desk_dataset(parties=3).parties):
+            pool = vfl.FinetunePool(blocks, ds.label_array, ids)
+            with pytest.raises(ValidationError, match="other blocks"):
+                trainer.train_step(pool[np.arange(len(ids))])
+        assert sum(net.counts.values()) == 0
+        after = [p.values for node in nodes for _, p in node.model.named_params()]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
 class TestSplitTraining:
     @pytest.mark.parametrize("num_parties", [2, 3])
     def test_matches_monolithic_model(self, num_parties):
@@ -227,7 +297,7 @@ class TestSplitTraining:
         mirror = MonolithicMirror(ds, desk_cfg(num_parties=num_parties), "simsiam", 3, 0.05)
         ids = ds.labeled_ids[:16]
         for _ in range(3):
-            l_split = trainer.train_step(ids)
+            l_split = trainer.train_step(whole_batch(trainer, ids))
             l_mono = mirror.train_step(ids)
             assert abs(l_split - l_mono) <= 1e-10
         for split_p, mono_p in zip(nodes, mirror.parties):
@@ -255,7 +325,7 @@ class TestSplitTraining:
             mirror = MonolithicMirror(ds, cfg, "simsiam", 3, 0.05)
             ids = ds.labeled_ids[:16]
             for _ in range(3):
-                l_split = trainer.train_step(ids)
+                l_split = trainer.train_step(whole_batch(trainer, ids))
                 l_mono = mirror.train_step(ids)
                 assert abs(l_split - l_mono) <= 1e-10
             for split_p, mono_p in zip(nodes, mirror.parties):
@@ -267,7 +337,7 @@ class TestSplitTraining:
 
     def test_single_party_degenerate(self):
         ds, nodes, net, trainer = make_trainer(parties=1)
-        trainer.train_step(ds.labeled_ids[:8])
+        trainer.train_step(whole_batch(trainer, ds.labeled_ids[:8]))
         assert sum(net.counts.values()) == 0
         assert 0.0 <= trainer.accuracy(ds.test_ids) <= 1.0
         with pytest.raises(ValidationError, match="empty"):
@@ -275,16 +345,16 @@ class TestSplitTraining:
 
     def test_message_counts_per_step(self):
         ds, nodes, net, trainer = make_trainer(parties=3)
-        trainer.train_step(ds.labeled_ids[:8])
+        trainer.train_step(whole_batch(trainer, ds.labeled_ids[:8]))
         assert net.counts["Repr"] == 2
         assert net.counts["Grad"] == 2
 
     def test_loss_decreases(self):
         ds, nodes, net, trainer = make_trainer()
         ids = ds.labeled_ids
-        first = trainer.train_step(ids)
+        first = trainer.train_step(whole_batch(trainer, ids))
         for _ in range(25):
-            last = trainer.train_step(ids)
+            last = trainer.train_step(whole_batch(trainer, ids))
         assert last < first
 
     def test_zero_lambda_protection_is_exact(self):
@@ -294,8 +364,8 @@ class TestSplitTraining:
         )
         ids = desk_dataset().labeled_ids[:16]
         for _ in range(2):
-            trainer_a.train_step(ids)
-            trainer_b.train_step(ids)
+            trainer_a.train_step(whole_batch(trainer_a, ids))
+            trainer_b.train_step(whole_batch(trainer_b, ids))
         for pa, pb in zip(nodes_a, nodes_b):
             for (name, a), (_, b) in zip(pa.model.named_params(), pb.model.named_params()):
                 np.testing.assert_array_equal(a.values, b.values, err_msg=name)
@@ -306,8 +376,8 @@ class TestSplitTraining:
             seed=11, lambda_f=5.0, noise_rng=np.random.default_rng(0),
         )
         ids = desk_dataset().labeled_ids[:16]
-        trainer_a.train_step(ids)
-        trainer_b.train_step(ids)
+        trainer_a.train_step(whole_batch(trainer_a, ids))
+        trainer_b.train_step(whole_batch(trainer_b, ids))
         # the passive party's encoder sees a noisy gradient
         diffs = [
             np.abs(a.values - b.values).max()
@@ -327,7 +397,7 @@ class TestSplitTraining:
             return original(self, src, dst, msg_type, rnd, payload)
 
         monkeypatch.setattr(vfl.Network, "send", spy)
-        trainer.train_step(ids)
+        trainer.train_step(whole_batch(trainer, ids))
         repr_dim = nodes[0].model.cfg.finetune_repr_dim()
         for payload in seen:
             assert payload.shape == (len(ids), repr_dim)
@@ -382,15 +452,15 @@ class TestSplitTraining:
         _, _, _, t2 = make_trainer(seed=9)
         ids = ds.labeled_ids[:16]
         for _ in range(3):
-            t1.train_step(ids)
-            t2.train_step(ids)
+            t1.train_step(whole_batch(t1, ids))
+            t2.train_step(whole_batch(t2, ids))
         np.testing.assert_array_equal(t1.logits(ds.test_ids).argmax(1),
                                       t2.logits(ds.test_ids).argmax(1))
         np.testing.assert_array_equal(t1.logits(ds.test_ids), t2.logits(ds.test_ids))
 
     def test_logits_record_no_graph(self, monkeypatch):
         ds, _, _, trainer = make_trainer()
-        trainer.train_step(ds.labeled_ids[:16])
+        trainer.train_step(whole_batch(trainer, ds.labeled_ids[:16]))
         outputs, result = [], T._result
 
         def recording(*args):
@@ -405,9 +475,9 @@ class TestSplitTraining:
         ds, plain, _, t1 = make_trainer(seed=9)
         _, probed, _, t2 = make_trainer(seed=9)
         for batch in np.array_split(ds.labeled_ids, 4):
-            t1.train_step(batch)
+            t1.train_step(whole_batch(t1, batch))
             t2.logits(ds.test_ids)
-            t2.train_step(batch)
+            t2.train_step(whole_batch(t2, batch))
             t2.accuracy(batch)
         for a, b in zip(plain, probed):
             for (name, pa), (_, pb) in zip(a.model.named_params(), b.model.named_params()):
@@ -419,7 +489,7 @@ class TestSplitTraining:
         ds = data.generate_synthetic(data.SyntheticSpec(**HSSL_UNALIGNED))
         nodes = vfl.make_parties(ds, cli.build_model_config(config, ds), "simsiam", 0)
         trainer = vfl.SplitTrainer(nodes, vfl.Network(), learning_rate=0.01)
-        trainer.train_step(ds.labeled_ids[:64])
+        trainer.train_step(whole_batch(trainer, ds.labeled_ids[:64]))
         trainer.logits(ds.test_ids)  # warm-up: first-call allocations are not the forward's
         tracemalloc.start()
         try:
